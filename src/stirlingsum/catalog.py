@@ -46,6 +46,7 @@ from .transform import (
     InnerCoefficients,
     NonConvergenceError,
     _PRECISION_LOCK,
+    _to_mpf,
     eval_stirling_series,
     weniger_transform,
 )
@@ -827,7 +828,7 @@ def _lhs_sum(f: Formula, n: int) -> mpf:
     start = f.summand_start
     if _summand_fraction(f, max(start, 1)) is not None and n <= _EXACT_SUM_LIMIT:
         total = sum((_summand_fraction(f, k) for k in range(start, n + 1)), F(0))
-        return _mpf_of(total)
+        return _to_mpf(total)
     if f.id.family == 10 and n <= _EXACT_SUM_LIMIT:
         return mp.log(mpf(math.factorial(n)))
     return mp.fsum(_summand_mpf(f, k) for k in range(start, n + 1))
@@ -839,7 +840,7 @@ def _bridge_sum(f: Formula, n: int, anchor: int) -> mpf:
         return mpf(0)
     if _summand_fraction(f, n + 1) is not None and anchor <= _EXACT_SUM_LIMIT:
         total = sum((_summand_fraction(f, k) for k in range(n + 1, anchor + 1)), F(0))
-        return _mpf_of(total)
+        return _to_mpf(total)
     if f.id.family == 10 and anchor <= _EXACT_SUM_LIMIT:
         return mp.log(mpf(math.prod(range(n + 1, anchor + 1))))
     return mp.fsum(_summand_mpf(f, k) for k in range(n + 1, anchor + 1))
@@ -860,10 +861,6 @@ def brute_force(formula, n: int, digits: int = 30) -> mpf:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-
-def _mpf_of(fr: Fraction) -> mpf:
-    return mpf(fr.numerator) / fr.denominator
 
 
 def _as_count(n, minimum: int) -> int:
@@ -910,9 +907,9 @@ def _head_value(
     for t in f.head:
         if t is skip:
             continue
-        v = _mpf_of(t.rational)
+        v = _to_mpf(t.rational)
         if t.n_power:
-            v *= mp.power(nv + t.base_offset, _mpf_of(t.n_power))
+            v *= mp.power(nv + t.base_offset, _to_mpf(t.n_power))
         if t.log_power:
             v *= logn**t.log_power
         for cid, p in t.constants:
@@ -922,9 +919,9 @@ def _head_value(
 
 
 def _part_scale(part: SeriesPart, n: int):
-    v = _mpf_of(part.prefactor)
+    v = _to_mpf(part.prefactor)
     if part.n_power:
-        v *= mp.power(mpf(n), _mpf_of(part.n_power))
+        v *= mp.power(mpf(n), _to_mpf(part.n_power))
     if part.log_power:
         v *= mp.log(mpf(n)) ** part.log_power
     return v * _parity_factor(n, part.parity)
@@ -1098,7 +1095,7 @@ def recover_details(
                     - _head_value(f, current, cvalues, skip=term)
                     - tail
                 )
-                coef = _mpf_of(term.rational)
+                coef = _to_mpf(term.rational)
                 for cid, p in term.constants:
                     if cid != target:
                         coef *= cvalues[cid] ** p
@@ -1135,7 +1132,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
         max_terms=max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING)),
     )
     with _PRECISION_LOCK, mp.workdps(digits + guard + 8):
-        xv = _mpf_of(x) if isinstance(x, Fraction) else mpf(x)
+        xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
         if xv <= 0:
             raise DomainError(f"digamma needs x > 0, got {xv}")
         shift = int(mp.ceil(max(mpf(0), digits - xv)))

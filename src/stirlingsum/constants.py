@@ -27,7 +27,7 @@ from importlib import resources
 from mpmath import mp, mpf
 
 from .exactnum import DomainError
-from .transform import _PRECISION_LOCK
+from .transform import _PRECISION_LOCK, _to_mpf
 
 __all__ = [
     "ConstantId",
@@ -341,8 +341,6 @@ def recover_constant(formula, n0: int | None = None, digits: int = 30, store=Non
     ``n0`` is the initial summation anchor (default digits + 10); it is
     raised automatically until the series stop rule fires.
     """
-    if n0 is not None and n0 < 2:
-        raise DomainError(f"need n0 >= 2, got {n0}")
     from . import catalog
 
     return catalog.recover_details(
@@ -357,23 +355,13 @@ def elementary(op: str, digits: int, x=None, r=None) -> mpf:
     with _PRECISION_LOCK, mp.workdps(digits + 10):
         if op == "pi":
             return +mp.pi
+        if op not in ("log", "power"):
+            raise DomainError(f"unknown elementary op {op!r}")
+        if x is None:
+            raise DomainError("missing argument")
+        xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
+        if xv <= 0:
+            raise DomainError(f"{op} needs x > 0, got {xv}")
         if op == "log":
-            xv = _as_mpf(x)
-            if xv <= 0:
-                raise DomainError(f"log needs x > 0, got {xv}")
             return mp.log(xv)
-        if op == "power":
-            xv = _as_mpf(x)
-            if xv <= 0:
-                raise DomainError(f"power needs x > 0, got {xv}")
-            rf = Fraction(r)
-            return mp.power(xv, mpf(rf.numerator) / rf.denominator)
-        raise DomainError(f"unknown elementary op {op!r}")
-
-
-def _as_mpf(x) -> mpf:
-    if x is None:
-        raise DomainError("missing argument")
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+        return mp.power(xv, _to_mpf(Fraction(r)))

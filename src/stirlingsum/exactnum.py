@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterator
 
 __all__ = [
     "DomainError",
     "ExactRational",
     "stirling_first",
     "stirling_row",
-    "stirling_rows",
     "bernoulli",
     "euler_number",
     "tangent_number",
@@ -77,16 +75,6 @@ def stirling_row(k: int) -> tuple[int, ...]:
         row = _next_row(row, kk)
         kk += 1
     return row
-
-
-def stirling_rows(start: int = 1) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(k, row_k)`` forever from ``k = start``, streaming in O(row) memory."""
-    row = stirling_row(start)
-    k = start
-    while True:
-        yield k, row
-        row = _next_row(row, k)
-        k += 1
 
 
 def stirling_first(k: int, l: int) -> int:

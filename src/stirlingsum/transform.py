@@ -10,6 +10,15 @@ inverse-factorial series
 which converges for every x > 0. The map is linear and exact over the
 rationals; this module computes it exactly and evaluates the resulting series
 to a requested decimal precision with an adaptive stopping rule.
+
+The Stirling sums are never formed. Writing L[t^l] = (-1)^l a_l and
+M_i(j) = L[t^j (t)_i], with (t)_i the falling factorial, gives
+c_k = (-1)^k M_k(0) and the recurrence
+
+    M_{i+1}(j) = M_i(j+1) - i*M_i(j),
+
+so one anti-diagonal of moments, updated as each a_l arrives, yields the c_k
+in order (Weniger, Appl. Numer. Math. 2010).
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 from mpmath import mp, mpf
 
-from .exactnum import DomainError, stirling_rows
+from .exactnum import DomainError
 
 # mpmath's working precision is process-global state, so numeric kernels
 # across the package hold this (reentrant) lock while adjusting it.  Cache
@@ -149,19 +158,21 @@ def weniger_transform(a: InnerCoefficients, K: int) -> StirlingCoefficients:
 
 @dataclass
 class _StreamCheckpoint:
-    """Resumable transform state: c_1..c_k plus the scaled-weight vector at k."""
+    """Resumable transform state at k: c_1..c_k, the common denominator Q of
+    a_1..a_k and the scaled moment frontier Q*M_i(k-i), i = 0..k, which
+    M_{i+1}(j) = M_i(j+1) - i*M_i(j) carries on to k+1."""
 
     coeffs: list[Fraction]
     Q: int
-    weights: list[int]
+    frontier: list[int]
 
 
 # Transformed coefficients depend only on the inner sequence, never on x, so
 # streams for the same InnerCoefficients instance (each catalog formula keeps
 # one for its lifetime) resume from the longest prefix computed so far instead
-# of redoing the Stirling dot products. Capped so a one-off deep run cannot
-# pin big-integer state forever.
-_CHECKPOINT_LIMIT = 512
+# of redoing the moment updates. No depth cap is needed: the frontier is k+1
+# integers holding about twice the bits of the c_1..c_k kept beside it (some
+# 600 KiB at k = 800), so keeping any depth costs less than recomputing it.
 _checkpoints: "weakref.WeakKeyDictionary[InnerCoefficients, _StreamCheckpoint]" = (
     weakref.WeakKeyDictionary()
 )
@@ -173,56 +184,47 @@ def _transform_stream(
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (k, c_k) for k = 1.. (up to K if given), exactly.
 
-    The dot product against the Stirling row is done in scaled integers: Q is
-    a running common denominator for a_1..a_k and W_l = (-1)^l * a_l * Q, so
-    each c_k costs k big-integer multiplies and a single reduction instead of
-    k Fraction operations.
+    With the linear functional L[t^l] = (-1)^l a_l (and L[1] = 0) the map is
+    c_k = (-1)^k M_k(0), where M_i(j) = L[t^j (t)_i] and (t)_i is the falling
+    factorial, whose power coefficients are the S_i^(1)(l). As
+    (t)_{i+1} = (t)_i (t - i),
+
+        M_{i+1}(j) = M_i(j+1) - i*M_i(j),
+
+    so the anti-diagonal F_i = M_i(k-i), i = 0..k, moves on to k+1 from the
+    one new moment M_0(k+1) = (-1)^(k+1) a_{k+1}. The frontier is held in
+    integers scaled by Q, a running common denominator of a_1..a_k, so each
+    c_k costs k big-by-small multiplies and a single reduction.
     """
     with _checkpoint_lock:
         cp = _checkpoints.get(a)
         done = list(cp.coeffs) if cp else []
-        Q = cp.Q if cp else 1
-        weights = list(cp.weights) if cp else []
-    for i, ck in enumerate(done, start=1):
-        if K is not None and i > K:
+        Q, frontier = (cp.Q, cp.frontier) if cp else (1, [0])
+    for k, ck in enumerate(done, start=1):
+        if K is not None and k > K:
             return
-        yield i, ck
-    start = len(done) + 1
-    if K is not None and start > K:
-        return
-    support = a.support_hint
-    reached = len(done)
-    cap_state: tuple[int, list[int]] | None = None
+        yield k, ck
+    k = len(done)
     try:
-        for k, row in stirling_rows(start):
-            if K is not None and k > K:
-                return
-            if support is None or k <= support:
-                al = a(k)
-                q = al.denominator
-                g = math.gcd(Q, q)
-                grow = q // g
-                if grow > 1:
-                    weights = [w * grow for w in weights]
-                    Q *= grow
-                weights.append((-1) ** k * al.numerator * (Q // q))
-            upto = min(k, support) if support is not None else k
-            dot = sum(weights[l - 1] * row[l] for l in range(1, upto + 1))
-            ck = Fraction((-1) ** k * dot, Q)
+        while K is None or k < K:
+            k += 1
+            al = a(k)
+            q = al.denominator
+            grow = q // math.gcd(Q, q)
+            if grow > 1:
+                frontier, Q = [f * grow for f in frontier], Q * grow
+            row = [(-1) ** k * al.numerator * (Q // q)]
+            for i, f in enumerate(frontier):
+                row.append(row[-1] - i * f)
+            frontier = row
+            ck = Fraction((-1) ** k * row[-1], Q)
             done.append(ck)
-            reached = k
-            if k == _CHECKPOINT_LIMIT:
-                cap_state = (Q, weights.copy())
             yield k, ck
     finally:
-        keep = min(reached, _CHECKPOINT_LIMIT)
-        if keep > (len(cp.coeffs) if cp else 0):
-            state = (Q, weights.copy()) if reached <= _CHECKPOINT_LIMIT else cap_state
-            assert state is not None
-            with _checkpoint_lock:
-                current = _checkpoints.get(a)
-                if current is None or len(current.coeffs) < keep:
-                    _checkpoints[a] = _StreamCheckpoint(done[:keep], state[0], state[1])
+        with _checkpoint_lock:
+            current = _checkpoints.get(a)
+            if current is None or len(current.coeffs) < len(done):
+                _checkpoints[a] = _StreamCheckpoint(done, Q, frontier)
 
 
 def pochhammer(x, k: int):
@@ -300,7 +302,7 @@ def eval_stirling_series(
         raise DomainError(f"unknown start_shift {start_shift!r}")
     t0 = time.perf_counter()
     with _PRECISION_LOCK, mp.workdps(ctx.working_digits):
-        xv = mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpf(x)
+        xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
         if xv <= 0:
             raise DomainError(f"series requires x > 0, got {xv}")
         # When the decay model puts the stop point far beyond the term budget,

@@ -12,7 +12,6 @@ from stirlingsum.exactnum import (
     stirling_a,
     stirling_first,
     stirling_row,
-    stirling_rows,
     tangent_number,
 )
 
@@ -86,16 +85,12 @@ def test_stirling_row_sums():
 
 
 def test_stirling_recurrence_holds_for_streamed_rows():
-    gen = stirling_rows(1)
-    _, prev = next(gen)
-    for k, row in gen:
-        if k > 30:
-            break
+    for k in range(2, 32):
+        prev, row = stirling_row(k - 1), stirling_row(k)
         for l in range(1, k + 1):
             left = prev[l - 1] if l - 1 <= k - 1 else 0
             right = prev[l] if l <= k - 1 else 0
             assert row[l] == left - (k - 1) * right
-        prev = row
 
 
 def test_stirling_first_column_is_signed_factorial():

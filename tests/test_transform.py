@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from stirlingsum.exactnum import DomainError, bernoulli, gregory_number
+from stirlingsum import catalog
+from stirlingsum.exactnum import DomainError, bernoulli, gregory_number, stirling_row
 from stirlingsum.transform import (
     AT_X,
     AT_X_PLUS_1,
@@ -68,6 +69,30 @@ def test_transform_is_linear(xs, ys, alpha, beta):
     ca, cb, cc = (weniger_transform(s, K) for s in (a, b, combo))
     for k in range(K):
         assert cc.values[k] == alpha * ca.values[k] + beta * cb.values[k]
+
+
+def test_transform_matches_stirling_sum_definition():
+    # c_k = (-1)^k sum_l (-1)^l a_l S_k^(1)(l), summed straight from the
+    # Stirling rows, for catalog inner sequences and a finite-support one
+    sequences = [
+        part.inner
+        for fid in ("1.1", "12.1", "13.1", "16.1")
+        for part in catalog.describe(fid).series
+    ]
+    sequences.append(
+        InnerCoefficients(
+            fn=lambda l: [F(3, 7), F(-5), F(2, 9)][l - 1] if l <= 3 else F(0),
+            support_hint=3,
+        )
+    )
+    K = 80
+    for a in sequences:
+        al = [None] + [a(l) for l in range(1, K + 1)]
+        textbook = [
+            (-1) ** k * sum((-1) ** l * al[l] * stirling_row(k)[l] for l in range(1, k + 1))
+            for k in range(1, K + 1)
+        ]
+        assert list(weniger_transform(a, K).values) == textbook
 
 
 def test_pochhammer_values():
@@ -219,6 +244,19 @@ def test_repeated_transforms_replay_cached_coefficients():
     fresh = weniger_transform(InnerCoefficients(fn=lambda l: F(1, l * l + 1)), 70)
     assert list(deeper.values) == list(fresh.values)
     assert list(again.values) == list(fresh.values)[:40]
+
+    # deep streams are kept whole: a repeat needs no inner coefficient at all
+    unit_calls = []
+
+    def unit(l):
+        unit_calls.append(l)
+        return F(1) if l == 1 else F(0)
+
+    b = InnerCoefficients(fn=unit)
+    first = weniger_transform(b, 600)
+    unit_calls.clear()
+    assert weniger_transform(b, 600) == first
+    assert unit_calls == []
 
 
 def test_checkpoint_resume_past_cache_cap_stays_exact():
