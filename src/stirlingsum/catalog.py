@@ -16,6 +16,7 @@ tail isolates the one unknown constant.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -204,9 +205,18 @@ def _root_inner(sign: int, a: int, b: int, c: int, d: int) -> InnerCoefficients:
     return _inner(fn)
 
 
+_harmonic_numbers = [F(0)]  # H_0, H_1, ...; append-only
+_harmonic_lock = threading.Lock()
+
+
 def _weighted_harmonic(l: int) -> Fraction:
-    # sum_{m=0}^{l-1} (m+1)/(l-m), the inner weight of the third log family
-    return sum((F(m + 1, l - m) for m in range(l)), F(0))
+    # sum_{m=0}^{l-1} (m+1)/(l-m) = (l+1) H_l - l, the inner weight of the
+    # third log family
+    with _harmonic_lock:
+        while len(_harmonic_numbers) <= l:
+            _harmonic_numbers.append(_harmonic_numbers[-1] + F(1, len(_harmonic_numbers)))
+        h = _harmonic_numbers[l]
+    return (l + 1) * h - l
 
 
 def _plain_log_inner(l: int) -> Fraction:

@@ -19,10 +19,18 @@ c_k = (-1)^k M_k(0) and the recurrence
 
 so one anti-diagonal of moments, updated as each a_l arrives, yields the c_k
 in order (Weniger, Appl. Numer. Math. 2010).
+
+The series is summed in fixed-point Python integers, not in mpmath floating
+point: x is taken exactly as p/q, 1/(x(x+1)...(x+k)) is carried as a
+mantissa and a binary exponent, and each term is an integer quotient added to
+an integer accumulator. Only the returned value and error estimate become mpf
+numbers, rounded once to the working precision, so the evaluator reads no
+global mpmath state and holds no lock.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -32,12 +40,22 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_pow,
+    round_nearest,
+)
 
 from .exactnum import DomainError
 
 # mpmath's working precision is process-global state, so numeric kernels
-# across the package hold this (reentrant) lock while adjusting it.  Cache
-# reads and exact rational work never touch it.
+# across the package that compute in mpf hold this (reentrant) lock while
+# adjusting it.  Cache reads, exact rational work and the integer series
+# kernel never touch it.
 _PRECISION_LOCK = threading.RLock()
 
 __all__ = [
@@ -91,8 +109,12 @@ class StirlingCoefficients:
 class EvalContext:
     """Precision and truncation policy for series evaluation.
 
-    ``guard`` defaults to 10 + ceil(digits/10): per-term rounding error grows
-    only linearly in the (few hundred) terms used.
+    ``guard`` defaults to 10 + ceil(digits/10). The working precision is
+    digits + guard decimal digits, and the stop rule compares terms against
+    10^-(digits + guard/2) of the partial sum. The series kernel's own
+    truncation error does not eat into the guard: it carries
+    max_terms.bit_length() + 8 extra bits in 1/D_k and 64 extra bits in the
+    accumulator, enough for the whole term budget.
     """
 
     digits: int = 30
@@ -283,6 +305,36 @@ def _to_mpf(q: Fraction) -> mpf:
     return mpf(q.numerator) / q.denominator if q.denominator != 1 else mpf(q.numerator)
 
 
+def _shifted_quotient(n: int, d: int, shift: int) -> int:
+    """floor(n * 2^shift / d) for d > 0 (flooring twice floors once)."""
+    return (n << shift if shift >= 0 else n >> -shift) // d
+
+
+def _mantissa(n: int, d: int, bits: int) -> tuple[int, int]:
+    """(m, e) with m * 2^e = n/d rounded down and m of ``bits`` or bits+1 bits."""
+    s = bits - n.bit_length() + d.bit_length()
+    return _shifted_quotient(n, d, s), -s
+
+
+@functools.lru_cache(maxsize=256)
+def _eps(digits: float, wp: int) -> tuple[int, int]:
+    """(man, exp) of 10^-digits rounded to wp bits: mpf(10) ** -digits at
+    that precision, cached since each series call needs one."""
+    _, man, exp, _ = mpf_pow(from_int(10), from_float(-digits), wp, round_nearest)
+    return man, exp
+
+
+def _as_ratio(x) -> tuple[int, int]:
+    """x exactly as p/q in lowest terms (q > 0): an mpf as man*2^exp, anything
+    else through Fraction (int, Fraction, float, decimal string)."""
+    if isinstance(x, mpf):
+        sign, man, exp, _ = x._mpf_  # inf and nan carry man = 0
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    r = Fraction(x)
+    return r.numerator, r.denominator
+
+
 def eval_stirling_series(
     c: CoefficientSource,
     x,
@@ -291,72 +343,93 @@ def eval_stirling_series(
 ) -> EvaluationReport:
     """Evaluate  sum_k c_k / D_k(x)  with D_k = x(x+1)..(x+k) or (x+1)..(x+k).
 
-    Coefficients stay exact until the one floating division per term. The sum
-    stops once ``ctx.stop_rule`` consecutive terms fall below
-    10^-(digits + guard/2) relative to the running partial sum (exact zero
-    terms count as small), or fails with :class:`NonConvergenceError` at
-    ``ctx.max_terms``.
+    The sum runs in Python integers and reads no global mpmath state, so it
+    needs no precision lock. x is taken exactly as p/q; 1/D_k is carried as a
+    W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length() + 8
+    for the working precision wp, and moves on to k+1 with one multiply by q
+    and one division by p + k*q. Each term c_k/D_k is the exact floor of
+    c_k.numerator * mantissa / c_k.denominator in units 2^-(wp + 64) of the
+    first nonzero term, added to an integer accumulator. The truncations stay
+    below k*2^-(W-1) relative per term plus one unit per term, far inside the
+    guard digits, and only ``value`` and ``est_error`` are rounded to wp bits.
+
+    The sum stops once ``ctx.stop_rule`` consecutive terms fall below
+    eps = 10^-(digits + guard/2) (rounded to wp bits) relative to the running
+    partial sum (exact zero terms count as small), or fails with
+    :class:`NonConvergenceError` at ``ctx.max_terms``.
     """
     ctx = ctx or EvalContext()
     if start_shift not in (AT_X, AT_X_PLUS_1):
         raise DomainError(f"unknown start_shift {start_shift!r}")
     t0 = time.perf_counter()
-    with _PRECISION_LOCK, mp.workdps(ctx.working_digits):
-        xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
-        if xv <= 0:
-            raise DomainError(f"series requires x > 0, got {xv}")
-        # When the decay model puts the stop point far beyond the term budget,
-        # compute only a short genuine prefix for the partial report instead
-        # of grinding out the whole doomed budget. Small budgets get a 2x + 300
-        # margin because the model is crudest at small x; large budgets are the
-        # expensive ones and the model tracks them well, so 1.35x + 300 there.
-        run_limit = ctx.max_terms
-        hopeless = None
-        if isinstance(c, InnerCoefficients) and float(xv) < 1e15:
-            predicted = required_terms_estimate(float(xv), ctx.digits + ctx.guard / 2)
-            budget = ctx.max_terms
-            cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
-            if predicted > cutoff:
-                run_limit = min(ctx.max_terms, 64)
-                hopeless = (
-                    f"roughly {predicted} terms needed at x={float(xv):g} for "
-                    f"{ctx.digits} digits, beyond the {ctx.max_terms}-term budget"
-                )
-        eps = mpf(10) ** (-(ctx.digits + ctx.guard / 2))
-        total = mpf(0)
-        denom = xv if start_shift == AT_X else mpf(1)
-        small_run = 0
-        terms_used = 0
-        stream = _coefficient_stream(c)
-        stopped = False
-        next_term = mpf(0)
-        for k, ck in stream:
-            denom *= xv + k
-            term = _to_mpf(ck) / denom if ck else mpf(0)
-            if (stopped := small_run >= ctx.stop_rule) or terms_used >= run_limit:
-                next_term = term  # first omitted term, either way
-                break
-            total += term
-            terms_used += 1
-            if not term or abs(term) < eps * abs(total):
-                small_run += 1
-            else:
-                small_run = 0
-        else:  # finite coefficient list exhausted: series ends exactly
-            stopped = True
-            next_term = mpf(0)
-        report = EvaluationReport(
-            value=total,
-            terms_used=terms_used,
-            est_error=2 * abs(next_term),
-            precision_used=ctx.working_digits,
-            elapsed=time.perf_counter() - t0,
-        )
+    p, q = _as_ratio(x)
+    if p <= 0:
+        raise DomainError(f"series requires x > 0, got {x}")
+    xf = p / q if p.bit_length() - q.bit_length() < 1000 else math.inf  # no overflow
+    # When the decay model puts the stop point far beyond the term budget,
+    # compute only a short genuine prefix for the partial report instead
+    # of grinding out the whole doomed budget. Small budgets get a 2x + 300
+    # margin because the model is crudest at small x; large budgets are the
+    # expensive ones and the model tracks them well, so 1.35x + 300 there.
+    run_limit = ctx.max_terms
+    hopeless = None
+    if isinstance(c, InnerCoefficients) and xf < 1e15:
+        predicted = required_terms_estimate(xf, ctx.digits + ctx.guard / 2)
+        budget = ctx.max_terms
+        cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
+        if predicted > cutoff:
+            run_limit = min(ctx.max_terms, 64)
+            hopeless = (
+                f"roughly {predicted} terms needed at x={xf:g} for "
+                f"{ctx.digits} digits, beyond the {ctx.max_terms}-term budget"
+            )
+    wp = dps_to_prec(ctx.working_digits)
+    W = wp + ctx.max_terms.bit_length() + 8
+    eps_man, eps_exp = _eps(ctx.digits + ctx.guard / 2, wp)
+    # 1/D_k = m * 2^e; D_0 = x for at_x, 1 for at_x_plus_1
+    m, e = _mantissa(q, p, W) if start_shift == AT_X else (1 << W, -W)
+    total = 0  # accumulator, units 2^unit once the first nonzero term fixes it
+    unit = 0
+    small_run = 0
+    terms_used = 0
+    stopped = False
+    next_term = fzero
+    for k, ck in _coefficient_stream(c):
+        m, de = _mantissa(m * q, p + k * q, W)
+        e += de
+        if (stopped := small_run >= ctx.stop_rule) or terms_used >= run_limit:
+            if ck:  # first omitted term, either way, at W-bit precision
+                t, te = _mantissa(ck.numerator * m, ck.denominator, W)
+                next_term = from_man_exp(2 * abs(t), e + te, wp, round_nearest)
+            break
+        terms_used += 1
+        if not ck:
+            small_run += 1
+            continue
+        t, den = ck.numerator * m, ck.denominator
+        if not total:  # a zero sum takes any unit; fix it from this term
+            unit = e + t.bit_length() - den.bit_length() - wp - 64
+        term = _shifted_quotient(t, den, e - unit)
+        total += term
+        # |term| < eps * |total|, both sides in accumulator units
+        if abs(term) << -eps_exp < eps_man * abs(total):
+            small_run += 1
+        else:
+            small_run = 0
+    else:  # finite coefficient list exhausted: series ends exactly
+        stopped = True
+    report = EvaluationReport(
+        value=mp.make_mpf(from_man_exp(total, unit, wp, round_nearest)),
+        terms_used=terms_used,
+        est_error=mp.make_mpf(next_term),
+        precision_used=ctx.working_digits,
+        elapsed=time.perf_counter() - t0,
+    )
     if not stopped:
         raise NonConvergenceError(
             hopeless
             or f"stop rule did not fire within {ctx.max_terms} terms "
-            f"(x={float(xv):g} too small for {ctx.digits} digits?)",
+            f"(x={xf:g} too small for {ctx.digits} digits?)",
             report,
         )
     return report

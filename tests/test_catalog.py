@@ -1,5 +1,7 @@
 """Tests for the formula catalog: coefficients, evaluation, recovery, digamma."""
 
+import sys
+import threading
 import time
 from fractions import Fraction as F
 
@@ -301,3 +303,31 @@ def test_recovery_refuses_unreachable_depth_quickly():
     with pytest.raises(NonConvergenceError):
         catalog.recover_details("1.1", digits=2400, store=ConstantStore())
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
+    # (l+1) H_l - l from a shared harmonic-number cache, filled from a cold
+    # start by racing threads, equals the defining sum sum_m (m+1)/(l-m)
+    monkeypatch.setattr(catalog, "_harmonic_numbers", [F(0)])
+    expected = {l: sum((F(m + 1, l - m) for m in range(l)), F(0)) for l in range(1, 121)}
+    got = {}
+
+    def work(offset):
+        for l in range(120 - offset, 0, -8):
+            got[l] = catalog._weighted_harmonic(l)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+    assert catalog._harmonic_numbers == [F(0)] + [
+        sum((F(1, j) for j in range(1, i + 1)), F(0)) for i in range(1, 121)
+    ]

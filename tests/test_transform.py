@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from stirlingsum import catalog
+from stirlingsum import catalog, transform
 from stirlingsum.exactnum import DomainError, bernoulli, gregory_number, stirling_row
 from stirlingsum.transform import (
     AT_X,
@@ -17,6 +17,7 @@ from stirlingsum.transform import (
     NonConvergenceError,
     StirlingCoefficients,
     eval_stirling_series,
+    _to_mpf,
     pochhammer,
     required_terms_estimate,
     verify_transform_consistency,
@@ -315,3 +316,118 @@ def test_small_budgets_are_exempt_from_the_bail_heuristic():
     with pytest.raises(NonConvergenceError) as exc:
         eval_stirling_series(HARMONIC_TAIL, 20, AT_X, EvalContext(digits=80, max_terms=12))
     assert exc.value.report.terms_used == 12
+
+
+# ---------------------------------------------------------------------------
+# Integer summation kernel against an mpf oracle
+# ---------------------------------------------------------------------------
+
+SERIES_PARTS = [part for fid in catalog.formula_ids() for part in catalog.describe(fid).series]
+
+
+def _mpf_series(c, x, start_shift, ctx):
+    """Oracle for eval_stirling_series: the same sum, refusal pre-flight and
+    stop rule in mpmath floating point at the working precision, one rounded
+    operation per step. Returns (value, terms_used, stopped, first nonzero
+    term)."""
+    with mp.workdps(ctx.working_digits):
+        xv = _to_mpf(x) if isinstance(x, F) else mpf(x)
+        run_limit = ctx.max_terms
+        if isinstance(c, InnerCoefficients) and float(xv) < 1e15:
+            predicted = required_terms_estimate(float(xv), ctx.digits + ctx.guard / 2)
+            budget = ctx.max_terms
+            cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
+            if predicted > cutoff:
+                run_limit = min(ctx.max_terms, 64)
+        eps = mpf(10) ** (-(ctx.digits + ctx.guard / 2))
+        total = mpf(0)
+        first = mpf(0)
+        denom = xv if start_shift == AT_X else mpf(1)
+        small_run = 0
+        terms_used = 0
+        for k, ck in transform._coefficient_stream(c):
+            denom *= xv + k
+            term = _to_mpf(ck) / denom if ck else mpf(0)
+            if (stopped := small_run >= ctx.stop_rule) or terms_used >= run_limit:
+                break
+            total += term
+            terms_used += 1
+            first = first or term
+            if not term or abs(term) < eps * abs(total):
+                small_run += 1
+            else:
+                small_run = 0
+        else:
+            stopped = True
+        return total, terms_used, stopped, first
+
+
+def _run(c, x, shape, ctx):
+    try:
+        return eval_stirling_series(c, x, shape, ctx), True
+    except NonConvergenceError as exc:
+        return exc.report, False
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(SERIES_PARTS),
+    st.sampled_from([AT_X, AT_X_PLUS_1]),
+    st.one_of(
+        st.integers(1, 10**5),
+        st.fractions(min_value=1, max_value=10**4, max_denominator=1000),
+        st.floats(min_value=1, max_value=1e5).map(mpf),
+    ),
+    st.integers(5, 300),
+    st.one_of(st.integers(1, 60), st.integers(200, 400)),
+)
+def test_integer_kernel_matches_mpf_loop(part, shape, x, digits, max_terms):
+    ctx = EvalContext(digits=digits, max_terms=max_terms)
+    rep, stopped = _run(part.inner, x, shape, ctx)
+    value, terms_used, ref_stopped, first = _mpf_series(part.inner, x, shape, ctx)
+    assert (rep.terms_used, stopped) == (terms_used, ref_stopped)
+    with mp.workdps(ctx.working_digits):
+        scale = max(abs(value), abs(first))
+        assert abs(rep.value - value) <= mpf(10) ** -digits * scale
+
+
+def test_series_ignores_global_precision():
+    ctx = EvalContext(digits=40, max_terms=300)
+    for c, x, shape in [
+        (catalog.describe("13.1").series[0].inner, 50, AT_X),
+        (catalog.describe("6.2").series[0].inner, F(301, 7), AT_X_PLUS_1),
+        (HARMONIC_TAIL, mpf("60.125"), AT_X),
+        (HARMONIC_TAIL, 12, AT_X),  # refused
+    ]:
+        with mp.workdps(5):
+            low, low_ok = _run(c, x, shape, ctx)
+        with mp.workdps(500):
+            high, high_ok = _run(c, x, shape, ctx)
+        assert low_ok == high_ok
+        assert (low.value, low.terms_used, low.est_error) == (
+            high.value, high.terms_used, high.est_error)
+
+
+# terms_used of the mpf summation loop (the oracle above) on catalog calls:
+# the integer kernel must stop every run at the same term
+EVALUATE_TERMS = [
+    ("1.1", 5, 30, 153), ("2.1", 1, 100, 398), ("3.1", 25, 40, 183),
+    ("4.2", 7, 25, 201), ("5.2", 1000, 20, 22), ("7.2", 3, 80, 349),
+    ("9.1", 25, 50, 218), ("9.2", 25, 45, 202), ("12.1", 25, 30, 297),
+    ("13.1", 10, 40, 371), ("14.1", 40, 35, 441), ("15.1", 300, 60, 72),
+    ("16.1", 100, 60, 82),
+]
+DIGAMMA_TERMS = [
+    (3, 200, 822), (10**10, 50, 10), (F(1, 3), 40, 252), (mpf("2.5"), 100, 458),
+    (0.75, 30, 217), (1234567, 300, 73),
+]
+
+
+@pytest.mark.parametrize("fid,n,digits,terms", EVALUATE_TERMS)
+def test_evaluate_stops_where_recorded(fid, n, digits, terms):
+    assert catalog.evaluate(fid, n, EvalContext(digits=digits)).terms_used == terms
+
+
+@pytest.mark.parametrize("x,digits,terms", DIGAMMA_TERMS)
+def test_digamma_stops_where_recorded(x, digits, terms):
+    assert catalog.digamma_details(x, digits)[1] == terms
