@@ -15,6 +15,7 @@ tail isolates the one unknown constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
@@ -23,6 +24,7 @@ from fractions import Fraction
 from importlib import resources
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_pow, round_nearest
 
 from . import constants as _constants
 from .asymptotics import ALT_HARMONIC, GREGORY_LEIBNIZ, LogPowerTerm, boole_tail, em_tail
@@ -56,6 +58,7 @@ __all__ = [
     "FormulaId",
     "HeadTerm",
     "SeriesPart",
+    "Summand",
     "Formula",
     "RecoveryResult",
     "VARIANT_COUNTS",
@@ -163,22 +166,73 @@ class SeriesPart:
 
 
 @dataclass(frozen=True)
+class Summand:
+    """(-1)^(k+parity) * y^s * log(y)^m at y = scale*k + shift.
+
+    The term the left-hand side sums over k; ``parity`` None means no sign
+    alternation.
+    """
+
+    s: Fraction
+    m: int = 0
+    parity: int | None = None
+    scale: int = 1
+    shift: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "s", F(self.s))
+
+
+_LOG_K = Summand(0, 1)
+
+
+@dataclass(frozen=True)
 class Formula:
+    """sum_{k=summand_start}^{n} summand(k) = head(n) + sum of series parts(n).
+
+    The four fields after ``series`` are derived from the others once, at
+    construction.
+    """
+
     id: FormulaId
     lhs: str
+    summand: Summand
     summand_start: int
     head: tuple[HeadTerm, ...]
     series: tuple[SeriesPart, ...]
-    domain_min: int
-    alternating: bool
-    constants: tuple[ConstantId, ...]
-    recover_target: ConstantId
-    # f(x) whose classical summation tail regenerates the inner coefficients
-    # (None for the alternating families, which come from the Boole side) and
-    # the tail-origin head terms (log_power, exponent, coef) not absorbed
-    # into the inner coefficients.
-    em_function: tuple[LogPowerTerm, ...] | None = None
-    em_heads: tuple[tuple[int, Fraction, Fraction], ...] = ()
+    domain_min: int = field(init=False)
+    alternating: bool = field(init=False)
+    constants: tuple[ConstantId, ...] = field(init=False)  # first-appearance order
+    recover_target: ConstantId = field(init=False)
+
+    def __post_init__(self) -> None:
+        def set_(name, value):
+            object.__setattr__(self, name, value)
+
+        set_("domain_min", self.summand_start)
+        set_("alternating", self.summand.parity is not None)
+        set_("constants", tuple(dict.fromkeys(c for t in self.head for c, _ in t.constants)))
+        set_("recover_target", next(c for c in self.constants if _isolates(self, c)))
+
+
+def _isolating_term(f: Formula, target: ConstantId) -> HeadTerm:
+    """The one head term holding ``target``, linearly and with no n factor."""
+    hits = [t for t in f.head if any(c == target for c, _ in t.constants)]
+    if len(hits) != 1:
+        raise DomainError(f"{target} does not appear in exactly one head term of {f.id}")
+    term = hits[0]
+    power = next(p for c, p in term.constants if c == target)
+    if power != 1 or term.n_power or term.log_power or term.parity is not None:
+        raise DomainError(f"{target} cannot be isolated linearly in {f.id}")
+    return term
+
+
+def _isolates(f: Formula, target: ConstantId) -> bool:
+    try:
+        _isolating_term(f, target)
+    except DomainError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -255,28 +309,18 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     add(
         id=FormulaId(1, 1),
         lhs="sum_{k=1}^{n} 1/k",
+        summand=Summand(-1),
         summand_start=1,
         head=(log_n, gamma_t, ht(F(1, 2), -1)),
         series=(sp(_inner(lambda l: -bernoulli(l + 1) / (l + 1)), 1),),
-        domain_min=1,
-        alternating=False,
-        constants=(GAMMA,),
-        recover_target=GAMMA,
-        em_function=(LogPowerTerm(1, -1, 0),),
-        em_heads=((0, F(-1), F(1, 2)),),
     )
     add(
         id=FormulaId(1, 2),
         lhs="sum_{k=1}^{n} 1/k",
+        summand=Summand(-1),
         summand_start=1,
         head=(log_n, gamma_t),
         series=(sp(_inner(lambda l: -bernoulli(l) / l), 1, shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(GAMMA,),
-        recover_target=GAMMA,
-        em_function=(LogPowerTerm(1, -1, 0),),
-        em_heads=(),
     )
 
     # -- 2: partial sums of 1/k^2 -------------------------------------------
@@ -284,28 +328,18 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     add(
         id=FormulaId(2, 1),
         lhs="sum_{k=1}^{n} 1/k^2",
+        summand=Summand(-2),
         summand_start=1,
         head=(z2, ht(-1, -1), ht(F(1, 2), -2)),
         series=(sp(_inner(lambda l: -bernoulli(l + 1)), 1, -1),),
-        domain_min=1,
-        alternating=False,
-        constants=(zeta(2),),
-        recover_target=zeta(2),
-        em_function=(LogPowerTerm(1, -2, 0),),
-        em_heads=((0, F(-2), F(1, 2)),),
     )
     add(
         id=FormulaId(2, 2),
         lhs="sum_{k=1}^{n} 1/k^2",
+        summand=Summand(-2),
         summand_start=1,
         head=(z2, ht(-1, -1)),
         series=(sp(_inner(lambda l: -bernoulli(l)), 1),),
-        domain_min=1,
-        alternating=False,
-        constants=(zeta(2),),
-        recover_target=zeta(2),
-        em_function=(LogPowerTerm(1, -2, 0),),
-        em_heads=(),
     )
 
     # -- 3: partial sums of 1/k^3 -------------------------------------------
@@ -313,35 +347,25 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     add(
         id=FormulaId(3, 1),
         lhs="sum_{k=1}^{n} 1/k^3",
+        summand=Summand(-3),
         summand_start=1,
         head=(z3, ht(F(-1, 2), -2), ht(F(1, 2), -3)),
         series=(sp(_inner(lambda l: -(l + 2) * bernoulli(l + 1)), F(1, 2), -2),),
-        domain_min=1,
-        alternating=False,
-        constants=(zeta(3),),
-        recover_target=zeta(3),
-        em_function=(LogPowerTerm(1, -3, 0),),
-        em_heads=((0, F(-3), F(1, 2)),),
     )
     add(
         id=FormulaId(3, 2),
         lhs="sum_{k=1}^{n} 1/k^3",
+        summand=Summand(-3),
         summand_start=1,
         head=(z3, ht(F(-1, 2), -2)),
         series=(sp(_inner(lambda l: -(l + 1) * bernoulli(l)), F(1, 2), -1),),
-        domain_min=1,
-        alternating=False,
-        constants=(zeta(3),),
-        recover_target=zeta(3),
-        em_function=(LogPowerTerm(1, -3, 0),),
-        em_heads=(),
     )
 
     # -- 4, 5, 6: sums of k^(1/2), k^(3/2), k^(5/2) --------------------------
     # (head constant is the zeta value at the reflected argument over pi^j)
     root_families = [
         # family, power, lead coef, const coef, (pi, zeta) powers, prefactor,
-        # variant tuples: (inner args, extra head terms, part n_power, em_heads)
+        # variant tuples: (inner args, extra head terms, part n_power)
         (
             4,
             F(1, 2),
@@ -350,11 +374,9 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             (-1, F(3, 2)),
             F(1),
             [
-                ((1, -3, 0, 1, 1), ((F(1, 2), F(1, 2)),), F(1, 2),
-                 ((0, F(1, 2), F(1, 2)),)),
-                ((1, -1, 1, 2, 2), ((F(1, 2), F(1, 2)), (F(1, 24), F(-1, 2))), F(-1, 2),
-                 ((0, F(1, 2), F(1, 2)), (0, F(-1, 2), F(1, 24)))),
-                ((1, -5, -1, 0, 0), (), F(3, 2), ()),
+                ((1, -3, 0, 1, 1), ((F(1, 2), F(1, 2)),), F(1, 2)),
+                ((1, -1, 1, 2, 2), ((F(1, 2), F(1, 2)), (F(1, 24), F(-1, 2))), F(-1, 2)),
+                ((1, -5, -1, 0, 0), (), F(3, 2)),
             ],
         ),
         (
@@ -365,11 +387,9 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             (-2, F(5, 2)),
             F(3, 2),
             [
-                ((-1, -5, -1, 1, 1), ((F(1, 2), F(3, 2)),), F(3, 2),
-                 ((0, F(3, 2), F(1, 2)),)),
-                ((-1, -1, 1, 3, 3), ((F(1, 2), F(3, 2)), (F(1, 8), F(1, 2))), F(-1, 2),
-                 ((0, F(3, 2), F(1, 2)), (0, F(1, 2), F(1, 8)))),
-                ((-1, -7, -2, 0, 0), (), F(5, 2), ()),
+                ((-1, -5, -1, 1, 1), ((F(1, 2), F(3, 2)),), F(3, 2)),
+                ((-1, -1, 1, 3, 3), ((F(1, 2), F(3, 2)), (F(1, 8), F(1, 2))), F(-1, 2)),
+                ((-1, -7, -2, 0, 0), (), F(5, 2)),
             ],
         ),
         (
@@ -380,14 +400,11 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             (-3, F(7, 2)),
             F(15, 4),
             [
-                ((1, -7, -2, 1, 1), ((F(1, 2), F(5, 2)),), F(5, 2),
-                 ((0, F(5, 2), F(1, 2)),)),
+                ((1, -7, -2, 1, 1), ((F(1, 2), F(5, 2)),), F(5, 2)),
                 ((1, -1, 1, 4, 4),
                  ((F(1, 2), F(5, 2)), (F(5, 24), F(3, 2)), (F(-1, 384), F(-1, 2))),
-                 F(-1, 2),
-                 ((0, F(5, 2), F(1, 2)), (0, F(3, 2), F(5, 24)),
-                  (0, F(-1, 2), F(-1, 384)))),
-                ((1, -9, -3, 0, 0), (), F(7, 2), ()),
+                 F(-1, 2)),
+                ((1, -9, -3, 0, 0), (), F(7, 2)),
             ],
         ),
     ]
@@ -397,21 +414,16 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(lead, power + 1),
             ht(ccoef, constants=((PI, pi_pow), (zc, 1))),
         ]
-        for v, (root_args, extras, part_power, em_heads) in enumerate(variants, 1):
+        for v, (root_args, extras, part_power) in enumerate(variants, 1):
             head = list(base_head) + [ht(c, p) for c, p in extras]
             add(
                 id=FormulaId(family, v),
                 lhs=f"sum_{{k=0}}^{{n}} k^({power})",
+                summand=Summand(power),
                 summand_start=0,
                 head=tuple(head),
                 series=(sp(_root_inner(*root_args), pref, part_power,
                            shape=AT_X_PLUS_1),),
-                domain_min=0,
-                alternating=False,
-                constants=(PI, zc),
-                recover_target=zc,
-                em_function=(LogPowerTerm(1, power, 0),),
-                em_heads=em_heads,
             )
 
     # -- 7, 8, 9: sums of k^(-1/2), k^(-3/2), k^(-5/2) -----------------------
@@ -419,80 +431,50 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     add(
         id=FormulaId(7, 1),
         lhs="sum_{k=1}^{n} k^(-1/2)",
+        summand=Summand(F(-1, 2)),
         summand_start=1,
         head=(ht(2, F(1, 2)), ht(1, constants=((z12, 1),)), ht(F(1, 2), F(-1, 2))),
         series=(sp(_root_inner(-1, -1, 0, 1, 1), 1, F(-1, 2), shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(z12,),
-        recover_target=z12,
-        em_function=(LogPowerTerm(1, F(-1, 2), 0),),
-        em_heads=((0, F(-1, 2), F(1, 2)),),
     )
     add(
         id=FormulaId(7, 2),
         lhs="sum_{k=1}^{n} k^(-1/2)",
+        summand=Summand(F(-1, 2)),
         summand_start=1,
         head=(ht(2, F(1, 2)), ht(1, constants=((z12, 1),))),
         series=(sp(_root_inner(-1, -3, -1, 0, 0), 1, F(1, 2), shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(z12,),
-        recover_target=z12,
-        em_function=(LogPowerTerm(1, F(-1, 2), 0),),
-        em_heads=(),
     )
     add(
         id=FormulaId(8, 1),
         lhs="sum_{k=1}^{n} k^(-3/2)",
+        summand=Summand(F(-3, 2)),
         summand_start=1,
         head=(ht(1, constants=((z32, 1),)), ht(-2, F(-1, 2)), ht(F(1, 2), F(-3, 2))),
         series=(sp(_root_inner(-1, 1, 1, 1, 1), 2, F(-1, 2)),),
-        domain_min=1,
-        alternating=False,
-        constants=(z32,),
-        recover_target=z32,
-        em_function=(LogPowerTerm(1, F(-3, 2), 0),),
-        em_heads=((0, F(-3, 2), F(1, 2)),),
     )
     add(
         id=FormulaId(8, 2),
         lhs="sum_{k=1}^{n} k^(-3/2)",
+        summand=Summand(F(-3, 2)),
         summand_start=1,
         head=(ht(1, constants=((z32, 1),)), ht(-2, F(-1, 2))),
         series=(sp(_root_inner(-1, -1, 0, 0, 0), 2, F(-1, 2), shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(z32,),
-        recover_target=z32,
-        em_function=(LogPowerTerm(1, F(-3, 2), 0),),
-        em_heads=(),
     )
     add(
         id=FormulaId(9, 1),
         lhs="sum_{k=1}^{n} k^(-5/2)",
+        summand=Summand(F(-5, 2)),
         summand_start=1,
         head=(ht(1, constants=((z52, 1),)), ht(F(-2, 3), F(-3, 2)), ht(F(1, 2), F(-5, 2))),
         series=(sp(_root_inner(-1, 3, 2, 1, 1), F(4, 3), F(-3, 2)),),
-        domain_min=1,
-        alternating=False,
-        constants=(z52,),
-        recover_target=z52,
-        em_function=(LogPowerTerm(1, F(-5, 2), 0),),
-        em_heads=((0, F(-5, 2), F(1, 2)),),
     )
     add(
         id=FormulaId(9, 2),
         lhs="sum_{k=1}^{n} k^(-5/2)",
+        summand=Summand(F(-5, 2)),
         summand_start=1,
         head=(ht(1, constants=((z52, 1),)), ht(F(-2, 3), F(-3, 2))),
         series=(sp(_root_inner(-1, 1, 1, 0, 0), F(4, 3), F(-1, 2)),),
-        domain_min=1,
-        alternating=False,
-        constants=(z52,),
-        recover_target=z52,
-        em_function=(LogPowerTerm(1, F(-5, 2), 0),),
-        em_heads=(),
     )
 
     # -- 10: log(n!) — convergent Stirling's formula --------------------------
@@ -502,47 +484,31 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         ht(F(1, 2), constants=((LOG_2PI, 1),)),
         ht(F(1, 2), log_power=1),
     )
-    log_em = (LogPowerTerm(1, 0, 1),)
     add(
         id=FormulaId(10, 1),
         lhs="log(n!) = sum_{k=1}^{n} log(k)",
+        summand=_LOG_K,
         summand_start=1,
         head=stirling_head,
         series=(sp(_inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1,
                    shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(LOG_2PI,),
-        recover_target=LOG_2PI,
-        em_function=log_em,
-        em_heads=((1, F(0), F(1, 2)),),
     )
     add(
         id=FormulaId(10, 2),
         lhs="log(n!) = sum_{k=1}^{n} log(k)",
+        summand=_LOG_K,
         summand_start=1,
         head=stirling_head + (ht(F(1, 12), -1),),
         series=(sp(_inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2))), 1),),
-        domain_min=1,
-        alternating=False,
-        constants=(LOG_2PI,),
-        recover_target=LOG_2PI,
-        em_function=log_em,
-        em_heads=((1, F(0), F(1, 2)), (0, F(-1), F(1, 12))),
     )
     add(
         id=FormulaId(10, 3),
         lhs="log(n!) = sum_{k=1}^{n} log(k)",
+        summand=_LOG_K,
         summand_start=1,
         head=stirling_head,
         series=(sp(_inner(lambda l: F(0) if l == 1 else bernoulli(l) / (l * (l - 1))),
                    1, 1, shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(LOG_2PI,),
-        recover_target=LOG_2PI,
-        em_function=log_em,
-        em_heads=((1, F(0), F(1, 2)),),
     )
 
     # -- 11: sum k*log(k) ------------------------------------------------------
@@ -555,41 +521,30 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         ht(F(1, 12)),
         ht(-1, constants=((zp1, 1),)),
     )
-    em11 = (LogPowerTerm(1, 1, 1),)
-    em11_heads = ((1, F(1), F(1, 2)), (1, F(0), F(1, 12)), (0, F(0), F(1, 12)))
     add(
         id=FormulaId(11, 1),
         lhs="sum_{k=1}^{n} k*log(k)",
+        summand=Summand(1, 1),
         summand_start=1,
         head=head11,
         series=(sp(_inner(lambda l: -bernoulli(l + 2) / (l * (l + 1) * (l + 2))), 1,
                    shape=AT_X_PLUS_1),),
-        domain_min=1,
-        alternating=False,
-        constants=(zp1,),
-        recover_target=zp1,
-        em_function=em11,
-        em_heads=em11_heads,
     )
     add(
         id=FormulaId(11, 2),
         lhs="sum_{k=1}^{n} k*log(k)",
+        summand=Summand(1, 1),
         summand_start=1,
         head=head11,
         series=(sp(_inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))),
                    1),),
-        domain_min=1,
-        alternating=False,
-        constants=(zp1,),
-        recover_target=zp1,
-        em_function=em11,
-        em_heads=em11_heads,
     )
 
     # -- 12, 13, 14: log-weighted sums (two series parts each) ----------------
     add(
         id=FormulaId(12, 1),
         lhs="sum_{k=1}^{n} log(k)/k",
+        summand=Summand(-1, 1),
         summand_start=1,
         head=(
             ht(F(1, 2), log_power=2),
@@ -601,17 +556,12 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             sp(_inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1,
                log_power=1),
         ),
-        domain_min=1,
-        alternating=False,
-        constants=(STIELTJES1,),
-        recover_target=STIELTJES1,
-        em_function=(LogPowerTerm(1, -1, 1),),
-        em_heads=((1, F(-1), F(1, 2)),),
     )
     zp2 = zeta_prime(2)
     add(
         id=FormulaId(13, 1),
         lhs="sum_{k=1}^{n} log(k)/k^2",
+        summand=Summand(-2, 1),
         summand_start=1,
         head=(
             ht(-1, constants=((zp2, 1),)),
@@ -624,16 +574,11 @@ def _build_catalog() -> dict[FormulaId, Formula]:
                       * bernoulli(l + 1) / (l + 1)), 1, -1),
             sp(_inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1),
         ),
-        domain_min=1,
-        alternating=False,
-        constants=(zp2,),
-        recover_target=zp2,
-        em_function=(LogPowerTerm(1, -2, 1),),
-        em_heads=((1, F(-2), F(1, 2)),),
     )
     add(
         id=FormulaId(14, 1),
         lhs="sum_{k=1}^{n} log(k)^2",
+        summand=Summand(0, 2),
         summand_start=1,
         head=(
             ht(1, 1, log_power=2),
@@ -653,12 +598,6 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             sp(_inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))),
                2, log_power=1),
         ),
-        domain_min=1,
-        alternating=False,
-        constants=(GAMMA, PI, LOG2, LOG_PI, STIELTJES1),
-        recover_target=STIELTJES1,
-        em_function=(LogPowerTerm(1, 0, 2),),
-        em_heads=((2, F(0), F(1, 2)), (1, F(-1), F(1, 6))),
     )
 
     # -- 15, 16: alternating sums (Boole side) ---------------------------------
@@ -666,44 +605,35 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     add(
         id=FormulaId(15, 1),
         lhs="sum_{k=0}^{n} (-1)^k/(2k+1)",
+        summand=Summand(-1, parity=0, scale=2, shift=1),
         summand_start=0,
         head=(
             ht(F(1, 4), constants=((PI, 1),)),
             ht(F(1, 4), -1, parity=0, base_offset=1),
         ),
         series=(sp(leibniz_inner, F(1, 4), x_offset=1, parity=1),),
-        domain_min=0,
-        alternating=True,
-        constants=(PI,),
-        recover_target=PI,
     )
     add(
         id=FormulaId(15, 2),
         lhs="sum_{k=1}^{n} (-1)^(k+1)/(2k-1)",
+        summand=Summand(-1, parity=1, scale=2, shift=-1),
         summand_start=1,
         head=(
             ht(F(1, 4), constants=((PI, 1),)),
             ht(F(-1, 4), -1, parity=0),
         ),
         series=(sp(leibniz_inner, F(1, 4), parity=0),),
-        domain_min=1,
-        alternating=True,
-        constants=(PI,),
-        recover_target=PI,
     )
     add(
         id=FormulaId(16, 1),
         lhs="sum_{k=1}^{n} (-1)^(k+1)/k",
+        summand=Summand(-1, parity=1),
         summand_start=1,
         head=(
             ht(1, constants=((LOG2, 1),)),
             ht(F(-1, 2), -1, parity=0),
         ),
         series=(sp(boole_tail(ALT_HARMONIC, 20), 1, parity=0),),
-        domain_min=1,
-        alternating=True,
-        constants=(LOG2,),
-        recover_target=LOG2,
     )
 
     return cat
@@ -786,74 +716,49 @@ def series_term_magnitudes(formula, n: int, K: int, log_power: int = 0) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _summand_fraction(f: Formula, k: int) -> Fraction | None:
-    """Exact summand for the rational families, None otherwise."""
-    family = f.id.family
-    if family == 1:
-        return F(1, k)
-    if family == 2:
-        return F(1, k * k)
-    if family == 3:
-        return F(1, k**3)
-    if family == 15:
-        if f.id.variant == 1:
-            return F(1, 2 * k + 1) if k % 2 == 0 else F(-1, 2 * k + 1)
-        return F(1, 2 * k - 1) if k % 2 == 1 else F(-1, 2 * k - 1)
-    if family == 16:
-        return F(1, k) if k % 2 == 1 else F(-1, k)
-    return None
+def _signs(u: Summand, lo: int):
+    """(-1)^(k+parity) for k = lo+1, lo+2, ... (all 1 without a parity)."""
+    if u.parity is None:
+        return itertools.repeat(1)
+    first = -1 if (lo + 1 + u.parity) % 2 else 1
+    return itertools.cycle((first, -first))
 
 
-def _summand_mpf(f: Formula, k: int) -> mpf:
-    family = f.id.family
-    if k == 0:
-        return mpf(0)  # only reachable for the root families
-    if family == 4:
-        return mp.sqrt(k)
-    if family == 5:
-        return mp.power(k, mpf(3) / 2)
-    if family == 6:
-        return mp.power(k, mpf(5) / 2)
-    if family == 7:
-        return 1 / mp.sqrt(k)
-    if family == 8:
-        return mp.power(k, mpf(-3) / 2)
-    if family == 9:
-        return mp.power(k, mpf(-5) / 2)
-    if family == 10:
-        return mp.log(k)
-    if family == 11:
-        return k * mp.log(k)
-    if family == 12:
-        return mp.log(k) / k
-    if family == 13:
-        return mp.log(k) / (k * k)
-    if family == 14:
-        return mp.log(k) ** 2
-    raise DomainError(f"family {family} has an exact summand; use the rational path")
+def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
+    """The summand of ``f`` summed over k = lo+1..hi, at the current precision.
 
-
-def _lhs_sum(f: Formula, n: int) -> mpf:
-    """sum of the summand from summand_start to n, at current precision."""
-    start = f.summand_start
-    if _summand_fraction(f, max(start, 1)) is not None and n <= _EXACT_SUM_LIMIT:
-        total = sum((_summand_fraction(f, k) for k in range(start, n + 1)), F(0))
-        return _to_mpf(total)
-    if f.id.family == 10 and n <= _EXACT_SUM_LIMIT:
-        return mp.log(mpf(math.factorial(n)))
-    return mp.fsum(_summand_mpf(f, k) for k in range(start, n + 1))
-
-
-def _bridge_sum(f: Formula, n: int, anchor: int) -> mpf:
-    """sum of the summand from n+1 to anchor, at current precision."""
-    if anchor <= n:
+    The path follows the summand's shape: up to ``_EXACT_SUM_LIMIT``, an exact
+    Fraction sum for an integer power without a log and log(hi!/lo!) for
+    log k; mp.fsum of the terms otherwise.
+    """
+    u = f.summand
+    if hi <= lo:
         return mpf(0)
-    if _summand_fraction(f, n + 1) is not None and anchor <= _EXACT_SUM_LIMIT:
-        total = sum((_summand_fraction(f, k) for k in range(n + 1, anchor + 1)), F(0))
-        return _to_mpf(total)
-    if f.id.family == 10 and anchor <= _EXACT_SUM_LIMIT:
-        return mp.log(mpf(math.prod(range(n + 1, anchor + 1))))
-    return mp.fsum(_summand_mpf(f, k) for k in range(n + 1, anchor + 1))
+    ys = range(u.scale * (lo + 1) + u.shift, u.scale * hi + u.shift + 1, u.scale)
+    s = u.s.numerator if u.s.denominator == 1 else None
+    if hi <= _EXACT_SUM_LIMIT:
+        if s is not None and not u.m:
+            terms = (F(sg, y**-s) if s < 0 else F(sg * y**s)
+                     for y, sg in zip(ys, _signs(u, lo)))
+            return _to_mpf(sum(terms, F(0)))
+        if u == _LOG_K:
+            return mp.log(mpf(math.prod(ys)))
+    # Per term, converting the exponent or dispatching through mp.power would
+    # cost as much as the power itself: convert it once and call libmp's
+    # mpf_pow directly. Integer powers of y beside a log stay exact.
+    exponent, prec = _to_mpf(u.s)._mpf_, mp.prec
+    powers = (mp.make_mpf(mpf_pow(from_int(y), exponent, prec, round_nearest)) for y in ys)
+    if not u.m:
+        terms = powers
+    else:
+        logs = map(mp.log, ys) if u.m == 1 else (mp.log(y) ** u.m for y in ys)
+        if s is None:
+            terms = (v * w for v, w in zip(logs, powers))
+        else:
+            terms = (v * y**s if s > 0 else v / y**-s if s else v for v, y in zip(logs, ys))
+    if u.parity is not None:
+        terms = (t if sg > 0 else -t for t, sg in zip(terms, _signs(u, lo)))
+    return mp.fsum(terms)
 
 
 def brute_force(formula, n: int, digits: int = 30) -> mpf:
@@ -865,7 +770,7 @@ def brute_force(formula, n: int, digits: int = 30) -> mpf:
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
     with _PRECISION_LOCK, mp.workdps(digits + 10):
-        return _lhs_sum(f, n)
+        return _summand_sum(f, f.summand_start - 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +883,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
             f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
         )
     with _PRECISION_LOCK, mp.workdps(wd):
-        total = _head_value(f, anchor, cvalues) - _bridge_sum(f, n, anchor)
+        total = _head_value(f, anchor, cvalues) - _summand_sum(f, n, anchor)
         terms_used = 0
         est = mpf(0)
         if failure is not None:
@@ -1038,17 +943,6 @@ def _recovery_target(f: Formula, store) -> ConstantId:
     )
 
 
-def _isolating_term(f: Formula, target: ConstantId) -> HeadTerm:
-    hits = [t for t in f.head if any(c == target for c, _ in t.constants)]
-    if len(hits) != 1:
-        raise DomainError(f"{target} does not appear in exactly one head term of {f.id}")
-    term = hits[0]
-    power = next(p for c, p in term.constants if c == target)
-    if power != 1 or term.n_power or term.log_power or term.parity is not None:
-        raise DomainError(f"{target} cannot be isolated linearly in {f.id}")
-    return term
-
-
 # Hard ceilings on per-run term budgets. Past a couple thousand terms each
 # run costs minutes in huge-integer row updates, so a target needing more is
 # better refused quickly than ground out; the pre-flight inside the series
@@ -1101,7 +995,7 @@ def recover_details(
                     tail += _part_scale(part, current) * rep.value
                     terms_used += rep.terms_used
                 residue = (
-                    _lhs_sum(f, current)
+                    _summand_sum(f, f.summand_start - 1, current)
                     - _head_value(f, current, cvalues, skip=term)
                     - tail
                 )
@@ -1179,12 +1073,22 @@ def _em_cutoff(f: Formula, L: int) -> Fraction:
     return cutoffs.pop()
 
 
-def em_variant_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]:
-    """Inverse-power tail implied by this variant's series parts and the
-    tail-origin head terms, as {(log_power, exponent): coef}, l <= L."""
+def _with_summation_tail(formula) -> Formula:
     f = describe(formula)
-    if f.em_function is None:
+    if f.alternating:
         raise DomainError(f"{f.id} is an alternating family; no summation tail")
+    return f
+
+
+def em_variant_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]:
+    """Inverse-power tail implied by this variant's series parts and its
+    tail-origin head terms, as {(log_power, exponent): coef}, l <= L.
+
+    The tail-origin head terms are those with no constant and no sign
+    alternation whose power of n is at most the summand's: the rest of the
+    head comes from the integral of the summand and the constant.
+    """
+    f = _with_summation_tail(formula)
     out: dict[tuple[int, Fraction], Fraction] = {}
     for part in f.series:
         sigma = 1 if part.shape == AT_X_PLUS_1 else 0
@@ -1193,17 +1097,16 @@ def em_variant_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]
             if al:
                 key = (part.log_power, part.n_power + sigma - (l + 1))
                 out[key] = out.get(key, F(0)) + part.prefactor * al
-    for j, e, c in f.em_heads:
-        key = (j, F(e))
-        out[key] = out.get(key, F(0)) + c
+    for t in f.head:
+        if not t.constants and t.parity is None and t.n_power <= f.summand.s:
+            key = (t.log_power, t.n_power)
+            out[key] = out.get(key, F(0)) + t.rational
     return {k: v for k, v in out.items() if v}
 
 
 def em_reference_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]:
     """Same map derived independently from the summation tail of the summand."""
-    f = describe(formula)
-    if f.em_function is None:
-        raise DomainError(f"{f.id} is an alternating family; no summation tail")
+    f = _with_summation_tail(formula)
     cutoff = _em_cutoff(f, L)
-    tail = em_tail(list(f.em_function), L + 8)
+    tail = em_tail([LogPowerTerm(1, f.summand.s, f.summand.m)], L + 8)
     return {(j, e): c for (j, e), c in tail.as_dict().items() if e >= cutoff}

@@ -306,15 +306,14 @@ class ConstantStore:
     def _compute(self, cid: ConstantId, digits: int) -> mpf:
         with self._meta:
             self.compute_count += 1
+        if cid == LOG2:
+            return elementary("log", digits, 2)
         if cid in ELEMENTARY_IDS:
-            with _PRECISION_LOCK, mp.workdps(digits + 10):
-                if cid == PI:
-                    return +mp.pi
-                if cid == LOG2:
-                    return mp.log(mpf(2))
-                if cid == LOG_PI:
-                    return mp.log(mp.pi)
-                return mp.log(2 * mp.pi)
+            pi = elementary("pi", digits)
+            if cid == PI:
+                return pi
+            # doubling is exact, so 2*pi needs no precision context
+            return elementary("log", digits, pi if cid == LOG_PI else mp.ldexp(pi, 1))
         from . import catalog
 
         return catalog.recover_details(

@@ -281,6 +281,8 @@ def required_terms_estimate(x: float, digits: float) -> int:
     beyond. Used only to refuse clearly hopeless runs, always with a wide
     margin on top.
     """
+    if x <= 0:  # a positive x below the float range: beyond any budget
+        return 10**9
     target = -digits * math.log(10)
 
     def log_term(k: float) -> float:
@@ -299,6 +301,11 @@ def required_terms_estimate(x: float, digits: float) -> int:
         else:
             hi = mid
     return int(hi) + 1
+
+
+def _x_text(xf: float, p: int, q: int) -> str:
+    """x = p/q for messages; below the float range, as a power of ten."""
+    return f"{xf:g}" if xf else f"10^{math.log10(p) - math.log10(q):.1f}"
 
 
 def _to_mpf(q: Fraction) -> mpf:
@@ -380,7 +387,7 @@ def eval_stirling_series(
         if predicted > cutoff:
             run_limit = min(ctx.max_terms, 64)
             hopeless = (
-                f"roughly {predicted} terms needed at x={xf:g} for "
+                f"roughly {predicted} terms needed at x={_x_text(xf, p, q)} for "
                 f"{ctx.digits} digits, beyond the {ctx.max_terms}-term budget"
             )
     wp = dps_to_prec(ctx.working_digits)
@@ -429,7 +436,7 @@ def eval_stirling_series(
         raise NonConvergenceError(
             hopeless
             or f"stop rule did not fire within {ctx.max_terms} terms "
-            f"(x={xf:g} too small for {ctx.digits} digits?)",
+            f"(x={_x_text(xf, p, q)} too small for {ctx.digits} digits?)",
             report,
         )
     return report

@@ -63,6 +63,57 @@ def test_describe_alternating_leibniz():
     assert part.shape == AT_X
 
 
+# (domain_min, alternating, constants, recover_target), as stated by hand in
+# each catalog entry before these fields were derived from summand and head
+DERIVED_METADATA = {
+    "1.1": (1, False, ("gamma",), "gamma"),
+    "1.2": (1, False, ("gamma",), "gamma"),
+    "2.1": (1, False, ("zeta(2)",), "zeta(2)"),
+    "2.2": (1, False, ("zeta(2)",), "zeta(2)"),
+    "3.1": (1, False, ("zeta(3)",), "zeta(3)"),
+    "3.2": (1, False, ("zeta(3)",), "zeta(3)"),
+    "4.1": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)"),
+    "4.2": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)"),
+    "4.3": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)"),
+    "5.1": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)"),
+    "5.2": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)"),
+    "5.3": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)"),
+    "6.1": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)"),
+    "6.2": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)"),
+    "6.3": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)"),
+    "7.1": (1, False, ("zeta(1/2)",), "zeta(1/2)"),
+    "7.2": (1, False, ("zeta(1/2)",), "zeta(1/2)"),
+    "8.1": (1, False, ("zeta(3/2)",), "zeta(3/2)"),
+    "8.2": (1, False, ("zeta(3/2)",), "zeta(3/2)"),
+    "9.1": (1, False, ("zeta(5/2)",), "zeta(5/2)"),
+    "9.2": (1, False, ("zeta(5/2)",), "zeta(5/2)"),
+    "10.1": (1, False, ("log_2pi",), "log_2pi"),
+    "10.2": (1, False, ("log_2pi",), "log_2pi"),
+    "10.3": (1, False, ("log_2pi",), "log_2pi"),
+    "11.1": (1, False, ("zeta_prime(-1)",), "zeta_prime(-1)"),
+    "11.2": (1, False, ("zeta_prime(-1)",), "zeta_prime(-1)"),
+    "12.1": (1, False, ("stieltjes1",), "stieltjes1"),
+    "13.1": (1, False, ("zeta_prime(2)",), "zeta_prime(2)"),
+    "14.1": (1, False, ("gamma", "pi", "log2", "log_pi", "stieltjes1"), "stieltjes1"),
+    "15.1": (0, True, ("pi",), "pi"),
+    "15.2": (1, True, ("pi",), "pi"),
+    "16.1": (1, True, ("log2",), "log2"),
+}
+
+
+def test_derived_metadata_matches_the_recorded_table():
+    got = {
+        str(fid): (
+            (f := describe(fid)).domain_min,
+            f.alternating,
+            tuple(map(str, f.constants)),
+            str(f.recover_target),
+        )
+        for fid in ALL_IDS
+    }
+    assert got == DERIVED_METADATA
+
+
 # ---------------------------------------------------------------------------
 # Coefficients against the golden record
 # ---------------------------------------------------------------------------
@@ -114,6 +165,15 @@ def test_brute_force_rejects_out_of_range():
         brute_force("1.1", 0, 30)
     with pytest.raises(DomainError):
         brute_force("15.1", -1, 30)
+
+
+@pytest.mark.parametrize("fid", ["1.1", "2.1", "3.1", "15.1", "15.2", "16.1"])
+def test_brute_force_past_the_exact_sum_limit(fid):
+    # rational summands switch from the exact Fraction sum to mp.fsum here
+    n = catalog._EXACT_SUM_LIMIT + 1
+    ref = evaluate(fid, n).value
+    with mp.workdps(50):
+        assert abs(brute_force(fid, n, 30) - ref) < mpf("1e-28")
 
 
 # ---------------------------------------------------------------------------

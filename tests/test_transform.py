@@ -310,6 +310,20 @@ def test_hopeless_depth_bails_with_short_genuine_prefix():
     assert exc2.value.report.value == rep.value
 
 
+@pytest.mark.parametrize(
+    "x", [mpf(2) ** -1100, F(1, 10**400), 1e-300], ids=["2^-1100", "10^-400", "1e-300"]
+)
+def test_x_below_the_float_range_refuses_with_a_report(x):
+    # p/q underflows to 0.0 as a float for the first two; the decay model
+    # must still call the depth hopeless instead of failing in lgamma
+    with pytest.raises(NonConvergenceError) as exc:
+        eval_stirling_series(UNIT, x)
+    rep = exc.value.report
+    assert 1 <= rep.terms_used <= 64
+    assert mp.isfinite(rep.value) and mp.isfinite(rep.est_error) and rep.est_error > 0
+    assert "beyond the" in str(exc.value)
+
+
 def test_small_budgets_are_exempt_from_the_bail_heuristic():
     # tight explicit budgets are often deliberate truncation probes; they
     # must run their full length even when the depth looks hopeless
