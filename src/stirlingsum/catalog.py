@@ -5,16 +5,21 @@ sums, root sums, log-weighted sums, alternating sums) with a closed *head*
 (elementary terms plus constants) and one or two convergent inverse-factorial
 *series parts* whose exact inner coefficients are recorded in closed form.
 
-Evaluation anchors the series at ``max(n, digits + 10)`` — where the
-factorial terms decay fast enough for the stop rule — and bridges back to the
-requested ``n`` with exact summand terms, so every formula serves its whole
-domain at full precision.  The same machinery runs in reverse for constant
+Evaluation sums the series at an anchor ``max(n, a)`` and bridges back to the
+requested ``n`` with summand terms, so every formula serves its whole domain
+at full precision. The anchor ``a`` comes from one cost model (``_anchor``):
+higher anchors need fewer series terms and a shallower exact transform but a
+longer bridge, and the model picks the cheapest from measured per-term costs
+and the request alone. The same machinery runs in reverse for constant
 recovery: brute-force partial sum minus known head terms minus the convergent
-tail isolates the one unknown constant.
+tail isolates the one unknown constant; digamma shifts its argument up to the
+model's anchor by the recurrence.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import threading
@@ -24,7 +29,7 @@ from fractions import Fraction
 from importlib import resources
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_pow, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_log, round_floor, round_nearest, to_fixed
 
 from . import constants as _constants
 from .asymptotics import ALT_HARMONIC, GREGORY_LEIBNIZ, LogPowerTerm, boole_tail, em_tail
@@ -49,8 +54,11 @@ from .transform import (
     InnerCoefficients,
     NonConvergenceError,
     _PRECISION_LOCK,
+    _as_ratio,
+    _eps,
     _to_mpf,
     eval_stirling_series,
+    required_terms_estimate,
     weniger_transform,
 )
 
@@ -85,7 +93,11 @@ VARIANT_COUNTS = {
 }
 
 BRUTE_FORCE_CAP = 10**7
-_EXACT_SUM_LIMIT = 20000
+# Where the exact sum of an integer power stops paying against the fixed-point
+# one: at 30-300 digits it costs 0.8-1.2x as much at 100 terms, 1.3-2.8x at
+# 300 and 2.7-8x at 1000 (2-core x86_64 VM, mpmath 1.3.0 pure-Python backend).
+_EXACT_SUM_LIMIT = 200
+_LOG_FACTORIAL_LIMIT = 20000
 
 
 @dataclass(frozen=True, order=True)
@@ -169,8 +181,8 @@ class SeriesPart:
 class Summand:
     """(-1)^(k+parity) * y^s * log(y)^m at y = scale*k + shift.
 
-    The term the left-hand side sums over k; ``parity`` None means no sign
-    alternation.
+    The term the left-hand side sums over k; ``s`` is a multiple of 1/2 and
+    ``parity`` None means no sign alternation.
     """
 
     s: Fraction
@@ -181,6 +193,8 @@ class Summand:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", F(self.s))
+        if (2 * self.s).denominator != 1:
+            raise DomainError(f"summand power must be a multiple of 1/2, got {self.s}")
 
 
 _LOG_K = Summand(0, 1)
@@ -724,41 +738,62 @@ def _signs(u: Summand, lo: int):
     return itertools.cycle((first, -first))
 
 
-def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
-    """The summand of ``f`` summed over k = lo+1..hi, at the current precision.
+def _summand_path(u: Summand, hi: int) -> str:
+    """How :func:`_summand_sum` sums ``u`` up to k = hi.
 
-    The path follows the summand's shape: up to ``_EXACT_SUM_LIMIT``, an exact
-    Fraction sum for an integer power without a log and log(hi!/lo!) for
-    log k; mp.fsum of the terms otherwise.
+    ``fraction``: exactly, for an integer power without a log, up to
+    ``_EXACT_SUM_LIMIT``; ``log_factorial``: log(hi!/lo!) for log k, up to
+    ``_LOG_FACTORIAL_LIMIT``; otherwise in fixed point, each term an integer
+    ``power``, a half-integer one (a ``root``) or a ``log`` term (one mpf
+    log more).
     """
+    integral = u.s.denominator == 1
+    if integral and not u.m and hi <= _EXACT_SUM_LIMIT:
+        return "fraction"
+    if u == _LOG_K and hi <= _LOG_FACTORIAL_LIMIT:
+        return "log_factorial"
+    return "log" if u.m else "power" if integral else "root"
+
+
+def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
+    """The summand of ``f`` summed over k = lo+1..hi, at the current precision,
+    on the path :func:`_summand_path` names."""
     u = f.summand
     if hi <= lo:
         return mpf(0)
     ys = range(u.scale * (lo + 1) + u.shift, u.scale * hi + u.shift + 1, u.scale)
-    s = u.s.numerator if u.s.denominator == 1 else None
-    if hi <= _EXACT_SUM_LIMIT:
-        if s is not None and not u.m:
-            terms = (F(sg, y**-s) if s < 0 else F(sg * y**s)
-                     for y, sg in zip(ys, _signs(u, lo)))
-            return _to_mpf(sum(terms, F(0)))
-        if u == _LOG_K:
-            return mp.log(mpf(math.prod(ys)))
-    # Per term, converting the exponent or dispatching through mp.power would
-    # cost as much as the power itself: convert it once and call libmp's
-    # mpf_pow directly. Integer powers of y beside a log stay exact.
-    exponent, prec = _to_mpf(u.s)._mpf_, mp.prec
-    powers = (mp.make_mpf(mpf_pow(from_int(y), exponent, prec, round_nearest)) for y in ys)
-    if not u.m:
-        terms = powers
-    else:
-        logs = map(mp.log, ys) if u.m == 1 else (mp.log(y) ** u.m for y in ys)
-        if s is None:
-            terms = (v * w for v, w in zip(logs, powers))
+    signs = _signs(u, lo)
+    path = _summand_path(u, hi)
+    if path == "fraction":
+        # summed unreduced and reduced once: the same Fraction as summing
+        # Fractions, without a gcd per term
+        s, num, den = int(u.s), 0, 1
+        for y, sg in zip(ys, signs):
+            if s < 0:
+                num, den = num * y**-s + sg * den, den * y**-s
+            else:
+                num += sg * y**s
+        return _to_mpf(F(num, den))
+    if path == "log_factorial":
+        return mp.log(mpf(math.prod(ys)))
+    # Fixed point: each term floored to units 2^-w, w = prec plus the bits of
+    # the term count plus 10 past the largest term, an odd power y^(a/2) by
+    # one integer square root, then one rounding of the exact integer sum.
+    a, m, prec = int(2 * u.s), u.m, mp.prec
+    ends = [y for y in (ys[0], ys[-1]) if y > 1 or (y == 1 and not m)]
+    top = max((a / 2 * math.log2(y) + (m * math.log2(math.log(y)) if m else 0) for y in ends),
+              default=0)
+    w = prec + len(ys).bit_length() + 10 + max(0, -math.floor(top))
+    total = 0
+    for y, sg in zip(ys, signs):
+        if a % 2:
+            t = math.isqrt(y**a << 2 * w) if a > 0 else math.isqrt((1 << 2 * w) // y**-a)
         else:
-            terms = (v * y**s if s > 0 else v / y**-s if s else v for v, y in zip(logs, ys))
-    if u.parity is not None:
-        terms = (t if sg > 0 else -t for t, sg in zip(terms, _signs(u, lo)))
-    return mp.fsum(terms)
+            t = y ** (a // 2) << w if a >= 0 else (1 << w) // y ** (-a // 2)
+        if m:
+            t = t * to_fixed(mpf_log(from_int(y), w + 8, round_floor), w) ** m >> m * w
+        total += sg * t
+    return mp.make_mpf(from_man_exp(total, -w, prec, round_nearest))
 
 
 def brute_force(formula, n: int, digits: int = 30) -> mpf:
@@ -842,50 +877,145 @@ def _part_scale(part: SeriesPart, n: int):
     return v * _parity_factor(n, part.parity)
 
 
-# Fallback precision for head constants when an evaluation asks for more than
-# constant recovery can deliver; comfortably inside the default 500-term reach.
+# ---------------------------------------------------------------------------
+# Anchor cost model
+# ---------------------------------------------------------------------------
+
+# Microseconds per term at the working digits in _COST_DIGITS, interpolated
+# linearly between them (2-core x86_64 VM, Python 3.11, mpmath 1.3.0 on its
+# pure-Python backend, best of 5): one series term of the integer kernel
+# (1.1 at x = 3 x digits), one summand term on each _summand_path (400 terms
+# of 2.1, 10.1, 8.1 and 11.1; 150 of 2.1 exactly), and one 1/(x+i) of the
+# digamma shift at x = 0.3. The mpf log switches to its AGM method past 2500
+# bits, about 750 digits.
+_COST_DIGITS = (30, 100, 300, 700, 1000, 2000)
+_TERM_US = {
+    "series": (3.7, 4.3, 9.0, 29, 38, 112),
+    "fraction": (0.9, 0.9, 0.9, 0.8, 0.9, 0.9),
+    "log_factorial": (0.2, 0.2, 0.3, 1.1, 5.4, 10.8),
+    "power": (0.5, 0.4, 0.6, 1.1, 1.9, 3.5),
+    "root": (1.4, 2.8, 6.0, 19.9, 36, 116),
+    "log": (3.3, 4.9, 6.9, 11.9, 1720, 4480),
+    "reciprocal": (0.3, 0.7, 3.2, 14, 28, 104),
+}
+# The exact a -> c transform of 1.1 to depth T, Bernoulli numbers filled from
+# cold, costs 0.35, 0.34, 0.42, 0.68 and 0.83 us x T^2 at T = 100, 200, 400,
+# 800 and 1200 (same machine): about 0.3 x T^2 x (1 + T/1000). It is counted
+# at a tenth of that, because a built transform serves every later call on
+# its formula in the process: on serve-warm's warm-up pass (18 calls per
+# formula) the full weight bought shallower transforms with longer bridges,
+# and the pass took 0.58-0.78 s against 0.43-0.70 s at a tenth.
+_TRANSFORM_US = 0.03
+
+
+def _term_us(path: str, wd: int) -> float:
+    """Microseconds per term on ``path`` at ``wd`` working digits: linear
+    between the measured points, extended past them, never below the nearer
+    of the two."""
+    costs = _TERM_US[path]
+    i = min(max(bisect.bisect_left(_COST_DIGITS, wd), 1), len(_COST_DIGITS) - 1)
+    (d0, d1), (c0, c1) = _COST_DIGITS[i - 1:i + 1], costs[i - 1:i + 1]
+    return max(c0 + (c1 - c0) * (wd - d0) / (d1 - d0), min(c0, c1))
+
+
+def _predicted(f: Formula | None, x: int, digits: int, guard: int, stop_rule: int):
+    """(microseconds, terms per series part) predicted for serving at anchor x.
+
+    ``f`` None is digamma: 1.1's series part at digits + 4 and a shift of
+    1/(x+i) terms. The cost counts the series summation, the exact transform
+    to its depth at a fixed weight whatever is cached, and the bridge (or
+    partial sum, or shift) from the start of the summand up to x.
+    """
+    if f is None:
+        parts, sdigits, wd, path, count = 1, digits + 4, digits + guard + 8, "reciprocal", x
+    else:
+        hr = _headroom(f, x)
+        parts, sdigits, wd = len(f.series), digits + hr, digits + guard + hr
+        path, count = _summand_path(f.summand, x), x - f.summand_start + 1
+    terms = required_terms_estimate(x, sdigits + guard / 2) + stop_rule
+    series = terms * _term_us("series", wd) + _TRANSFORM_US * terms**2 * (1 + terms / 1000)
+    return parts * series + count * _term_us(path, wd), terms
+
+
+@functools.lru_cache(maxsize=1024)
+def _anchor(fid: FormulaId | None, digits: int, guard: int, stop_rule: int,
+            max_terms: int) -> int:
+    """The anchor x of least predicted cost whose predicted term count fits
+    ``max_terms``; ``fid`` None is digamma.
+
+    A pure function of the request, never of what is cached, so a repeated
+    request and a fresh process pick the same anchor and return the same
+    bits. The scan climbs by 1/4 steps from (digits + guard)/4 and stops
+    once the cost passes twice the best, past the minimum. It bridges no
+    more terms than brute force sums: when no anchor up to BRUTE_FORCE_CAP
+    fits, it returns the first, where the series refuses at once.
+    """
+    f = None if fid is None else _CATALOG[fid]
+    x = max(2, (digits + guard) // 4, 0 if f is None else f.domain_min + 1)
+    best_cost, best = math.inf, x
+    while x <= BRUTE_FORCE_CAP:
+        cost, terms = _predicted(f, x, digits, guard, stop_rule)
+        if terms <= max_terms and cost < best_cost:
+            best_cost, best = cost, x
+        elif cost > 2 * best_cost:
+            break
+        x += x // 4 + 1
+    return best
+
+
+# Precision of head constants, and of the whole evaluation, when the
+# requested digits are past what the store serves; well inside every
+# constant's reach.
 _DEGRADED_CONSTANT_DIGITS = 120
 
 
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
     """Right-hand-side value of the formula at n: the partial sum it equals.
 
-    The series is evaluated at the anchor max(n, digits + 10), where the
-    factorial terms decay fast enough; exact summand terms bridge the anchor
-    back down to n.  The report aggregates part term counts and carries the
-    largest scaled twice-first-omitted-term estimate across parts.
+    The series is evaluated at the anchor max(n, a), where a is the cheapest
+    anchor the cost model finds for the formula, digits, guard and stop rule
+    under the default 500-term budget (a smaller ``max_terms`` truncates the
+    same run); exact summand terms bridge the anchor back down to n. The
+    report aggregates part term counts and carries the largest scaled
+    twice-first-omitted-term estimate across parts.
     """
     f = describe(formula)
     ctx = ctx or EvalContext()
     store = store or _constants.default_store()
     n = _as_count(n, f.domain_min)
     t0 = time.perf_counter()
-    anchor = max(n, ctx.digits + 10)
+    cdigits = ctx.digits + ctx.guard
+    failure = None
+    try:
+        cvalues = _fetch_constants(f, store, cdigits)
+    except NonConvergenceError:
+        # Head constants past recovery reach: serve them, and the whole
+        # evaluation, at a precision they always reach, so that the partial
+        # report carries a genuine (if shallow) value, and fail.
+        cvalues = _fetch_constants(f, store, min(cdigits, _DEGRADED_CONSTANT_DIGITS))
+        failure = (
+            f"head constants past recovery reach, served at "
+            f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
+        )
+        ctx = EvalContext(digits=min(ctx.digits, _DEGRADED_CONSTANT_DIGITS),
+                          max_terms=ctx.max_terms, stop_rule=ctx.stop_rule)
+    anchor = max(n, _anchor(f.id, ctx.digits, ctx.guard, ctx.stop_rule, EvalContext.max_terms))
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
-    cdigits = ctx.digits + ctx.guard
     part_ctx = EvalContext(
         digits=ctx.digits + hr,
         guard=ctx.guard,
         max_terms=ctx.max_terms,
         stop_rule=ctx.stop_rule,
     )
-    failure = None
-    try:
-        cvalues = _fetch_constants(f, store, cdigits)
-    except NonConvergenceError:
-        # Head constants past recovery reach: degrade them to a precision the
-        # default recovery budget always serves, so the partial report still
-        # carries a genuine (if shallow) value, and fail the evaluation.
-        cvalues = _fetch_constants(f, store, min(cdigits, _DEGRADED_CONSTANT_DIGITS))
-        failure = (
-            f"head constants past recovery reach, served at "
-            f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
-        )
     with _PRECISION_LOCK, mp.workdps(wd):
         total = _head_value(f, anchor, cvalues) - _summand_sum(f, n, anchor)
         terms_used = 0
-        est = mpf(0)
+        # The head constants are served to digits + guard places, and the
+        # head, bridge and scaled parts rounded at the working precision,
+        # whose headroom covers their size: 100 units in the constants' last
+        # place bound both, whatever the truncation estimate below.
+        est = mp.make_mpf(from_man_exp(*_eps(ctx.digits + ctx.guard - 2, mp.prec)))
         if failure is not None:
             est = mpf(10) ** (2 - _DEGRADED_CONSTANT_DIGITS)
         for part in f.series:
@@ -943,12 +1073,10 @@ def _recovery_target(f: Formula, store) -> ConstantId:
     )
 
 
-# Hard ceilings on per-run term budgets. Past a couple thousand terms each
-# run costs minutes in huge-integer row updates, so a target needing more is
-# better refused quickly than ground out; the pre-flight inside the series
-# evaluator does the refusing. Recovery gets the lower ceiling because its
-# anchor ladder can trade a higher n0 for fewer terms; digamma has no such
-# ladder and keeps more headroom for deep small-x calls.
+# Hard ceilings on per-run term budgets: past a couple thousand terms the
+# exact transform alone takes seconds, so the cost model keeps each run's
+# predicted terms inside the budget, and the pre-flight inside the series
+# evaluator refuses a run (an explicit n0, say) predicted far beyond it.
 _RECOVERY_TERM_CEILING = 1400
 _DIGAMMA_TERM_CEILING = 2200
 
@@ -956,7 +1084,13 @@ _DIGAMMA_TERM_CEILING = 2200
 def recover_details(
     formula, digits: int = 30, n0: int | None = None, store=None
 ) -> RecoveryResult:
-    """Solve the formula for its unknown head constant at ``digits`` digits."""
+    """Solve the formula for its unknown head constant at ``digits`` digits.
+
+    The partial sum runs to ``n0``, by default the cost model's anchor. An
+    explicit ``n0`` whose series refuses falls back once to that anchor.
+    Digits past the constant's reference string are refused up front, since
+    nothing could check them.
+    """
     f = describe(formula)
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
@@ -964,59 +1098,45 @@ def recover_details(
         raise DomainError(f"need n0 >= 2, got {n0}")
     store = store or _constants.default_store()
     target = _recovery_target(f, store)
+    store.check_reach(target, digits)
     term = _isolating_term(f, target)
     guard = 10 + math.ceil(digits / 10)
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
-    current = n0 if n0 is not None else digits + 10
-    current = max(current, f.domain_min + 1, 2)
-    # Raising the anchor past a few multiples of the digit target only trades
-    # term count for enormous exact partial sums, so the ladder gives up there.
-    n0_max = max(4 * digits + 200, 2 * current)
-    for attempt in range(8):
+    max_terms = max(500, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
+    anchor = _anchor(f.id, digits, guard, 3, max_terms)
+
+    def solve(current: int) -> RecoveryResult:
         hr = _headroom(f, current)
-        part_ctx = EvalContext(
-            digits=digits + hr,
-            guard=guard,
-            max_terms=max(500, min(4 * digits + 120, _RECOVERY_TERM_CEILING)),
-            stop_rule=3,
-        )
-        try:
-            with _PRECISION_LOCK, mp.workdps(digits + guard + hr):
-                # series first: it is the part that can refuse, and the exact
-                # partial sum below gets expensive at the large n0 this ladder
-                # can reach
-                tail = mpf(0)
-                terms_used = 0
-                for part in f.series:
-                    rep = eval_stirling_series(
-                        part.inner, current + part.x_offset, part.shape, part_ctx
-                    )
-                    tail += _part_scale(part, current) * rep.value
-                    terms_used += rep.terms_used
-                residue = (
-                    _summand_sum(f, f.summand_start - 1, current)
-                    - _head_value(f, current, cvalues, skip=term)
-                    - tail
+        part_ctx = EvalContext(digits=digits + hr, guard=guard, max_terms=max_terms)
+        with _PRECISION_LOCK, mp.workdps(digits + guard + hr):
+            # series first: it is the part that can refuse
+            tail = mpf(0)
+            terms_used = 0
+            for part in f.series:
+                rep = eval_stirling_series(
+                    part.inner, current + part.x_offset, part.shape, part_ctx
                 )
-                coef = _to_mpf(term.rational)
-                for cid, p in term.constants:
-                    if cid != target:
-                        coef *= cvalues[cid] ** p
-                value = residue / coef
-            return RecoveryResult(
-                constant=target,
-                value=value,
-                n0=current,
-                digits=digits,
-                terms_used=terms_used,
+                tail += _part_scale(part, current) * rep.value
+                terms_used += rep.terms_used
+            residue = (
+                _summand_sum(f, f.summand_start - 1, current)
+                - _head_value(f, current, cvalues, skip=term)
+                - tail
             )
-        except NonConvergenceError:
-            nxt = current * 8 // 5 + 10
-            if attempt == 7 or nxt > n0_max:
-                raise
-            current = nxt
-    raise AssertionError("unreachable")
+            coef = _to_mpf(term.rational)
+            for cid, p in term.constants:
+                if cid != target:
+                    coef *= cvalues[cid] ** p
+            value = residue / coef
+        return RecoveryResult(target, value, current, digits, terms_used)
+
+    if n0 is None or n0 == anchor:
+        return solve(anchor)
+    try:
+        return solve(n0)
+    except NonConvergenceError:
+        return solve(anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,30 +1150,32 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
         raise DomainError(f"need digits >= 1, got {digits}")
     guard = 10 + math.ceil(digits / 10)
     inner = describe("1.1").series[0].inner
-    ctx = EvalContext(
-        digits=digits + 4,
-        guard=guard,
-        max_terms=max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING)),
-    )
+    max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
+    ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)
+    anchor = _anchor(None, digits, guard, ctx.stop_rule, max_terms)
     with _PRECISION_LOCK, mp.workdps(digits + guard + 8):
         xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
         if xv <= 0:
             raise DomainError(f"digamma needs x > 0, got {xv}")
-        shift = int(mp.ceil(max(mpf(0), digits - xv)))
+        shift = int(mp.ceil(max(mpf(0), anchor - xv)))
         y = xv + shift
         rep = eval_stirling_series(inner, y, AT_X, ctx)
         value = mp.log(y) - 1 / (2 * y) + rep.value
         if shift:
-            value -= mp.fsum(1 / (xv + i) for i in range(shift))
+            # sum of 1/(x+i) = q/(p+iq) in fixed point, as in _summand_sum
+            p, q = _as_ratio(xv)
+            w = mp.prec + shift.bit_length() + 10
+            total = sum((q << w) // (p + i * q) for i in range(shift))
+            value -= mp.make_mpf(from_man_exp(total, -w, mp.prec, round_nearest))
     return value, rep.terms_used, shift
 
 
 def digamma(x, digits: int = 30) -> mpf:
     """psi(x) for real x > 0, to ``digits`` decimal digits.
 
-    Small arguments are shifted upward with the exact recurrence
-    psi(x) = psi(x+1) - 1/x until the series anchor is at least ``digits``,
-    where the inverse-factorial tail converges in a few hundred terms.
+    An argument below the cost model's anchor for these digits is shifted up
+    to it with the exact recurrence psi(x) = psi(x+1) - 1/x, so the
+    inverse-factorial tail converges in the fewest terms worth their cost.
     """
     return digamma_details(x, digits)[0]
 

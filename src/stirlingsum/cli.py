@@ -290,7 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover the unknown head constant")
     p.add_argument("id")
     p.add_argument("-d", "--digits", type=int, default=30)
-    p.add_argument("--n0", type=int, default=None, help="starting anchor (>= 2)")
+    p.add_argument("--n0", type=int, default=None,
+                   help="summation anchor (>= 2; default: the cost model's, "
+                        "to which one that refuses falls back once)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_recover)
 

@@ -27,7 +27,7 @@ from importlib import resources
 from mpmath import mp, mpf
 
 from .exactnum import DomainError
-from .transform import _PRECISION_LOCK, _to_mpf
+from .transform import _PRECISION_LOCK, EvaluationReport, NonConvergenceError, _to_mpf
 
 __all__ = [
     "ConstantId",
@@ -243,7 +243,9 @@ class ConstantStore:
 
     Cache reads are lock-free; computation is serialized per constant, so
     distinct constants may be recovered concurrently.  ``compute_count``
-    increments once per fresh computation (never on a cache hit).
+    increments once per fresh computation (never on a cache hit). More
+    digits than a constant's reference string holds are refused with
+    :class:`NonConvergenceError`, since nothing could check them.
     """
 
     def __init__(self, reference_path: str | os.PathLike | None = None):
@@ -273,6 +275,16 @@ class ConstantStore:
         hit = self._cache.get(cid)
         return hit[0] if hit else 0
 
+    def check_reach(self, cid: ConstantId, digits: int) -> None:
+        """Refuse ``digits`` past the reference string of ``cid``: no
+        independent check could cover them."""
+        reach = len(_split_decimal(self.reference_digits(cid))[2])
+        if digits > reach:
+            raise NonConvergenceError(
+                f"{cid} at {digits} digits: past its {reach}-digit reference",
+                EvaluationReport(mpf("nan"), 0, mpf("inf"), digits, 0.0),
+            )
+
     def get(self, cid: ConstantId, digits: int) -> mpf:
         if digits < 1:
             raise DomainError(f"need digits >= 1, got {digits}")
@@ -281,6 +293,7 @@ class ConstantStore:
         hit = self._cache.get(cid)
         if hit is not None and hit[0] >= digits:
             return hit[1]
+        self.check_reach(cid, digits)
         with self._lock_for(cid):
             hit = self._cache.get(cid)
             if hit is not None and hit[0] >= digits:
@@ -294,7 +307,7 @@ class ConstantStore:
             return self._locks.setdefault(cid, threading.Lock())
 
     def _admit(self, cid: ConstantId, digits: int, value: mpf) -> None:
-        if not digits_agree(value, self.reference_digits(cid), min(digits, 1000)):
+        if not digits_agree(value, self.reference_digits(cid), digits):
             raise ReferenceMismatchError(
                 f"{cid} at {digits} digits disagrees with the embedded reference"
             )
@@ -337,8 +350,8 @@ def get_constant(cid: ConstantId, digits: int) -> mpf:
 def recover_constant(formula, n0: int | None = None, digits: int = 30, store=None):
     """Recover the single unknown head constant of ``formula`` at ``digits``.
 
-    ``n0`` is the initial summation anchor (default digits + 10); it is
-    raised automatically until the series stop rule fires.
+    ``n0`` is the summation anchor (by default the cost model's); one whose
+    series refuses falls back once to the model's anchor.
     """
     from . import catalog
 

@@ -6,11 +6,21 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from stirlingsum import catalog
+from stirlingsum import catalog, transform
 from stirlingsum.catalog import FormulaId, brute_force, describe, evaluate
-from stirlingsum.constants import GAMMA, ConstantStore, digits_agree, get_constant
+from stirlingsum.constants import (
+    GAMMA,
+    RECOVERY_FORMULA,
+    ConstantStore,
+    default_store,
+    digits_agree,
+    get_constant,
+    zeta,
+)
 from stirlingsum.exactnum import DomainError
 from stirlingsum.transform import AT_X, AT_X_PLUS_1, EvalContext, NonConvergenceError
 
@@ -295,9 +305,104 @@ def test_recovery_raises_anchor_until_convergence():
 def test_recovery_reports_anchor_and_terms():
     store = ConstantStore()
     res = catalog.recover_details("2.1", digits=30, store=store)
-    assert res.n0 == 40  # the default anchor digits + 10, accepted as-is
+    # the cost model's anchor for 30 digits, guard 13, stop rule 3 and the
+    # 500-term budget, accepted as-is
+    assert res.n0 == catalog._anchor(FormulaId(2, 1), 30, 13, 3, 500)
     assert res.terms_used > 0
+    assert digits_agree(res.value, store.reference_digits(zeta(2)), 30)
     assert str(res.constant) == "zeta(2)"
+
+
+# ---------------------------------------------------------------------------
+# Anchors from the cost model
+# ---------------------------------------------------------------------------
+
+
+def _served_bits():
+    rep = evaluate("4.1", 3, EvalContext(digits=40), store=ConstantStore())
+    value, terms, shift = catalog.digamma_details(F(1, 3), 40)
+    rec = catalog.recover_details("8.1", digits=40, store=ConstantStore())
+    return [(rep.value._mpf_, rep.terms_used), (value._mpf_, terms, shift),
+            (rec.value._mpf_, rec.terms_used, rec.n0)]
+
+
+def test_served_bits_do_not_depend_on_cache_state():
+    # the anchor is a function of the request alone: a cold process and a
+    # warm one must serve the same bits
+    transform._checkpoints.clear()
+    catalog._anchor.cache_clear()
+    cold = _served_bits()
+    assert _served_bits() == cold
+
+
+@settings(max_examples=150)
+@given(
+    fid=st.sampled_from(ALL_IDS),
+    n=st.integers(0, 3000),
+    digits=st.integers(5, 80),
+    max_terms=st.integers(1, 130),  # past the c_k sign changes near k = 12..101
+)
+def test_est_error_bounds_served_values_at_model_anchors(fid, n, digits, max_terms):
+    # brute force's digits are significant ones: 40 more than requested keep
+    # its own rounding below every estimate at values up to about 10^20
+    n = max(n, describe(fid).domain_min)
+    ref = brute_force(fid, n, digits + 40)
+    try:
+        rep = evaluate(fid, n, EvalContext(digits=digits, max_terms=max_terms))
+    except NonConvergenceError as exc:
+        rep = exc.report
+        with mp.workdps(digits + 50):
+            event("refused, estimate covers" if abs(rep.value - ref) <= rep.est_error
+                  else "refused, estimate under-reports")
+        return
+    event("served")
+    with mp.workdps(digits + 50):
+        assert abs(rep.value - ref) <= rep.est_error
+
+
+def test_evaluate_reaches_240_digits_at_small_n():
+    # each refused at the parent's anchor digits + 10 with the 500-term budget
+    for fid in ("1.1", "10.1", "11.1", "14.1"):
+        rep = evaluate(fid, 5, EvalContext(digits=240))
+        with mp.workdps(270):
+            assert abs(rep.value - brute_force(fid, 5, 250)) < mpf(10) ** -240
+
+
+@pytest.mark.parametrize("digits", [40, 200])
+def test_recovery_serves_every_constant_in_one_attempt(digits):
+    # with no n0 there is no fallback: a refused first attempt would raise
+    for cid, fid in RECOVERY_FORMULA.items():
+        store = ConstantStore()
+        res = catalog.recover_details(fid, digits=digits, store=store)
+        assert res.constant == cid
+        assert digits_agree(res.value, store.reference_digits(cid), digits)
+
+
+def test_refused_start_falls_back_to_the_model_anchor_once(monkeypatch):
+    refusals = []
+
+    def series(*args):
+        try:
+            return transform.eval_stirling_series(*args)
+        except NonConvergenceError:
+            refusals.append(args[1])
+            raise
+
+    monkeypatch.setattr(catalog, "eval_stirling_series", series)
+    store = ConstantStore()
+    res = catalog.recover_details("1.1", digits=60, n0=18, store=store)
+    assert refusals == [18]
+    assert res.n0 == catalog._anchor(FormulaId(1, 1), 60, 16, 3, 500)
+    assert digits_agree(res.value, store.reference_digits(GAMMA), 60)
+
+
+def test_constants_past_the_reference_length_are_refused():
+    before = default_store().compute_count
+    with pytest.raises(NonConvergenceError):
+        get_constant(GAMMA, 1001)
+    assert default_store().compute_count == before
+    with pytest.raises(NonConvergenceError):
+        catalog.recover_details("2.1", digits=1001, store=ConstantStore())
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +431,15 @@ def test_digamma_recurrence(x):
         lhs = catalog.digamma(x + 1, 50)
         rhs = catalog.digamma(x, 50) + mpf(1) / x
         assert abs(lhs - rhs) < mpf("1e-47")
+
+
+def test_digamma_past_every_reachable_anchor_refuses_promptly():
+    # no anchor within the brute-force cap fits 2200 terms at 20000 digits
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergenceError) as exc:
+        catalog.digamma_details(2, 20000)
+    assert exc.value.report.terms_used >= 1
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_digamma_rejects_nonpositive_and_bad_digits():

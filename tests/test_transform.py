@@ -422,8 +422,11 @@ def test_series_ignores_global_precision():
             high.value, high.terms_used, high.est_error)
 
 
-# terms_used of the mpf summation loop (the oracle above) on catalog calls:
-# the integer kernel must stop every run at the same term
+# terms_used of the mpf summation loop (the oracle above) on the series calls
+# that evaluate and digamma made when they anchored at max(n, digits + 10)
+# and shifted x up to digits: the integer kernel must stop each of these runs
+# at the same term. The calls are restated at those explicit x; the end
+# results at today's anchors are checked against independent references.
 EVALUATE_TERMS = [
     ("1.1", 5, 30, 153), ("2.1", 1, 100, 398), ("3.1", 25, 40, 183),
     ("4.2", 7, 25, 201), ("5.2", 1000, 20, 22), ("7.2", 3, 80, 349),
@@ -439,9 +442,28 @@ DIGAMMA_TERMS = [
 
 @pytest.mark.parametrize("fid,n,digits,terms", EVALUATE_TERMS)
 def test_evaluate_stops_where_recorded(fid, n, digits, terms):
-    assert catalog.evaluate(fid, n, EvalContext(digits=digits)).terms_used == terms
+    f = catalog.describe(fid)
+    x = max(n, digits + 10)
+    part_ctx = EvalContext(digits=digits + catalog._headroom(f, x),
+                           guard=EvalContext(digits=digits).guard)
+    used = [eval_stirling_series(p.inner, x + p.x_offset, p.shape, part_ctx).terms_used
+            for p in f.series]
+    assert sum(used) == terms
+    value = catalog.evaluate(fid, n, EvalContext(digits=digits)).value
+    with mp.workdps(digits + 20):
+        assert abs(value - catalog.brute_force(fid, n, digits + 10)) <= mpf(10) ** -digits / 2
 
 
 @pytest.mark.parametrize("x,digits,terms", DIGAMMA_TERMS)
 def test_digamma_stops_where_recorded(x, digits, terms):
-    assert catalog.digamma_details(x, digits)[1] == terms
+    guard = 10 + math.ceil(digits / 10)
+    ctx = EvalContext(digits=digits + 4, guard=guard,
+                      max_terms=max(500, min(5 * digits + 100, 2200)))
+    with mp.workdps(digits + guard + 8):
+        xv = _to_mpf(x) if isinstance(x, F) else mpf(x)
+        y = xv + int(mp.ceil(max(mpf(0), digits - xv)))
+    inner = catalog.describe("1.1").series[0].inner
+    assert eval_stirling_series(inner, y, AT_X, ctx).terms_used == terms
+    value = catalog.digamma_details(x, digits)[0]
+    with mp.workdps(digits + 20):
+        assert abs(value - mp.digamma(xv)) <= mpf(10) ** -digits / 2
