@@ -10,10 +10,11 @@ requested ``n`` with summand terms, so every formula serves its whole domain
 at full precision. The anchor ``a`` comes from one cost model (``_anchor``):
 higher anchors need fewer series terms and a shallower exact transform but a
 longer bridge, and the model picks the cheapest from measured per-term costs
-and the request alone. The same machinery runs in reverse for constant
-recovery: brute-force partial sum minus known head terms minus the convergent
-tail isolates the one unknown constant; digamma shifts its argument up to the
-model's anchor by the recurrence.
+and the request alone. For ``n`` below ``a`` the right-hand side at ``a`` is
+one number per formula and precision, kept once served. The same machinery
+runs in reverse for constant recovery: brute-force partial sum minus known
+head terms minus the convergent tail isolates the one unknown constant;
+digamma shifts its argument up to the model's anchor by the recurrence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -845,36 +847,38 @@ def _fetch_constants(
     }
 
 
-def _head_value(
-    f: Formula,
-    n: int,
-    cvalues: dict[ConstantId, mpf],
-    skip: HeadTerm | None = None,
-):
-    nv = mpf(n)
-    logn = mp.log(nv) if any(t.log_power for t in f.head) else None
-    total = mpf(0)
-    for t in f.head:
-        if t is skip:
-            continue
-        v = _to_mpf(t.rational)
+def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalContext,
+         skip: HeadTerm | None = None):
+    """The right-hand side at x, at the current precision, with ``skip`` left
+    out of the head: (head, each series part scaled, their terms, their
+    largest scaled error estimate, the refusal of each part that refused)."""
+    xv = mpf(x)
+    logx = mp.log(xv) if any(t.log_power for t in f.head + f.series) else None
+
+    def times_powers(t, v, offset=0):  # v (x + offset)^n_power log(x)^log_power
         if t.n_power:
-            v *= mp.power(nv + t.base_offset, _to_mpf(t.n_power))
-        if t.log_power:
-            v *= logn**t.log_power
-        for cid, p in t.constants:
-            v *= cvalues[cid] ** p
-        total += v * _parity_factor(n, t.parity)
-    return total
+            v *= mp.power(xv + offset, _to_mpf(t.n_power))
+        return v * logx**t.log_power if t.log_power else v
 
-
-def _part_scale(part: SeriesPart, n: int):
-    v = _to_mpf(part.prefactor)
-    if part.n_power:
-        v *= mp.power(mpf(n), _to_mpf(part.n_power))
-    if part.log_power:
-        v *= mp.log(mpf(n)) ** part.log_power
-    return v * _parity_factor(n, part.parity)
+    head = mpf(0)
+    for t in f.head:
+        if t is not skip:
+            v = times_powers(t, _to_mpf(t.rational), t.base_offset)
+            for cid, p in t.constants:
+                v *= cvalues[cid] ** p
+            head += v * _parity_factor(x, t.parity)
+    scaled, terms, est, errors = [], 0, mpf(0), []
+    for part in f.series:
+        scale = times_powers(part, _to_mpf(part.prefactor)) * _parity_factor(x, part.parity)
+        try:
+            rep = eval_stirling_series(part.inner, x + part.x_offset, part.shape, part_ctx)
+        except NonConvergenceError as exc:
+            rep = exc.report
+            errors.append(exc)
+        scaled.append(scale * rep.value)
+        terms += rep.terms_used
+        est = max(est, abs(scale) * rep.est_error)
+    return head, scaled, terms, est, errors
 
 
 # ---------------------------------------------------------------------------
@@ -968,6 +972,12 @@ def _anchor(fid: FormulaId | None, digits: int, guard: int, stop_rule: int,
 # constant's reach.
 _DEGRADED_CONSTANT_DIGITS = 120
 
+# Served right-hand sides at model anchors, per store, keyed on the formula,
+# anchor, context and the head constant values the store served (it may later
+# serve them at more digits); the oldest goes past the cap. Guarded by
+# _PRECISION_LOCK.
+_rhs_memo: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+
 
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
     """Right-hand-side value of the formula at n: the partial sum it equals.
@@ -975,7 +985,9 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     The series is evaluated at the anchor max(n, a), where a is the cheapest
     anchor the cost model finds for the formula, digits, guard and stop rule
     under the default 500-term budget (a smaller ``max_terms`` truncates the
-    same run); exact summand terms bridge the anchor back down to n. The
+    same run); exact summand terms bridge the anchor back down to n. Below
+    a, the right-hand side at a is the same for every n: once served, it is
+    kept per store and context, so a later call sums only the bridge. The
     report aggregates part term counts and carries the largest scaled
     twice-first-omitted-term estimate across parts.
     """
@@ -997,20 +1009,25 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
             f"head constants past recovery reach, served at "
             f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
         )
-        ctx = EvalContext(digits=min(ctx.digits, _DEGRADED_CONSTANT_DIGITS),
-                          max_terms=ctx.max_terms, stop_rule=ctx.stop_rule)
-    anchor = max(n, _anchor(f.id, ctx.digits, ctx.guard, ctx.stop_rule, EvalContext.max_terms))
+        ctx = replace(ctx, digits=min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), guard=None)
+    model = _anchor(f.id, ctx.digits, ctx.guard, ctx.stop_rule, EvalContext.max_terms)
+    anchor = max(n, model)
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
-    part_ctx = EvalContext(
-        digits=ctx.digits + hr,
-        guard=ctx.guard,
-        max_terms=ctx.max_terms,
-        stop_rule=ctx.stop_rule,
-    )
+    part_ctx = replace(ctx, digits=ctx.digits + hr)
     with _PRECISION_LOCK, mp.workdps(wd):
-        total = _head_value(f, anchor, cvalues) - _summand_sum(f, n, anchor)
-        terms_used = 0
+        # kept only below the model's anchor with undegraded constants
+        memo = _rhs_memo.setdefault(store, {}) if failure is None and n < model else {}
+        key = (f.id, anchor, ctx, *cvalues.values())
+        rhs = memo.get(key)
+        if rhs is None:
+            rhs = _rhs(f, anchor, cvalues, part_ctx)
+            if not rhs[4]:  # a refusal is recomputed every time
+                memo[key] = rhs
+                if len(memo) > 1024:  # as _anchor's cache
+                    del memo[next(iter(memo))]
+        head, scaled, terms_used, part_est, errors = rhs
+        total = sum(scaled, head - _summand_sum(f, n, anchor))
         # The head constants are served to digits + guard places, and the
         # head, bridge and scaled parts rounded at the working precision,
         # whose headroom covers their size: 100 units in the constants' last
@@ -1018,18 +1035,8 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         est = mp.make_mpf(from_man_exp(*_eps(ctx.digits + ctx.guard - 2, mp.prec)))
         if failure is not None:
             est = mpf(10) ** (2 - _DEGRADED_CONSTANT_DIGITS)
-        for part in f.series:
-            scale = _part_scale(part, anchor)
-            try:
-                rep = eval_stirling_series(
-                    part.inner, anchor + part.x_offset, part.shape, part_ctx
-                )
-            except NonConvergenceError as exc:
-                rep = exc.report
-                failure = str(exc) if failure is None else f"{failure}; {exc}"
-            total += scale * rep.value
-            terms_used += rep.terms_used
-            est = max(est, abs(scale) * rep.est_error)
+        est = max(est, part_est)
+    failures = ([failure] if failure else []) + [str(e) for e in errors]
     report = EvaluationReport(
         value=total,
         terms_used=terms_used,
@@ -1037,8 +1044,8 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         precision_used=wd,
         elapsed=time.perf_counter() - t0,
     )
-    if failure is not None:
-        raise NonConvergenceError(f"{f.id} at n={n}: {failure}", report)
+    if failures:
+        raise NonConvergenceError(f"{f.id} at n={n}: {'; '.join(failures)}", report)
     return report
 
 
@@ -1110,20 +1117,11 @@ def recover_details(
         hr = _headroom(f, current)
         part_ctx = EvalContext(digits=digits + hr, guard=guard, max_terms=max_terms)
         with _PRECISION_LOCK, mp.workdps(digits + guard + hr):
-            # series first: it is the part that can refuse
-            tail = mpf(0)
-            terms_used = 0
-            for part in f.series:
-                rep = eval_stirling_series(
-                    part.inner, current + part.x_offset, part.shape, part_ctx
-                )
-                tail += _part_scale(part, current) * rep.value
-                terms_used += rep.terms_used
-            residue = (
-                _summand_sum(f, f.summand_start - 1, current)
-                - _head_value(f, current, cvalues, skip=term)
-                - tail
-            )
+            head, scaled, terms_used, _, errors = _rhs(f, current, cvalues, part_ctx, term)
+            if errors:
+                raise errors[0]
+            tail = sum(scaled, mpf(0))
+            residue = _summand_sum(f, f.summand_start - 1, current) - head - tail
             coef = _to_mpf(term.rational)
             for cid, p in term.constants:
                 if cid != target:

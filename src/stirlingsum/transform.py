@@ -273,6 +273,11 @@ def _coefficient_stream(c: CoefficientSource) -> Iterator[tuple[int, Fraction]]:
     return _transform_stream(c, None)
 
 
+def _log_term(k: float, x: float) -> float:
+    """log Gamma(k) Gamma(x) / Gamma(x+k+1), strictly falling in k."""
+    return math.lgamma(k) + math.lgamma(x) - math.lgamma(x + k + 1)
+
+
 def required_terms_estimate(x: float, digits: float) -> int:
     """Rough k with |term_k| ~ Gamma(x) Gamma(k) / Gamma(x+k+1) < 10^-digits.
 
@@ -284,23 +289,32 @@ def required_terms_estimate(x: float, digits: float) -> int:
     if x <= 0:  # a positive x below the float range: beyond any budget
         return 10**9
     target = -digits * math.log(10)
-
-    def log_term(k: float) -> float:
-        return math.lgamma(k) + math.lgamma(x) - math.lgamma(x + k + 1)
-
     hi = 2.0
-    while log_term(hi) > target:
+    while _log_term(hi, x) > target:
         hi *= 2
         if hi > 1e9:
             return 10**9
     lo = hi / 2 if hi > 2 else 1.0
     while hi - lo > max(1.0, lo * 1e-3):
         mid = (lo + hi) / 2
-        if log_term(mid) > target:
+        if _log_term(mid, x) > target:
             lo = mid
         else:
             hi = mid
     return int(hi) + 1
+
+
+def _beyond_budget(x: float, digits: float, budget: int) -> int | None:
+    """The estimate at x if it passes the refusal cutoff: 2 budget + 300 for
+    small budgets, where the model is crudest, 1.35 budget + 300 for the
+    costly large ones. The estimate lands at most max(1, 1e-3 k) past where
+    the model crosses 10^-digits, so one term below it at m, with
+    m + max(1, 1e-3 m) < cutoff, proves the fit without the bisection."""
+    cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
+    if x > 0 and _log_term((cutoff - 2) / 1.002, x) <= -digits * math.log(10):
+        return None
+    predicted = required_terms_estimate(x, digits)
+    return predicted if predicted > cutoff else None
 
 
 def _x_text(xf: float, p: int, q: int) -> str:
@@ -375,16 +389,12 @@ def eval_stirling_series(
     xf = p / q if p.bit_length() - q.bit_length() < 1000 else math.inf  # no overflow
     # When the decay model puts the stop point far beyond the term budget,
     # compute only a short genuine prefix for the partial report instead
-    # of grinding out the whole doomed budget. Small budgets get a 2x + 300
-    # margin because the model is crudest at small x; large budgets are the
-    # expensive ones and the model tracks them well, so 1.35x + 300 there.
+    # of grinding out the whole doomed budget.
     run_limit = ctx.max_terms
     hopeless = None
     if isinstance(c, InnerCoefficients) and xf < 1e15:
-        predicted = required_terms_estimate(xf, ctx.digits + ctx.guard / 2)
-        budget = ctx.max_terms
-        cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
-        if predicted > cutoff:
+        predicted = _beyond_budget(xf, ctx.digits + ctx.guard / 2, ctx.max_terms)
+        if predicted:
             run_limit = min(ctx.max_terms, 64)
             hopeless = (
                 f"roughly {predicted} terms needed at x={_x_text(xf, p, q)} for "

@@ -318,11 +318,18 @@ def test_recovery_reports_anchor_and_terms():
 # ---------------------------------------------------------------------------
 
 
+def _report_bits(rep):
+    return rep.value._mpf_, rep.terms_used, rep.est_error._mpf_
+
+
 def _served_bits():
     rep = evaluate("4.1", 3, EvalContext(digits=40), store=ConstantStore())
+    # below its anchor on the default store: the second call takes the
+    # right-hand side from the memo
+    below = evaluate("11.1", 3, EvalContext(digits=40))
     value, terms, shift = catalog.digamma_details(F(1, 3), 40)
     rec = catalog.recover_details("8.1", digits=40, store=ConstantStore())
-    return [(rep.value._mpf_, rep.terms_used), (value._mpf_, terms, shift),
+    return [_report_bits(rep), _report_bits(below), (value._mpf_, terms, shift),
             (rec.value._mpf_, rec.terms_used, rec.n0)]
 
 
@@ -331,8 +338,77 @@ def test_served_bits_do_not_depend_on_cache_state():
     # warm one must serve the same bits
     transform._checkpoints.clear()
     catalog._anchor.cache_clear()
+    catalog._rhs_memo.clear()
     cold = _served_bits()
+    assert len(catalog._rhs_memo[default_store()]) == 1
     assert _served_bits() == cold
+
+
+def _count_rhs(monkeypatch):
+    """Anchors at which evaluate computes a right-hand side (recovery, which
+    leaves a head term out, is not counted)."""
+    calls = []
+
+    def counted(f, x, cvalues, part_ctx, skip=None):
+        if skip is None:
+            calls.append(x)
+        return rhs(f, x, cvalues, part_ctx, skip)
+
+    rhs = catalog._rhs
+    monkeypatch.setattr(catalog, "_rhs", counted)
+    return calls
+
+
+def test_refusals_are_not_memoized(monkeypatch):
+    # a degraded evaluation (constants past reach) and one truncated by
+    # max_terms refuse again on repeat, with the same partial report
+    calls = _count_rhs(monkeypatch)
+    store = ConstantStore()
+    for ctx in (EvalContext(digits=901), EvalContext(digits=300, max_terms=40)):
+        reports = []
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError) as exc:
+                evaluate("1.1", 10, ctx, store=store)
+            reports.append((str(exc.value), _report_bits(exc.value.report)))
+        assert reports[0] == reports[1]
+    assert len(calls) == 4
+    assert not catalog._rhs_memo.get(store)
+
+
+def test_memo_keys_on_context_and_store(monkeypatch):
+    calls = _count_rhs(monkeypatch)
+    store = ConstantStore()
+    served = [evaluate("2.1", 5, EvalContext(digits=30, max_terms=m), store=store)
+              for m in (500, 400, 500, 400)]
+    assert len(calls) == 2  # contexts differing only in max_terms share nothing
+    assert _report_bits(served[2]) == _report_bits(served[0])
+    assert len(catalog._rhs_memo[store]) == 2
+    fresh = evaluate("2.1", 5, EvalContext(digits=30), store=ConstantStore())
+    assert len(calls) == 3  # a fresh store starts empty
+    assert _report_bits(fresh) == _report_bits(served[0])
+    # n at or past the anchor is summed there, never kept
+    anchor = catalog._anchor(FormulaId(2, 1), 30, 13, 3, 500)
+    evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
+    evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
+    assert len(calls) == 5 and len(catalog._rhs_memo[store]) == 2
+    # once the store serves the head constant at more digits, the kept
+    # right-hand side no longer applies
+    store.get(zeta(2), 80)
+    again = evaluate("2.1", 5, EvalContext(digits=30), store=store)
+    assert len(calls) == 6
+    warm = ConstantStore()
+    warm.get(zeta(2), 80)
+    assert _report_bits(again) == _report_bits(
+        evaluate("2.1", 5, EvalContext(digits=30), store=warm))
+
+
+def test_memo_stays_within_its_cap():
+    store = ConstantStore()
+    for m in range(100, 1130):
+        evaluate("1.1", 2, EvalContext(digits=20, max_terms=m), store=store)
+    memo = catalog._rhs_memo[store]
+    assert len(memo) == 1024
+    assert {key[2].max_terms for key in memo} == set(range(106, 1130))  # oldest dropped
 
 
 @settings(max_examples=150)
@@ -477,6 +553,38 @@ def test_recovery_refuses_unreachable_depth_quickly():
     with pytest.raises(NonConvergenceError):
         catalog.recover_details("1.1", digits=2400, store=ConstantStore())
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_memoized_right_hand_sides_under_threads():
+    # requests below their anchors, served by racing threads from an empty
+    # memo, get the bits of a single-threaded run
+    requests = [(fid, n, digits) for fid in ("4.1", "11.1", "13.1")
+                for n in (1, 2, 5, 10, 20) for digits in (20, 30, 50)]
+
+    def serve(req):
+        fid, n, digits = req
+        return _report_bits(evaluate(fid, n, EvalContext(digits=digits)))
+
+    expected = {req: serve(req) for req in requests}
+    catalog._rhs_memo.clear()
+    got = [{} for _ in range(8)]
+
+    def work(i):
+        for req in requests[i:] + requests[:i]:
+            got[i][req] = serve(req)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g == expected for g in got)
 
 
 def test_weighted_harmonic_closed_form_under_threads(monkeypatch):

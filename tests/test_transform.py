@@ -332,6 +332,46 @@ def test_small_budgets_are_exempt_from_the_bail_heuristic():
     assert exc.value.report.terms_used == 12
 
 
+def test_preflight_verdict_matches_the_bisection(monkeypatch):
+    # the one-term proof that a run fits must give the bisection's verdict
+    # (and, past the cutoff, its count) over x, digits and budgets, also
+    # next to the x where the verdict flips
+    digit_grid = (5, 10, 20, 36, 50, 100, 200, 300, 500, 1000, 2000)
+    budgets = (1, 64, 500, 1000, 1001, 2200)
+    xs = [10.0 ** (e / 8) for e in range(-24, 113)]  # 1e-3 .. 1e14
+
+    def cutoff(budget):
+        return 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
+
+    cases = 0
+    for digits in digit_grid:
+        for budget in budgets:
+            def fits(x):
+                return required_terms_estimate(x, digits) <= cutoff(budget)
+
+            around = []
+            if fits(xs[-1]) and not fits(xs[0]):
+                lo, hi = xs[0], xs[-1]  # the estimate falls as x rises
+                while hi - lo > 1e-9 * hi:
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+                around = [hi * (1 + i * 1e-4) for i in range(-50, 51)]
+            for x in xs + around:
+                predicted = required_terms_estimate(x, digits)
+                expected = predicted if predicted > cutoff(budget) else None
+                assert transform._beyond_budget(x, digits, budget) == expected, (x, digits)
+                cases += 1
+    assert cases > 8000
+
+    # a run that fits never runs the bisection
+    def bisection(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(transform, "required_terms_estimate", bisection)
+    assert transform._beyond_budget(74.0, 36.5, 500) is None
+    eval_stirling_series(HARMONIC_TAIL, 74, AT_X, EvalContext(digits=30))
+
+
 # ---------------------------------------------------------------------------
 # Integer summation kernel against an mpf oracle
 # ---------------------------------------------------------------------------
