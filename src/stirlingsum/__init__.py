@@ -30,8 +30,8 @@ from .transform import (
     verify_transform_consistency,
     weniger_transform,
 )
-from .asymptotics import LogPowerTerm, boole_tail, differentiate, em_tail
-from .constants import ConstantId, get_constant, recover_constant
+from .asymptotics import LogPowerTerm, differentiate, em_tail
+from .constants import ConstantId, get_constant
 from .catalog import (
     FormulaId,
     brute_force,
@@ -66,10 +66,8 @@ __all__ = [
     "LogPowerTerm",
     "differentiate",
     "em_tail",
-    "boole_tail",
     "ConstantId",
     "get_constant",
-    "recover_constant",
     "FormulaId",
     "formula_ids",
     "describe",

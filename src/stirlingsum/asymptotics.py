@@ -6,9 +6,9 @@ The tail of the classical summation formula,
 
 is computed exactly over the ring of log-power terms and collected by log
 power, giving an independent derivation of each catalog family's inverse-power
-coefficients. The alternating families (items built on Euler numbers) do not
-come from this machinery; their closed-form inner coefficients are produced by
-:func:`boole_tail` so they flow through the same transformation pipeline.
+coefficients. The alternating families do not come from this machinery: the
+catalog writes their closed-form inner coefficients (Euler and Bernoulli
+numbers) directly.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import DomainError, bernoulli, euler_number
-from .transform import InnerCoefficients
+from .exactnum import DomainError, bernoulli
 
-__all__ = ["LogPowerTerm", "EMTail", "differentiate", "em_tail", "boole_tail"]
+__all__ = ["LogPowerTerm", "EMTail", "differentiate", "em_tail"]
 
 
 @dataclass(frozen=True)
@@ -117,28 +116,3 @@ def em_tail(f, L: int) -> EMTail:
         }
     )
 
-
-GREGORY_LEIBNIZ = "gregory_leibniz"
-ALT_HARMONIC = "alt_harmonic"
-
-
-def boole_tail(family: str, L: int) -> InnerCoefficients:
-    """Closed-form inverse-power coefficients for the alternating families.
-
-    ``gregory_leibniz``: a_l = (-1)^(l+1) E_l / 2^l  (odd Euler numbers vanish,
-    so the first nonzero entry is l = 2 — the transformed series visibly
-    starts one denominator later).
-    ``alt_harmonic``:    a_l = (-1)^(l(l+3)/2) (2^(l+1) - 1) |B_(l+1)| / (l+1).
-    """
-    if L < 1:
-        raise DomainError(f"need L >= 1, got {L}")
-    if family == GREGORY_LEIBNIZ:
-        def fn(l: int) -> Fraction:
-            return Fraction((-1) ** (l + 1) * euler_number(l), 2**l)
-    elif family == ALT_HARMONIC:
-        def fn(l: int) -> Fraction:
-            sign = (-1) ** ((l * (l + 3)) // 2)
-            return sign * (2 ** (l + 1) - 1) * abs(bernoulli(l + 1)) / (l + 1)
-    else:
-        raise DomainError(f"unknown alternating family {family!r}")
-    return InnerCoefficients(fn=fn, support_hint=None)

@@ -34,7 +34,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_log, round_floor, round_nearest, to_fixed
 
 from . import constants as _constants
-from .asymptotics import ALT_HARMONIC, GREGORY_LEIBNIZ, LogPowerTerm, boole_tail, em_tail
+from .asymptotics import LogPowerTerm, em_tail
 from .constants import (
     ConstantId,
     ELEMENTARY_IDS,
@@ -47,10 +47,11 @@ from .constants import (
     zeta,
     zeta_prime,
 )
-from .exactnum import DomainError, bernoulli, double_factorial_ext, stirling_first
+from .exactnum import DomainError, bernoulli, double_factorial_ext, euler_number, stirling_first
 from .transform import (
     AT_X,
     AT_X_PLUS_1,
+    STOP_RULE,
     EvalContext,
     EvaluationReport,
     InnerCoefficients,
@@ -95,10 +96,6 @@ VARIANT_COUNTS = {
 }
 
 BRUTE_FORCE_CAP = 10**7
-# Where the exact sum of an integer power stops paying against the fixed-point
-# one: at 30-300 digits it costs 0.8-1.2x as much at 100 terms, 1.3-2.8x at
-# 300 and 2.7-8x at 1000 (2-core x86_64 VM, mpmath 1.3.0 pure-Python backend).
-_EXACT_SUM_LIMIT = 200
 _LOG_FACTORIAL_LIMIT = 20000
 
 
@@ -617,7 +614,10 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     )
 
     # -- 15, 16: alternating sums (Boole side) ---------------------------------
-    leibniz_inner = boole_tail(GREGORY_LEIBNIZ, 20)
+    # a_l = (-1)^(l+1) E_l / 2^l: odd Euler numbers vanish, so the first
+    # nonzero entry is l = 2. Both printings share this one instance, and so
+    # one transform checkpoint.
+    leibniz_inner = _inner(lambda l: F((-1) ** (l + 1) * euler_number(l), 2**l))
     add(
         id=FormulaId(15, 1),
         lhs="sum_{k=0}^{n} (-1)^k/(2k+1)",
@@ -649,7 +649,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(1, constants=((LOG2, 1),)),
             ht(F(-1, 2), -1, parity=0),
         ),
-        series=(sp(boole_tail(ALT_HARMONIC, 20), 1, parity=0),),
+        series=(sp(_inner(lambda l: (-1) ** (l * (l + 3) // 2) * (2 ** (l + 1) - 1)
+                          * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),),
     )
 
     return cat
@@ -743,18 +744,13 @@ def _signs(u: Summand, lo: int):
 def _summand_path(u: Summand, hi: int) -> str:
     """How :func:`_summand_sum` sums ``u`` up to k = hi.
 
-    ``fraction``: exactly, for an integer power without a log, up to
-    ``_EXACT_SUM_LIMIT``; ``log_factorial``: log(hi!/lo!) for log k, up to
-    ``_LOG_FACTORIAL_LIMIT``; otherwise in fixed point, each term an integer
-    ``power``, a half-integer one (a ``root``) or a ``log`` term (one mpf
-    log more).
+    ``log_factorial``: log(hi!/lo!) for log k, up to ``_LOG_FACTORIAL_LIMIT``;
+    otherwise in fixed point, each term an integer ``power``, a half-integer
+    one (a ``root``) or a ``log`` term (one mpf log more).
     """
-    integral = u.s.denominator == 1
-    if integral and not u.m and hi <= _EXACT_SUM_LIMIT:
-        return "fraction"
     if u == _LOG_K and hi <= _LOG_FACTORIAL_LIMIT:
         return "log_factorial"
-    return "log" if u.m else "power" if integral else "root"
+    return "log" if u.m else "power" if u.s.denominator == 1 else "root"
 
 
 def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
@@ -765,18 +761,7 @@ def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
         return mpf(0)
     ys = range(u.scale * (lo + 1) + u.shift, u.scale * hi + u.shift + 1, u.scale)
     signs = _signs(u, lo)
-    path = _summand_path(u, hi)
-    if path == "fraction":
-        # summed unreduced and reduced once: the same Fraction as summing
-        # Fractions, without a gcd per term
-        s, num, den = int(u.s), 0, 1
-        for y, sg in zip(ys, signs):
-            if s < 0:
-                num, den = num * y**-s + sg * den, den * y**-s
-            else:
-                num += sg * y**s
-        return _to_mpf(F(num, den))
-    if path == "log_factorial":
+    if _summand_path(u, hi) == "log_factorial":
         return mp.log(mpf(math.prod(ys)))
     # Fixed point: each term floored to units 2^-w, w = prec plus the bits of
     # the term count plus 10 past the largest term, an odd power y^(a/2) by
@@ -889,13 +874,12 @@ def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalConte
 # linearly between them (2-core x86_64 VM, Python 3.11, mpmath 1.3.0 on its
 # pure-Python backend, best of 5): one series term of the integer kernel
 # (1.1 at x = 3 x digits), one summand term on each _summand_path (400 terms
-# of 2.1, 10.1, 8.1 and 11.1; 150 of 2.1 exactly), and one 1/(x+i) of the
-# digamma shift at x = 0.3. The mpf log switches to its AGM method past 2500
-# bits, about 750 digits.
+# of 10.1, 2.1, 8.1 and 11.1), and one 1/(x+i) of the digamma shift at
+# x = 0.3. The mpf log switches to its AGM method past 2500 bits, about 750
+# digits.
 _COST_DIGITS = (30, 100, 300, 700, 1000, 2000)
 _TERM_US = {
     "series": (3.7, 4.3, 9.0, 29, 38, 112),
-    "fraction": (0.9, 0.9, 0.9, 0.8, 0.9, 0.9),
     "log_factorial": (0.2, 0.2, 0.3, 1.1, 5.4, 10.8),
     "power": (0.5, 0.4, 0.6, 1.1, 1.9, 3.5),
     "root": (1.4, 2.8, 6.0, 19.9, 36, 116),
@@ -922,7 +906,7 @@ def _term_us(path: str, wd: int) -> float:
     return max(c0 + (c1 - c0) * (wd - d0) / (d1 - d0), min(c0, c1))
 
 
-def _predicted(f: Formula | None, x: int, digits: int, guard: int, stop_rule: int):
+def _predicted(f: Formula | None, x: int, digits: int, guard: int):
     """(microseconds, terms per series part) predicted for serving at anchor x.
 
     ``f`` None is digamma: 1.1's series part at digits + 4 and a shift of
@@ -936,14 +920,13 @@ def _predicted(f: Formula | None, x: int, digits: int, guard: int, stop_rule: in
         hr = _headroom(f, x)
         parts, sdigits, wd = len(f.series), digits + hr, digits + guard + hr
         path, count = _summand_path(f.summand, x), x - f.summand_start + 1
-    terms = required_terms_estimate(x, sdigits + guard / 2) + stop_rule
+    terms = required_terms_estimate(x, sdigits + guard / 2) + STOP_RULE
     series = terms * _term_us("series", wd) + _TRANSFORM_US * terms**2 * (1 + terms / 1000)
     return parts * series + count * _term_us(path, wd), terms
 
 
 @functools.lru_cache(maxsize=1024)
-def _anchor(fid: FormulaId | None, digits: int, guard: int, stop_rule: int,
-            max_terms: int) -> int:
+def _anchor(fid: FormulaId | None, digits: int, guard: int, max_terms: int) -> int:
     """The anchor x of least predicted cost whose predicted term count fits
     ``max_terms``; ``fid`` None is digamma.
 
@@ -958,7 +941,7 @@ def _anchor(fid: FormulaId | None, digits: int, guard: int, stop_rule: int,
     x = max(2, (digits + guard) // 4, 0 if f is None else f.domain_min + 1)
     best_cost, best = math.inf, x
     while x <= BRUTE_FORCE_CAP:
-        cost, terms = _predicted(f, x, digits, guard, stop_rule)
+        cost, terms = _predicted(f, x, digits, guard)
         if terms <= max_terms and cost < best_cost:
             best_cost, best = cost, x
         elif cost > 2 * best_cost:
@@ -983,9 +966,9 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     """Right-hand-side value of the formula at n: the partial sum it equals.
 
     The series is evaluated at the anchor max(n, a), where a is the cheapest
-    anchor the cost model finds for the formula, digits, guard and stop rule
-    under the default 500-term budget (a smaller ``max_terms`` truncates the
-    same run); exact summand terms bridge the anchor back down to n. Below
+    anchor the cost model finds for the formula, digits and guard under the
+    default 500-term budget (a smaller ``max_terms`` truncates the same run);
+    summand terms bridge the anchor back down to n. Below
     a, the right-hand side at a is the same for every n: once served, it is
     kept per store and context, so a later call sums only the bridge. The
     report aggregates part term counts and carries the largest scaled
@@ -1010,7 +993,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
             f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
         )
         ctx = replace(ctx, digits=min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), guard=None)
-    model = _anchor(f.id, ctx.digits, ctx.guard, ctx.stop_rule, EvalContext.max_terms)
+    model = _anchor(f.id, ctx.digits, ctx.guard, EvalContext.max_terms)
     anchor = max(n, model)
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
@@ -1111,7 +1094,7 @@ def recover_details(
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
     max_terms = max(500, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
-    anchor = _anchor(f.id, digits, guard, 3, max_terms)
+    anchor = _anchor(f.id, digits, guard, max_terms)
 
     def solve(current: int) -> RecoveryResult:
         hr = _headroom(f, current)
@@ -1150,7 +1133,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     inner = describe("1.1").series[0].inner
     max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
     ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)
-    anchor = _anchor(None, digits, guard, ctx.stop_rule, max_terms)
+    anchor = _anchor(None, digits, guard, max_terms)
     with _PRECISION_LOCK, mp.workdps(digits + guard + 8):
         xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
         if xv <= 0:

@@ -10,6 +10,7 @@ codes: 0 success, 2 usage or domain error, 3 numerical non-convergence;
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import statistics
 import sys
@@ -37,17 +38,17 @@ def _ms(seconds: float) -> str:
 
 
 def _parse_count(text: str) -> int:
-    """Integer counts, accepting scientific shorthand like ``1e6``."""
+    """Integer counts, exactly, accepting scientific shorthand like ``1e6``.
+
+    More than 4300 digits (the cap ``int(str)`` applies) are refused before
+    they are expanded.
+    """
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
         raise DomainError(f"not an integer: {text!r}") from None
-    if not value.is_integer():
-        raise DomainError(f"not an integer: {text!r}")
+    if not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
+        raise DomainError(f"not an integer of at most 4300 digits: {text!r}")
     return int(value)
 
 
@@ -214,6 +215,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise DomainError(f"need --repeat >= 1, got {args.repeat}")
     runs: list[float] = []
     if args.target == "digamma":
         if args.x is None:

@@ -43,7 +43,6 @@ __all__ = [
     "zeta_prime",
     "default_store",
     "get_constant",
-    "recover_constant",
     "elementary",
     "truncate_decimal",
     "format_decimal",
@@ -347,33 +346,18 @@ def get_constant(cid: ConstantId, digits: int) -> mpf:
     return _DEFAULT_STORE.get(cid, digits)
 
 
-def recover_constant(formula, n0: int | None = None, digits: int = 30, store=None):
-    """Recover the single unknown head constant of ``formula`` at ``digits``.
-
-    ``n0`` is the summation anchor (by default the cost model's); one whose
-    series refuses falls back once to the model's anchor.
-    """
-    from . import catalog
-
-    return catalog.recover_details(
-        formula, digits=digits, n0=n0, store=store or _DEFAULT_STORE
-    ).value
-
-
-def elementary(op: str, digits: int, x=None, r=None) -> mpf:
-    """Elementary values at requested precision: ``pi``, ``log``, ``power``."""
+def elementary(op: str, digits: int, x=None) -> mpf:
+    """Elementary values at requested precision: ``pi`` and ``log``."""
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
     with _PRECISION_LOCK, mp.workdps(digits + 10):
         if op == "pi":
             return +mp.pi
-        if op not in ("log", "power"):
+        if op != "log":
             raise DomainError(f"unknown elementary op {op!r}")
         if x is None:
             raise DomainError("missing argument")
         xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
         if xv <= 0:
-            raise DomainError(f"{op} needs x > 0, got {xv}")
-        if op == "log":
-            return mp.log(xv)
-        return mp.power(xv, _to_mpf(Fraction(r)))
+            raise DomainError(f"log needs x > 0, got {xv}")
+        return mp.log(xv)

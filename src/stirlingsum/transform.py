@@ -71,6 +71,9 @@ __all__ = [
     "verify_transform_consistency",
 ]
 
+# A series stops once this many consecutive terms fall below its tolerance.
+STOP_RULE = 3
+
 AT_X = "at_x"  # denominators x(x+1)...(x+k)
 AT_X_PLUS_1 = "at_x_plus_1"  # denominators (x+1)...(x+k)
 
@@ -120,7 +123,6 @@ class EvalContext:
     digits: int = 30
     guard: int | None = None
     max_terms: int = 500
-    stop_rule: int = 3
 
     def __post_init__(self) -> None:
         if self.guard is None:
@@ -131,8 +133,6 @@ class EvalContext:
             raise DomainError(f"guard must be >= 10, got {self.guard}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if self.stop_rule < 2:
-            raise DomainError(f"stop_rule must be >= 2, got {self.stop_rule}")
 
     @property
     def working_digits(self) -> int:
@@ -374,7 +374,7 @@ def eval_stirling_series(
     below k*2^-(W-1) relative per term plus one unit per term, far inside the
     guard digits, and only ``value`` and ``est_error`` are rounded to wp bits.
 
-    The sum stops once ``ctx.stop_rule`` consecutive terms fall below
+    The sum stops once :data:`STOP_RULE` consecutive terms fall below
     eps = 10^-(digits + guard/2) (rounded to wp bits) relative to the running
     partial sum (exact zero terms count as small), or fails with
     :class:`NonConvergenceError` at ``ctx.max_terms``.
@@ -414,7 +414,7 @@ def eval_stirling_series(
     for k, ck in _coefficient_stream(c):
         m, de = _mantissa(m * q, p + k * q, W)
         e += de
-        if (stopped := small_run >= ctx.stop_rule) or terms_used >= run_limit:
+        if (stopped := small_run >= STOP_RULE) or terms_used >= run_limit:
             if ck:  # first omitted term, either way, at W-bit precision
                 t, te = _mantissa(ck.numerator * m, ck.denominator, W)
                 next_term = from_man_exp(2 * abs(t), e + te, wp, round_nearest)

@@ -3,16 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from stirlingsum.asymptotics import (
-    ALT_HARMONIC,
-    GREGORY_LEIBNIZ,
-    LogPowerTerm,
-    boole_tail,
-    differentiate,
-    em_tail,
-)
+from stirlingsum.asymptotics import LogPowerTerm, differentiate, em_tail
 from stirlingsum.exactnum import DomainError, bernoulli
-from stirlingsum.transform import weniger_transform
 
 T = LogPowerTerm
 
@@ -108,24 +100,3 @@ def test_bernoulli_polynomial_telescoping():
         at_0 = bernoulli(n)
         assert at_1 - at_0 == 0
 
-
-def test_boole_tail_alternating_inverse_odd_family():
-    a = boole_tail(GREGORY_LEIBNIZ, 10)
-    assert a(1) == 0  # odd Euler numbers vanish
-    assert a(2) == F(1, 4)
-    c = weniger_transform(a, 2)
-    assert c.values[1] == F(1, 4)  # printed value 1/16 after the 1/4 prefactor
-
-
-def test_boole_tail_alternating_harmonic_family():
-    a = boole_tail(ALT_HARMONIC, 10)
-    assert a(1) == F(1, 4)
-    c = weniger_transform(a, 4)
-    assert list(c.values) == [F(1, 4), F(1, 4), F(3, 8), F(3, 4)]
-
-
-def test_boole_tail_rejects_unknown_family():
-    with pytest.raises(DomainError):
-        boole_tail("leibniz", 5)
-    with pytest.raises(DomainError):
-        boole_tail(ALT_HARMONIC, 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from stirlingsum import catalog, transform
 from stirlingsum.catalog import FormulaId, brute_force, describe, evaluate
@@ -71,6 +72,22 @@ def test_describe_alternating_leibniz():
     part = f.series[0]
     assert (part.prefactor, part.parity, part.x_offset) == (F(1, 4), 1, 1)
     assert part.shape == AT_X
+
+
+def test_leibniz_inner_coefficients():
+    a = describe("15.1").series[0].inner
+    assert a is describe("15.2").series[0].inner  # one transform checkpoint
+    assert a(1) == 0  # odd Euler numbers vanish
+    assert a(2) == F(1, 4)
+    c = transform.weniger_transform(a, 2)
+    assert c.values[1] == F(1, 4)  # printed value 1/16 after the 1/4 prefactor
+
+
+def test_alternating_harmonic_inner_coefficients():
+    a = describe("16.1").series[0].inner
+    assert a(1) == F(1, 4)
+    c = transform.weniger_transform(a, 4)
+    assert list(c.values) == [F(1, 4), F(1, 4), F(3, 8), F(3, 4)]
 
 
 # (domain_min, alternating, constants, recover_target), as stated by hand in
@@ -177,10 +194,46 @@ def test_brute_force_rejects_out_of_range():
         brute_force("15.1", -1, 30)
 
 
-@pytest.mark.parametrize("fid", ["1.1", "2.1", "3.1", "15.1", "15.2", "16.1"])
+RATIONAL_IDS = ["1.1", "2.1", "3.1", "15.1", "15.2", "16.1"]
+
+
+def _exact_partial_sums(fid, top):
+    """Oracle for brute force on a negative integer power without a log:
+    (n, num, den) with num/den the partial sum to n, exactly, for n from the
+    summand's start to ``top``. Summed unreduced: the same fraction as
+    summing Fractions, without a gcd per term."""
+    f = describe(fid)
+    u = f.summand
+    s, num, den = -int(u.s), 0, 1
+    assert s > 0 and not u.m
+    for k in range(f.summand_start, top + 1):
+        y = u.scale * k + u.shift
+        sg = 1 if u.parity is None else (-1) ** (k + u.parity)
+        num, den = num * y**s + sg * den, den * y**s
+        yield k, num, den
+
+
+def _as_fraction(v):
+    sign, man, exp, _ = v
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+@pytest.mark.parametrize("fid", RATIONAL_IDS)
+def test_brute_force_within_an_ulp_of_the_exact_sum(fid):
+    for n, num, den in _exact_partial_sums(fid, 200):
+        for digits in (5, 30, 100):
+            prec = dps_to_prec(digits + 10)
+            ref = from_rational(num, den, prec, round_nearest)  # rounded once
+            ulp = F(2) ** (ref[2] + ref[3] - prec)
+            got = brute_force(fid, n, digits)._mpf_
+            assert abs(_as_fraction(got) - _as_fraction(ref)) <= ulp, (n, digits)
+
+
+@pytest.mark.parametrize("fid", RATIONAL_IDS)
 def test_brute_force_past_the_exact_sum_limit(fid):
-    # rational summands switch from the exact Fraction sum to mp.fsum here
-    n = catalog._EXACT_SUM_LIMIT + 1
+    # past the exact oracle's range above, brute force still agrees with
+    # the series
+    n = 201
     ref = evaluate(fid, n).value
     with mp.workdps(50):
         assert abs(brute_force(fid, n, 30) - ref) < mpf("1e-28")
@@ -305,9 +358,9 @@ def test_recovery_raises_anchor_until_convergence():
 def test_recovery_reports_anchor_and_terms():
     store = ConstantStore()
     res = catalog.recover_details("2.1", digits=30, store=store)
-    # the cost model's anchor for 30 digits, guard 13, stop rule 3 and the
-    # 500-term budget, accepted as-is
-    assert res.n0 == catalog._anchor(FormulaId(2, 1), 30, 13, 3, 500)
+    # the cost model's anchor for 30 digits, guard 13 and the 500-term
+    # budget, accepted as-is
+    assert res.n0 == catalog._anchor(FormulaId(2, 1), 30, 13, 500)
     assert res.terms_used > 0
     assert digits_agree(res.value, store.reference_digits(zeta(2)), 30)
     assert str(res.constant) == "zeta(2)"
@@ -387,7 +440,7 @@ def test_memo_keys_on_context_and_store(monkeypatch):
     assert len(calls) == 3  # a fresh store starts empty
     assert _report_bits(fresh) == _report_bits(served[0])
     # n at or past the anchor is summed there, never kept
-    anchor = catalog._anchor(FormulaId(2, 1), 30, 13, 3, 500)
+    anchor = catalog._anchor(FormulaId(2, 1), 30, 13, 500)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
     assert len(calls) == 5 and len(catalog._rhs_memo[store]) == 2
@@ -468,7 +521,7 @@ def test_refused_start_falls_back_to_the_model_anchor_once(monkeypatch):
     store = ConstantStore()
     res = catalog.recover_details("1.1", digits=60, n0=18, store=store)
     assert refusals == [18]
-    assert res.n0 == catalog._anchor(FormulaId(1, 1), 60, 16, 3, 500)
+    assert res.n0 == catalog._anchor(FormulaId(1, 1), 60, 16, 500)
     assert digits_agree(res.value, store.reference_digits(GAMMA), 60)
 
 

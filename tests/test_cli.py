@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import hashlib
+import importlib.resources as resources
 import json
 
 import pytest
 from mpmath import mp, mpf
 
-from stirlingsum import catalog, cli
+from stirlingsum import catalog, cli, constants
 
 
 def run(capsys, *argv):
@@ -104,6 +106,18 @@ def test_eval_scientific_count_shorthand(capsys):
     assert records[0]["n"] == 1000
 
 
+def test_eval_count_is_parsed_exactly(capsys):
+    # 2^53 + 1 has no float, so a float round trip would serve 2^53
+    code, records, _ = run_json(capsys, "eval", "1.1", "-n", "9007199254740993e0", "-d", "20")
+    assert code == 0
+    assert records[0]["n"] == 9007199254740993
+    for bad in ("1e1000000000", "1e4300", "2.5", "1e-3", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "1.1", "-n", bad])
+        assert exc.value.code == 2, bad
+        assert "invalid" in capsys.readouterr().err
+
+
 def test_eval_below_domain_is_rejected(capsys):
     code, _, err = run(capsys, "eval", "10.1", "-n", "0", "-d", "20")
     assert code == 2 and "error:" in err
@@ -192,6 +206,15 @@ def test_verify_json_is_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_verify_all_uses_the_default_n_set(capsys):
+    code, records, _ = run_json(capsys, "verify", "--all")
+    assert code == 0
+    assert records[-1] == {"passed": 32, "failed": 0}
+    by_id = {r["id"]: r for r in records[:-1]}
+    assert len(by_id) == 32
+    assert by_id["4.1"]["n"] == [2, 10, 100] and by_id["1.1"]["n"] == [3, 10, 100]
+
+
 def test_verify_needs_exactly_one_scope(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "exactly one" in err
@@ -217,9 +240,52 @@ def test_bench_digamma_record_shape(capsys):
     assert float(rec["median_ms"]) >= float(rec["min_ms"]) >= 0
 
 
+def test_bench_eval_record_shape(capsys):
+    code, records, _ = run_json(
+        capsys, "bench", "eval", "--id", "1.1", "-n", "5", "-d", "15", "-r", "2"
+    )
+    assert code == 0
+    rec = records[0]
+    assert (rec["target"], rec["id"], rec["n"], rec["runs"]) == ("eval", "1.1", 5, 2)
+    assert set(rec) == {"target", "id", "n", "digits", "runs", "median_ms", "min_ms", "terms"}
+    assert rec["terms"] > 0
+    assert float(rec["median_ms"]) >= float(rec["min_ms"]) >= 0
+
+
 def test_bench_eval_needs_id_and_n(capsys):
     code, _, err = run(capsys, "bench", "eval")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("eval", "--id", "1.1", "-n", "5"), ("digamma", "--x", "3")]
+)
+def test_bench_rejects_fewer_than_one_run(capsys, argv):
+    code, out, err = run(capsys, "bench", *argv, "-r", "0")
+    assert code == 2 and out == "" and "--repeat" in err
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+
+def test_reference_mismatch_exits_1(capsys, monkeypatch, tmp_path):
+    raw = (
+        resources.files("stirlingsum")
+        .joinpath("data/reference_digits.txt")
+        .read_text("ascii")
+    )
+    _, _, body = raw.partition("\n")
+    # alter the pi digits, then re-seal the checksum so loading succeeds
+    body = body.replace("3.14159", "3.24159", 1)
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    bad = tmp_path / "refs.txt"
+    bad.write_text(f"checksum sha256 {digest}\n{body}", "ascii")
+    monkeypatch.setattr(constants, "_DEFAULT_STORE", constants.ConstantStore(bad))
+    code, out, err = run(capsys, "eval", "15.1", "-n", "3")
+    assert code == 1 and out == ""
+    assert "pi" in err and "disagrees with the embedded reference" in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from stirlingsum.constants import (
     elementary,
     format_decimal,
     get_constant,
-    recover_constant,
     truncate_decimal,
     zeta,
     zeta_prime,
@@ -163,8 +162,6 @@ def test_elementary_values():
         assert abs(elementary("pi", 30) - mp.pi) < mpf("1e-30")
         assert elementary("log", 30, x=1) == 0
         assert abs(elementary("log", 30, x=2) - mp.log(2)) < mpf("1e-30")
-        assert elementary("power", 20, x=4, r=F(3, 2)) == 8
-        assert abs(elementary("power", 20, x=2, r=F(1, 2)) - mp.sqrt(2)) < mpf("1e-20")
 
 
 def test_elementary_rejects_bad_input():
@@ -172,8 +169,6 @@ def test_elementary_rejects_bad_input():
         elementary("log", 30, x=0)
     with pytest.raises(DomainError):
         elementary("log", 30, x=-3)
-    with pytest.raises(DomainError):
-        elementary("power", 30, x=-1, r=F(1, 2))
     with pytest.raises(DomainError):
         elementary("exp", 30, x=1)
     with pytest.raises(DomainError):
@@ -275,7 +270,7 @@ def test_recovered_constants_match_references():
     store = ConstantStore()
     cases = [("1.1", GAMMA, 100), ("8.1", zeta(F(3, 2)), 100), ("12.1", STIELTJES1, 50)]
     for formula, cid, digits in cases:
-        value = recover_constant(formula, digits=digits, store=store)
+        value = catalog.recover_details(formula, digits=digits, store=store).value
         assert digits_agree(value, store.reference_digits(cid), digits)
 
 
@@ -302,17 +297,17 @@ def test_recovery_is_stable_under_starting_point_shifts():
 def test_recovery_rejects_multi_unknown_heads():
     store = ConstantStore()
     with pytest.raises(DomainError):
-        recover_constant("14.1", digits=30, store=store)
+        catalog.recover_details("14.1", digits=30, store=store)
     # once the nonlinear companion is cached, the remaining unknown resolves
     store.get(GAMMA, 60)
     store.get(STIELTJES1, 60)
-    value = recover_constant("14.1", digits=30, store=store)
+    value = catalog.recover_details("14.1", digits=30, store=store).value
     assert digits_agree(value, store.reference_digits(STIELTJES1), 30)
 
 
 def test_recovery_rejects_bad_n0():
     with pytest.raises(DomainError):
-        recover_constant("1.1", n0=1, digits=30)
+        catalog.recover_details("1.1", n0=1, digits=30)
 
 
 def test_functional_equation_cross_check():
