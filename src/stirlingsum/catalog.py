@@ -11,10 +11,12 @@ at full precision. The anchor ``a`` comes from one cost model (``_anchor``):
 higher anchors need fewer series terms and a shallower exact transform but a
 longer bridge, and the model picks the cheapest from measured per-term costs
 and the request alone. For ``n`` below ``a`` the right-hand side at ``a`` is
-one number per formula and precision, kept once served. The same machinery
-runs in reverse for constant recovery: brute-force partial sum minus known
-head terms minus the convergent tail isolates the one unknown constant;
-digamma shifts its argument up to the model's anchor by the recurrence.
+one number per formula and precision, and the bridge from ``n`` one
+number per summand, ``n`` and precision; both are kept once served. The same
+machinery runs in reverse for constant recovery: brute-force partial sum
+minus known head terms minus the convergent tail isolates the one unknown
+constant; digamma shifts its argument up to the model's anchor by the
+recurrence.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ _LOG_K = Summand(0, 1)
 class Formula:
     """sum_{k=summand_start}^{n} summand(k) = head(n) + sum of series parts(n).
 
-    The four fields after ``series`` are derived from the others once, at
+    The five fields after ``series`` are derived from the others once, at
     construction.
     """
 
@@ -217,6 +219,7 @@ class Formula:
     alternating: bool = field(init=False)
     constants: tuple[ConstantId, ...] = field(init=False)  # first-appearance order
     recover_target: ConstantId = field(init=False)
+    top_power: Fraction = field(init=False)  # highest power of n, head or series
 
     def __post_init__(self) -> None:
         def set_(name, value):
@@ -226,6 +229,7 @@ class Formula:
         set_("alternating", self.summand.parity is not None)
         set_("constants", tuple(dict.fromkeys(c for t in self.head for c, _ in t.constants)))
         set_("recover_target", next(c for c in self.constants if _isolates(self, c)))
+        set_("top_power", max(t.n_power for t in self.head + self.series))
 
 
 def _isolating_term(f: Formula, target: ConstantId) -> HeadTerm:
@@ -815,11 +819,9 @@ def _parity_factor(n: int, parity: int | None) -> int:
 
 
 def _headroom(f: Formula, anchor: int) -> int:
-    powers = [t.n_power for t in f.head] + [p.n_power for p in f.series]
-    top = max(powers) if powers else F(0)
-    if top <= 0:
+    if f.top_power <= 0:
         return 6
-    return math.ceil(float(top) * math.log10(anchor + 1)) + 6
+    return math.ceil(float(f.top_power) * math.log10(anchor + 1)) + 6
 
 
 def _fetch_constants(
@@ -842,7 +844,9 @@ def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalConte
 
     def times_powers(t, v, offset=0):  # v (x + offset)^n_power log(x)^log_power
         if t.n_power:
-            v *= mp.power(xv + offset, _to_mpf(t.n_power))
+            base = xv + offset
+            v *= (base ** int(t.n_power) if t.n_power.denominator == 1
+                  else mp.power(base, _to_mpf(t.n_power)))
         return v * logx**t.log_power if t.log_power else v
 
     head = mpf(0)
@@ -961,6 +965,19 @@ _DEGRADED_CONSTANT_DIGITS = 120
 # _PRECISION_LOCK.
 _rhs_memo: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
+# Summed bridges below model anchors, keyed on the summand (formulas summing
+# the same terms share them), n, the anchor and the precision; the oldest goes
+# past the cap. Guarded by _PRECISION_LOCK.
+_bridge_memo: dict[tuple, mpf] = {}
+_MEMO_CAP = 1024  # entries in each memo, as _anchor's cache
+
+
+def _keep(memo: dict, key, value) -> None:
+    """Keep ``value`` under ``key``, dropping the oldest entry past the cap."""
+    memo[key] = value
+    if len(memo) > _MEMO_CAP:
+        del memo[next(iter(memo))]
+
 
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
     """Right-hand-side value of the formula at n: the partial sum it equals.
@@ -968,11 +985,11 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     The series is evaluated at the anchor max(n, a), where a is the cheapest
     anchor the cost model finds for the formula, digits and guard under the
     default 500-term budget (a smaller ``max_terms`` truncates the same run);
-    summand terms bridge the anchor back down to n. Below
-    a, the right-hand side at a is the same for every n: once served, it is
-    kept per store and context, so a later call sums only the bridge. The
-    report aggregates part term counts and carries the largest scaled
-    twice-first-omitted-term estimate across parts.
+    summand terms bridge the anchor back down to n. Below a, the right-hand
+    side at a is the same for every n: once served, it is kept per store and
+    context, and the bridge from n is kept per summand and precision, so a
+    repeated call sums neither. The report aggregates part term counts and
+    carries the largest scaled twice-first-omitted-term estimate across parts.
     """
     f = describe(formula)
     ctx = ctx or EvalContext()
@@ -997,20 +1014,23 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     anchor = max(n, model)
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
-    part_ctx = replace(ctx, digits=ctx.digits + hr)
     with _PRECISION_LOCK, mp.workdps(wd):
         # kept only below the model's anchor with undegraded constants
         memo = _rhs_memo.setdefault(store, {}) if failure is None and n < model else {}
         key = (f.id, anchor, ctx, *cvalues.values())
         rhs = memo.get(key)
         if rhs is None:
-            rhs = _rhs(f, anchor, cvalues, part_ctx)
+            rhs = _rhs(f, anchor, cvalues, replace(ctx, digits=ctx.digits + hr))
             if not rhs[4]:  # a refusal is recomputed every time
-                memo[key] = rhs
-                if len(memo) > 1024:  # as _anchor's cache
-                    del memo[next(iter(memo))]
+                _keep(memo, key, rhs)
         head, scaled, terms_used, part_est, errors = rhs
-        total = sum(scaled, head - _summand_sum(f, n, anchor))
+        bkey = (f.summand, n, anchor, mp.prec)
+        bridge = _bridge_memo.get(bkey)
+        if bridge is None:
+            bridge = _summand_sum(f, n, anchor)
+            if n < anchor:
+                _keep(_bridge_memo, bkey, bridge)
+        total = sum(scaled, head - bridge)
         # The head constants are served to digits + guard places, and the
         # head, bridge and scaled parts rounded at the working precision,
         # whose headroom covers their size: 100 units in the constants' last

@@ -41,15 +41,22 @@ def _parse_count(text: str) -> int:
     """Integer counts, exactly, accepting scientific shorthand like ``1e6``.
 
     More than 4300 digits (the cap ``int(str)`` applies) are refused before
-    they are expanded.
+    they are expanded. Errors are ``argparse.ArgumentTypeError``, whose
+    message argparse prints as the reason.
     """
     try:
         value = decimal.Decimal(text)
     except decimal.InvalidOperation:
-        raise DomainError(f"not an integer: {text!r}") from None
-    if not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
-        raise DomainError(f"not an integer of at most 4300 digits: {text!r}")
-    return int(value)
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}: not a number") from None
+    if not value.is_finite():
+        reason = "not a finite number"
+    elif value.adjusted() >= 4300:
+        reason = "more than 4300 digits"
+    elif value != value.to_integral_value():
+        reason = "not an integer"
+    else:
+        return int(value)
+    raise argparse.ArgumentTypeError(f"invalid count {text!r}: {reason}")
 
 
 def _parse_real(text: str) -> Fraction:

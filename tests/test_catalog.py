@@ -392,8 +392,10 @@ def test_served_bits_do_not_depend_on_cache_state():
     transform._checkpoints.clear()
     catalog._anchor.cache_clear()
     catalog._rhs_memo.clear()
+    catalog._bridge_memo.clear()
     cold = _served_bits()
     assert len(catalog._rhs_memo[default_store()]) == 1
+    assert len(catalog._bridge_memo) == 2  # 4.1 and 11.1 below their anchors
     assert _served_bits() == cold
 
 
@@ -608,18 +610,17 @@ def test_recovery_refuses_unreachable_depth_quickly():
     assert time.perf_counter() - t0 < 30.0
 
 
-def test_memoized_right_hand_sides_under_threads():
-    # requests below their anchors, served by racing threads from an empty
-    # memo, get the bits of a single-threaded run
-    requests = [(fid, n, digits) for fid in ("4.1", "11.1", "13.1")
-                for n in (1, 2, 5, 10, 20) for digits in (20, 30, 50)]
+def _served_alike_by_racing_threads(requests, cache) -> bool:
+    """Whether 8 threads at a 1-us switch interval, each serving the
+    (fid, n, digits) ``requests`` in its own order from an emptied ``cache``,
+    all get the bits of a single-threaded run."""
 
     def serve(req):
         fid, n, digits = req
         return _report_bits(evaluate(fid, n, EvalContext(digits=digits)))
 
     expected = {req: serve(req) for req in requests}
-    catalog._rhs_memo.clear()
+    cache.clear()
     got = [{} for _ in range(8)]
 
     def work(i):
@@ -637,7 +638,106 @@ def test_memoized_right_hand_sides_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(g == expected for g in got)
+    return all(g == expected for g in got)
+
+
+def test_memoized_right_hand_sides_under_threads():
+    # requests below their anchors, served by racing threads from an empty
+    # memo, get the bits of a single-threaded run
+    requests = [(fid, n, digits) for fid in ("4.1", "11.1", "13.1")
+                for n in (1, 2, 5, 10, 20) for digits in (20, 30, 50)]
+    assert _served_alike_by_racing_threads(requests, catalog._rhs_memo)
+
+
+# ---------------------------------------------------------------------------
+# Bridges kept below the anchor
+# ---------------------------------------------------------------------------
+
+
+def _check_bridge(fid, n, ctx, clear=True):
+    """An evaluation below the anchor serves the bits of one that sums its
+    bridge directly, with the kept bridges cleared (unless ``clear`` is
+    false) and again with its own bridge kept; from cleared, the one bridge
+    kept has the bits of the direct sum."""
+    f = describe(fid)
+    anchor = catalog._anchor(f.id, ctx.digits, ctx.guard, 500)
+    assert f.domain_min <= n < anchor
+    with pytest.MonkeyPatch.context() as patch:  # the bridge summed directly
+        patch.setattr(catalog, "_bridge_memo", {})
+        expected = _report_bits(evaluate(fid, n, ctx))
+    if clear:
+        catalog._bridge_memo.clear()
+    assert _report_bits(evaluate(fid, n, ctx)) == expected
+    assert _report_bits(evaluate(fid, n, ctx)) == expected  # bridge kept
+    if clear:
+        with mp.workdps(ctx.digits + ctx.guard + catalog._headroom(f, anchor)):
+            direct = catalog._summand_sum(f, n, anchor)
+        assert [v._mpf_ for v in catalog._bridge_memo.values()] == [direct._mpf_]
+
+
+@settings(max_examples=300)
+@given(fid=st.sampled_from(ALL_IDS), digits=st.sampled_from((20, 30, 50)), data=st.data())
+def test_kept_bridges_match_direct_sums(fid, digits, data):
+    f, ctx = describe(fid), EvalContext(digits=digits)
+    below = st.integers(f.domain_min, catalog._anchor(f.id, digits, ctx.guard, 500) - 1)
+    _check_bridge(fid, data.draw(below, label="n"), ctx)
+    # a second bridge beside the first, or the first again
+    _check_bridge(fid, data.draw(below, label="then n"), ctx, clear=False)
+
+
+@pytest.mark.parametrize("fid", ALL_IDS, ids=str)
+def test_kept_bridges_match_direct_sums_at_both_ends(fid):
+    f = describe(fid)
+    for ctx in map(EvalContext, (20, 30, 50)):
+        _check_bridge(fid, catalog._anchor(f.id, ctx.digits, ctx.guard, 500) - 1, ctx)
+        _check_bridge(fid, f.domain_min, ctx, clear=False)
+
+
+def test_formulas_with_one_summand_share_a_bridge():
+    catalog._bridge_memo.clear()
+    ctx = EvalContext(digits=30)
+    for fid in ("1.1", "1.2"):
+        evaluate(fid, 5, ctx)
+    assert len(catalog._bridge_memo) == 1
+    for fid in ("4.1", "4.2", "4.3"):
+        evaluate(fid, 5, ctx)
+    assert len(catalog._bridge_memo) == 2
+    # 16.1 sums 1.1's terms with signs, at the same anchor and precision
+    assert catalog._anchor(FormulaId(16, 1), 30, ctx.guard, 500) == catalog._anchor(
+        FormulaId(1, 1), 30, ctx.guard, 500)
+    _check_bridge("16.1", 5, ctx, clear=False)
+    assert len(catalog._bridge_memo) == 3
+    evaluate("1.1", 10**4, ctx)  # past the anchor: no bridge to keep
+    assert len(catalog._bridge_memo) == 3
+    # one precision, two anchors: two bridges
+    first, second = EvalContext(digits=20, guard=40), EvalContext(digits=50, guard=10)
+    assert catalog._anchor(FormulaId(1, 1), 20, 40, 500) != catalog._anchor(
+        FormulaId(1, 1), 50, 10, 500)
+    _check_bridge("1.1", 5, first)
+    _check_bridge("1.1", 5, second, clear=False)
+    assert len(catalog._bridge_memo) == 2
+
+
+def test_kept_bridges_stay_within_their_cap(monkeypatch):
+    monkeypatch.setattr(catalog, "_MEMO_CAP", 3)
+    catalog._bridge_memo.clear()
+    served = {}
+    for digits in range(20, 30):
+        served[digits] = _report_bits(evaluate("2.1", 2, EvalContext(digits=digits)))
+    assert len(catalog._bridge_memo) == 3
+    # the newest kept: one precision per digits (2.1's headroom is 6)
+    assert [key[-1] for key in catalog._bridge_memo] == [
+        dps_to_prec(d + EvalContext(digits=d).guard + 6) for d in (27, 28, 29)]
+    catalog._bridge_memo.clear()
+    assert _report_bits(evaluate("2.1", 2, EvalContext(digits=20))) == served[20]
+
+
+def test_kept_bridges_under_threads():
+    # formulas sharing a summand, and one summing it with signs, keep their
+    # bridges in an empty memo from racing threads
+    requests = [(fid, n, 30) for fid in ("1.1", "1.2", "16.1") for n in range(1, 21)]
+    assert _served_alike_by_racing_threads(requests, catalog._bridge_memo)
+    assert len(catalog._bridge_memo) == 40
 
 
 def test_weighted_harmonic_closed_form_under_threads(monkeypatch):

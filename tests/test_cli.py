@@ -118,6 +118,21 @@ def test_eval_count_is_parsed_exactly(capsys):
         assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["eval", "1.1"], ["verify", "--family", "1"]])
+@pytest.mark.parametrize("bad, reason", [("1.5", "not an integer"),
+                                         ("1e4300", "more than 4300 digits"),
+                                         ("abc", "not a number"), ("1,5", "not a number"),
+                                         ("nan", "not a finite number"),
+                                         ("inf", "not a finite number")])
+def test_bad_count_names_its_reason(capsys, command, bad, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "-n", bad])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument -n: invalid count {bad!r}: {reason}" in err
+    assert "_parse_count" not in err
+
+
 def test_eval_below_domain_is_rejected(capsys):
     code, _, err = run(capsys, "eval", "10.1", "-n", "0", "-d", "20")
     assert code == 2 and "error:" in err
