@@ -28,7 +28,7 @@ import math
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -183,7 +183,9 @@ class Summand:
     """(-1)^(k+parity) * y^s * log(y)^m at y = scale*k + shift.
 
     The term the left-hand side sums over k; ``s`` is a multiple of 1/2 and
-    ``parity`` None means no sign alternation.
+    ``parity`` None means no sign alternation. ``key`` is the summand in
+    plain integers, equal for equal summands: it hashes without the modular
+    inverse a Fraction's hash takes.
     """
 
     s: Fraction
@@ -191,11 +193,14 @@ class Summand:
     parity: int | None = None
     scale: int = 1
     shift: int = 0
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", F(self.s))
         if (2 * self.s).denominator != 1:
             raise DomainError(f"summand power must be a multiple of 1/2, got {self.s}")
+        key = (int(2 * self.s), self.m, self.parity, self.scale, self.shift)
+        object.__setattr__(self, "key", key)
 
 
 _LOG_K = Summand(0, 1)
@@ -661,6 +666,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
 
 
 _CATALOG = _build_catalog()
+_BY_NAME = {str(fid): f for fid, f in _CATALOG.items()}  # canonical "family.variant"
 
 
 def formula_ids() -> tuple[FormulaId, ...]:
@@ -668,7 +674,8 @@ def formula_ids() -> tuple[FormulaId, ...]:
 
 
 def describe(formula) -> Formula:
-    return _CATALOG[FormulaId.parse(formula)]
+    f = _BY_NAME.get(formula) if type(formula) is str else None
+    return f or _CATALOG[FormulaId.parse(formula)]
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +764,19 @@ def _summand_path(u: Summand, hi: int) -> str:
     return "log" if u.m else "power" if u.s.denominator == 1 else "root"
 
 
+def _fixed_power(y: int, a: int, w: int) -> int:
+    """y^(a/2) in units 2^-w for an integer y >= 0 (y > 0 if a < 0), rounded
+    down: an integer power, or one integer square root for odd a."""
+    if a % 2:
+        return math.isqrt(y**a << 2 * w) if a > 0 else math.isqrt((1 << 2 * w) // y**-a)
+    return y ** (a // 2) << w if a >= 0 else (1 << w) // y ** (-a // 2)
+
+
+def _fixed_log(y: int, w: int) -> int:
+    """log y in units 2^-w, rounded down: one mpf log at w + 8 bits."""
+    return to_fixed(mpf_log(from_int(y), w + 8, round_floor), w)
+
+
 def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
     """The summand of ``f`` summed over k = lo+1..hi, at the current precision,
     on the path :func:`_summand_path` names."""
@@ -777,12 +797,9 @@ def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
     w = prec + len(ys).bit_length() + 10 + max(0, -math.floor(top))
     total = 0
     for y, sg in zip(ys, signs):
-        if a % 2:
-            t = math.isqrt(y**a << 2 * w) if a > 0 else math.isqrt((1 << 2 * w) // y**-a)
-        else:
-            t = y ** (a // 2) << w if a >= 0 else (1 << w) // y ** (-a // 2)
+        t = _fixed_power(y, a, w)
         if m:
-            t = t * to_fixed(mpf_log(from_int(y), w + 8, round_floor), w) ** m >> m * w
+            t = t * _fixed_log(y, w) ** m >> m * w
         total += sg * t
     return mp.make_mpf(from_man_exp(total, -w, prec, round_nearest))
 
@@ -834,40 +851,71 @@ def _fetch_constants(
     }
 
 
+# Bits past the working precision in the fixed-point head and part scales of
+# _rhs; see there for why 64.
+_RHS_GUARD = 64
+
+
 def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalContext,
          skip: HeadTerm | None = None):
     """The right-hand side at x, at the current precision, with ``skip`` left
     out of the head: (head, each series part scaled, their terms, their
-    largest scaled error estimate, the refusal of each part that refused)."""
-    xv = mpf(x)
-    logx = mp.log(xv) if any(t.log_power for t in f.head + f.series) else None
+    largest scaled error estimate, the refusal of each part that refused).
 
-    def times_powers(t, v, offset=0):  # v (x + offset)^n_power log(x)^log_power
-        if t.n_power:
-            base = xv + offset
-            v *= (base ** int(t.n_power) if t.n_power.denominator == 1
-                  else mp.power(base, _to_mpf(t.n_power)))
-        return v * logx**t.log_power if t.log_power else v
+    The head and the part scales are computed in fixed point, in units 2^-w
+    with w = prec + G for the current precision prec and G = _RHS_GUARD. A
+    term r (x+offset)^(a/2) log(x)^m prod C^p takes its power from
+    :func:`_fixed_power`, log x from one :func:`_fixed_log`, each constant
+    from its served mpf through ``to_fixed``, each product and quotient
+    floored to units 2^-w, r as one integer quotient last and its parity as
+    a sign. Each inexact factor is under one unit low and each flooring
+    costs under one unit more, and an error in one factor moves the term by
+    that error times the other factors, so a term of F factors is off by
+    under U = (2F + 1) max(1, |r| Q) units, Q the largest product of all but
+    one of its factors (each taken as at least 1). Over the catalog's heads
+    up to x = 10^7, with or without the constant a recovery isolates (whose
+    anchors stay at most BRUTE_FORCE_CAP), the summed U is at most 2^51 times
+    |head| (3.x without zeta(3) at 10^7: a head of -5e-15 within 6 units),
+    so G = 64 keeps the fixed-point error under 2^-13 of an ulp of the head
+    at prec, and the head is rounded to prec once. A scaled part is the
+    exact product of the part's mpf value and its fixed-point scale, rounded
+    to prec once; its error estimate likewise.
+    """
+    prec = mp.prec
+    w = prec + _RHS_GUARD
+    logx = _fixed_log(x, w) if any(t.log_power for t in f.head + f.series) else None
 
-    head = mpf(0)
-    for t in f.head:
-        if t is not skip:
-            v = times_powers(t, _to_mpf(t.rational), t.base_offset)
-            for cid, p in t.constants:
-                v *= cvalues[cid] ** p
-            head += v * _parity_factor(x, t.parity)
+    def fixed(t, r: Fraction, offset: int = 0, constants=()) -> int:
+        # r (x+offset)^n_power log(x)^log_power prod C^p (-1)^(x+parity), units 2^-w
+        a = t.n_power
+        v = _fixed_power(x + offset, 2 * a.numerator // a.denominator, w)
+        if t.log_power:
+            v = v * logx**t.log_power >> t.log_power * w
+        for cid, p in constants:
+            c = to_fixed(cvalues[cid]._mpf_, w)
+            v = v * c**p >> p * w if p > 0 else (v << -p * w) // c**-p
+        return v * r.numerator // r.denominator * _parity_factor(x, t.parity)
+
+    head = sum(fixed(t, t.rational, t.base_offset, t.constants) for t in f.head if t is not skip)
     scaled, terms, est, errors = [], 0, mpf(0), []
     for part in f.series:
-        scale = times_powers(part, _to_mpf(part.prefactor)) * _parity_factor(x, part.parity)
+        scale = fixed(part, part.prefactor)
         try:
             rep = eval_stirling_series(part.inner, x + part.x_offset, part.shape, part_ctx)
         except NonConvergenceError as exc:
             rep = exc.report
             errors.append(exc)
-        scaled.append(scale * rep.value)
+        scaled.append(_times_fixed(rep.value, scale, w, prec))
         terms += rep.terms_used
-        est = max(est, abs(scale) * rep.est_error)
-    return head, scaled, terms, est, errors
+        est = max(est, _times_fixed(rep.est_error, abs(scale), w, prec))
+    return mp.make_mpf(from_man_exp(head, -w, prec, round_nearest)), scaled, terms, est, errors
+
+
+def _times_fixed(v: mpf, scale: int, w: int, prec: int) -> mpf:
+    """v times scale 2^-w, exactly, rounded to prec bits once."""
+    sign, man, exp, _ = v._mpf_
+    return mp.make_mpf(from_man_exp(-man * scale if sign else man * scale, exp - w, prec,
+                                    round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -988,8 +1036,10 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     summand terms bridge the anchor back down to n. Below a, the right-hand
     side at a is the same for every n: once served, it is kept per store and
     context, and the bridge from n is kept per summand and precision, so a
-    repeated call sums neither. The report aggregates part term counts and
-    carries the largest scaled twice-first-omitted-term estimate across parts.
+    repeated call sums neither; at or past a nothing is kept or looked up.
+    The head is summed in fixed point and rounded once (see :func:`_rhs`).
+    The report aggregates part term counts and carries the largest scaled
+    twice-first-omitted-term estimate across parts.
     """
     f = describe(formula)
     ctx = ctx or EvalContext()
@@ -1009,32 +1059,38 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
             f"head constants past recovery reach, served at "
             f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
         )
-        ctx = replace(ctx, digits=min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), guard=None)
+        ctx = EvalContext(min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), max_terms=ctx.max_terms)
     model = _anchor(f.id, ctx.digits, ctx.guard, EvalContext.max_terms)
     anchor = max(n, model)
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
     with _PRECISION_LOCK, mp.workdps(wd):
-        # kept only below the model's anchor with undegraded constants
-        memo = _rhs_memo.setdefault(store, {}) if failure is None and n < model else {}
-        key = (f.id, anchor, ctx, *cvalues.values())
-        rhs = memo.get(key)
+        rhs = bridge = key = None
+        if n < model:  # kept below the model's anchor; at or past it, no bridge
+            if failure is None:  # and only with undegraded constants
+                memo = _rhs_memo.setdefault(store, {})
+                key = (f.id, anchor, ctx, *cvalues.values())
+                rhs = memo.get(key)
+            bkey = (f.summand.key, n, anchor, mp.prec)
+            bridge = _bridge_memo.get(bkey)
+            if bridge is None:
+                bridge = _summand_sum(f, n, anchor)
+                _keep(_bridge_memo, bkey, bridge)
         if rhs is None:
-            rhs = _rhs(f, anchor, cvalues, replace(ctx, digits=ctx.digits + hr))
-            if not rhs[4]:  # a refusal is recomputed every time
+            rhs = _rhs(f, anchor, cvalues, EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms))
+            if key is not None and not rhs[4]:  # a refusal is recomputed every time
                 _keep(memo, key, rhs)
         head, scaled, terms_used, part_est, errors = rhs
-        bkey = (f.summand, n, anchor, mp.prec)
-        bridge = _bridge_memo.get(bkey)
-        if bridge is None:
-            bridge = _summand_sum(f, n, anchor)
-            if n < anchor:
-                _keep(_bridge_memo, bkey, bridge)
-        total = sum(scaled, head - bridge)
-        # The head constants are served to digits + guard places, and the
-        # head, bridge and scaled parts rounded at the working precision,
-        # whose headroom covers their size: 100 units in the constants' last
-        # place bound both, whatever the truncation estimate below.
+        total = sum(scaled, head if bridge is None else head - bridge)
+        # The head constants are served to digits + guard places, and an
+        # error of one unit in each moves the head by at most 6 units (14.1:
+        # five constants, each with a weight below 2). The head,
+        # bridge and scaled parts are each rounded once at the working
+        # precision, the head after a fixed-point sum off by under 2^-13 ulp,
+        # and added with one rounding per part; the headroom keeps each of
+        # those ulps under 10^-(digits + guard + 3). So 100 units in the
+        # constants' last place bound both, whatever the truncation estimate
+        # below.
         est = mp.make_mpf(from_man_exp(*_eps(ctx.digits + ctx.guard - 2, mp.prec)))
         if failure is not None:
             est = mpf(10) ** (2 - _DEGRADED_CONSTANT_DIGITS)

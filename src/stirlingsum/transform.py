@@ -31,6 +31,7 @@ global mpmath state and holds no lock.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 import time
@@ -218,14 +219,15 @@ def _transform_stream(
     integers scaled by Q, a running common denominator of a_1..a_k, so each
     c_k costs k big-by-small multiplies and a single reduction.
     """
+    # A checkpoint's lists are never changed once stored, so its coefficients
+    # are read in place and copied only to be extended.
     with _checkpoint_lock:
         cp = _checkpoints.get(a)
-        done = list(cp.coeffs) if cp else []
-        Q, frontier = (cp.Q, cp.frontier) if cp else (1, [0])
-    for k, ck in enumerate(done, start=1):
-        if K is not None and k > K:
-            return
-        yield k, ck
+    kept, Q, frontier = (cp.coeffs, cp.Q, cp.frontier) if cp else ([], 1, [0])
+    yield from itertools.islice(enumerate(kept, start=1), K)
+    if K is not None and K <= len(kept):
+        return
+    done = list(kept)
     k = len(done)
     try:
         while K is None or k < K:
@@ -326,15 +328,11 @@ def _to_mpf(q: Fraction) -> mpf:
     return mpf(q.numerator) / q.denominator if q.denominator != 1 else mpf(q.numerator)
 
 
-def _shifted_quotient(n: int, d: int, shift: int) -> int:
-    """floor(n * 2^shift / d) for d > 0 (flooring twice floors once)."""
-    return (n << shift if shift >= 0 else n >> -shift) // d
-
-
 def _mantissa(n: int, d: int, bits: int) -> tuple[int, int]:
-    """(m, e) with m * 2^e = n/d rounded down and m of ``bits`` or bits+1 bits."""
+    """(m, e) with m * 2^e = n/d rounded down (d > 0; flooring twice floors
+    once) and m of ``bits`` or bits+1 bits."""
     s = bits - n.bit_length() + d.bit_length()
-    return _shifted_quotient(n, d, s), -s
+    return (n << s if s >= 0 else n >> -s) // d, -s
 
 
 @functools.lru_cache(maxsize=256)
@@ -403,6 +401,7 @@ def eval_stirling_series(
     wp = dps_to_prec(ctx.working_digits)
     W = wp + ctx.max_terms.bit_length() + 8
     eps_man, eps_exp = _eps(ctx.digits + ctx.guard / 2, wp)
+    eps_shift = -eps_exp  # eps < 1, so a left shift
     # 1/D_k = m * 2^e; D_0 = x for at_x, 1 for at_x_plus_1
     m, e = _mantissa(q, p, W) if start_shift == AT_X else (1 << W, -W)
     total = 0  # accumulator, units 2^unit once the first nonzero term fixes it
@@ -411,25 +410,30 @@ def eval_stirling_series(
     terms_used = 0
     stopped = False
     next_term = fzero
+    # _mantissa's arithmetic is inlined twice below: this loop is the kernel
     for k, ck in _coefficient_stream(c):
-        m, de = _mantissa(m * q, p + k * q, W)
-        e += de
+        n, d = m * q, p + k * q
+        s = W - n.bit_length() + d.bit_length()
+        m = (n << s if s >= 0 else n >> -s) // d
+        e -= s
+        num, den = ck.numerator, ck.denominator
         if (stopped := small_run >= STOP_RULE) or terms_used >= run_limit:
-            if ck:  # first omitted term, either way, at W-bit precision
-                t, te = _mantissa(ck.numerator * m, ck.denominator, W)
+            if num:  # first omitted term, either way, at W-bit precision
+                t, te = _mantissa(num * m, den, W)
                 next_term = from_man_exp(2 * abs(t), e + te, wp, round_nearest)
             break
         terms_used += 1
-        if not ck:
+        if not num:
             small_run += 1
             continue
-        t, den = ck.numerator * m, ck.denominator
+        t = num * m
         if not total:  # a zero sum takes any unit; fix it from this term
             unit = e + t.bit_length() - den.bit_length() - wp - 64
-        term = _shifted_quotient(t, den, e - unit)
+        s = e - unit
+        term = (t << s if s >= 0 else t >> -s) // den
         total += term
         # |term| < eps * |total|, both sides in accumulator units
-        if abs(term) << -eps_exp < eps_man * abs(total):
+        if abs(term) << eps_shift < eps_man * abs(total):
             small_run += 1
         else:
             small_run = 0

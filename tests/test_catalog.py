@@ -324,6 +324,44 @@ def test_series_terms_decrease_strictly_at_moderate_k():
     assert all(mags[k - 1] > mags[k] for k in range(10, 60))
 
 
+
+def _mpf_head(f, x, cvalues, skip):
+    """The head of f at x, with skip left out, in mpf at the current precision."""
+    head, xv = mpf(0), mpf(x)
+    for t in f.head:
+        if t is not skip:
+            v = mpf(t.rational.numerator) / t.rational.denominator
+            if t.n_power:
+                v *= mp.power(xv + t.base_offset, mpf(t.n_power.numerator) / t.n_power.denominator)
+            v *= mp.log(xv) ** t.log_power
+            for cid, p in t.constants:
+                v *= cvalues[cid] ** p
+            head += -v if t.parity is not None and (x + t.parity) % 2 else v
+    return head
+
+
+@pytest.mark.parametrize("fid", ALL_IDS, ids=str)
+def test_fixed_point_head_within_an_ulp(fid):
+    # _rhs's fixed-point head, rounded once, against the mpf head 64 bits
+    # finer, with and without the head term a recovery leaves out
+    f = describe(fid)
+    store = default_store()
+    skips = (None, catalog._isolating_term(f, f.recover_target))
+    for digits in (10, 30, 100, 300):
+        ctx = EvalContext(digits=digits, max_terms=1)  # the series parts refuse at once
+        with mp.workdps(digits + ctx.guard):
+            cvalues = {cid: mpf(store.reference_digits(cid)) for cid in f.constants}
+        for x in (f.domain_min + 1, 7, 200, 10**5, 10**7):
+            with mp.workdps(digits + ctx.guard + catalog._headroom(f, x)):
+                prec = mp.prec
+                heads = [catalog._rhs(f, x, cvalues, ctx, skip)[0] for skip in skips]
+            with mp.workprec(prec + 64):
+                for head, skip in zip(heads, skips):
+                    exact = _mpf_head(f, x, cvalues, skip)
+                    _, _, exp, bc = exact._mpf_  # one ulp at prec is 2^(exp + bc - prec)
+                    assert abs(head - exact) <= mpf(2) ** (exp + bc - prec), (x, digits)
+
+
 # ---------------------------------------------------------------------------
 # Cross-derivation of the inner coefficients
 # ---------------------------------------------------------------------------

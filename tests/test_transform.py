@@ -461,6 +461,154 @@ def test_series_ignores_global_precision():
             high.value, high.terms_used, high.est_error)
 
 
+
+# Kernel bits recorded before the loop's arithmetic was inlined: (formula,
+# series part, x, shape, digits, max_terms, served, terms_used, value and
+# est_error as (sign, man, exp)); "finite" is a list of 15.1's c_k with zeros
+# set in, which runs out.
+KERNEL_BITS = [
+    ("1.1", 0, 50, AT_X, 30, 500, True, 80,
+     (1, 0x8bcdf676cb37fbd6e69726c25789bc3b71e7, -158),
+     (0, 0x23cdd8246a95d1c8834bef4de808a5f4bbca7, -283)),
+    ("1.1", 0, 183, AT_X, 30, 500, True, 33,
+     (1, 0x29bf79c548cb1cf3072c7a417d67024a043d5, -164),
+     (0, 0x311e6c21f8a2ce6cc009e5c355bb62feed983, -294)),
+    ("1.2", 0, F(301, 7), AT_X_PLUS_1, 40, 300, True, 178,
+     (0, 0xbdc5f3c1848795c29d6e582622699e25748c796750d35, -186),
+     (0, 0x29245df25c1f1867795c3e8b0a5a8b811ab67292e1a155, -344)),
+    ("2.1", 0, 120, AT_X, 100, 500, True, 303,
+     (1, 0x308b6512532b3cacc175f15f2f48bcc91b18fb30634a338f47939aab1ae201658f130b63f1dc682398561cacfcbf09245f4cd, -418),
+     (0, 0x33564b9812a945a510a8623bd47e747a1fb1827fec4a474ecb4ac9228d41cbbac3f336e560ad095a1d67f69a9228a9f3c417, -780)),
+    ("2.2", 0, mpf('60.125'), AT_X, 25, 500, True, 48,
+     (0, 0x240e8108cb2c28b53822b3550fddf285d, -142),
+     (0, 0x2599025a513b53dec200feb8e5e61653, -246)),
+    ("3.1", 0, 25, AT_X, 40, 500, False, 500,
+     (1, 0x68cd407b6a2ccfe2768f763d99e7d47c9ab69042d7fa55, -193),
+     (0, 0x745f44946438e7bb30ffe34ce7b3cb5308cc94db426d0f, -343)),
+    ("3.2", 0, F(1, 3), AT_X_PLUS_1, 10, 60, False, 60,
+     (0, 0xe4e18417686d76164b, -72),
+     (0, 0xa19ca27f303f5e2f45, -82)),
+    ("4.1", 0, 70, AT_X_PLUS_1, 25, 500, True, 46,
+     (0, 0x270269a182d7138e93602fa120fdf471b, -140),
+     (0, 0x1ac0d32d84bbc18286568e0f9f1a4ab73, -248)),
+    ("4.2", 0, 1000, AT_X_PLUS_1, 20, 500, True, 17,
+     (1, 0x11e54c289baaee3f87fe2304becd, -139),
+     (0, 0x497c3bd77217521944ad66351ed, -246)),
+    ("4.3", 0, mpf('12345.6875'), AT_X_PLUS_1, 50, 500, True, 21,
+     (0, 0x153bd9d71cac1388ec3366503732a595e91e689d52f61d86892b95d, -231),
+     (0, 0x6f59ea4ac5cfb15398ec19467dac4a709d2b613ec74d9d2f93634e9, -452)),
+    ("5.1", 0, 12, AT_X_PLUS_1, 60, 40, False, 40,
+     (0, 0xe38fe8227e8c0c0646392ddcb25799fcc6cc1040142383364c7a8c5734f6a3cb, -263),
+     (0, 0x8da2dfd7d874c9496c6b41a77825b37a3cb27b9f5d6e291cbcd51e64a789bb49, -301)),
+    ("5.2", 0, F(1000001, 10), AT_X_PLUS_1, 80, 500, True, 25,
+     (0, 0x1dd37d62315b0fb9d8471b193aef1453c8ead318c8361bc930be98c4fd16de72eeb963ad78c9d3dcb59, -357),
+     (0, 0xb3c8b0adbde6e5e5121806693a6c7645f24b5c32cb98858450cb2eb0e595355078a63617cd529720f9, -687)),
+    ("5.3", 0, 30, AT_X, 15, 500, True, 49,
+     (0, 0xc3cc861760392eab2acf569, -103),
+     (0, 0x10860c574093ca19ae8ec0b5, -175)),
+    ("6.1", 0, 300, AT_X_PLUS_1, 120, 500, True, 170,
+     (0, 0x1845c8683f278975cb656255733f1a302f11631dcdf820e29ac4b357a41a3c19b983ab6880db68aa5d6b3b0f814cd28751c5ad5f61ae05e7d09654b, -485),
+     (0, 0x18e3d9086bed0abf3b6aa4c32b4b488e5fba3807d88539fb2af81ae6b0e4bebeade7d896d72d7cdb45ff40df3b0acdcabf5d0d2a185e06bbec31a0b, -924)),
+    ("6.2", 0, mpf(2.75), AT_X_PLUS_1, 12, 30, False, 30,
+     (0, 0x6ad423e5a7513306f48b3, -102),
+     (0, 0x572e4b096e644d6e1640f, -113)),
+    ("6.3", 0, 10**6, AT_X_PLUS_1, 45, 500, True, 13,
+     (0, 0x11e54ce4420dc6d62e85a7846596e1c892cc54d73f3f3cc8eeb, -223),
+     (0, 0x37780b18f73688a18ec1a92a032e439ffda9667606bae627729, -449)),
+    ("7.1", 0, 90, AT_X_PLUS_1, 80, 500, True, 285,
+     (1, 0x1e572b7176d70950b389661390835783781b465207a51f86d71e36254aca5af107ad516eca65c047111, -340),
+     (0, 0x1e8d9a67dc243ea60de0736ead89519caf25c88b33a2d8eff9c4eb29c916c18188d0b3e590d113647b7, -636)),
+    ("7.2", 0, F(127, 2), AT_X, 30, 200, True, 64,
+     (0, 0x2076986725b9cc35401142c4de6be4bc4dc1d, -158),
+     (0, 0x3579aa9cf640f0b8e672d135ba3c0bf704e05, -283)),
+    ("8.1", 0, 40, AT_X, 35, 500, True, 146,
+     (1, 0x51e99bf6f159ec2423aa21e4c0c8606e45b3efeb9, -177),
+     (0, 0x181cf7f3255857f06f5efe329a7d14c3ab3086a19d, -319)),
+    ("8.2", 0, mpf('40.5'), AT_X_PLUS_1, 20, 500, True, 50,
+     (0, 0x1920bd723985fc4a86f22ce37a3b, -116),
+     (0, 0x3ad9790e603dd59741ce1512240f, -206)),
+    ("9.1", 0, 60, AT_X, 50, 500, True, 169,
+     (1, 0x5b03fd7e55aab556faee94ac020c2d67da8bc7ad3dc9a797447d123, -233),
+     (0, 0x34d1696633a1f1017656ffc554ea52d1052a8802d680a26605f3d55, -424)),
+    ("9.2", 0, 25, AT_X, 45, 500, False, 500,
+     (0, 0x26aaa0b8103dd2fe80d6eb46f03db843d55f83088a268065aef, -212),
+     (0, 0x4b42bcea778f3ab60b994848d51216be292e8e909b7c528a7b7, -363)),
+    ("10.1", 0, 9, AT_X_PLUS_1, 30, 1, False, 1,
+     (0, 0x1111111111111111111111111111111111111, -151),
+     (0, 0x18d3018d3018d3018d3018d3018d3018d3019, -154)),
+    ("10.2", 0, F(123456789, 1000), AT_X, 60, 500, True, 21,
+     (1, 0x6ced1a4459969bf1aa6a3019b89beb159d840db2c895b1b8e0e1a26e2327f387, -314),
+     (0, 0x49a9e72729b6286ce7f93d6369c5b3092ec8fa480c58ccf752e2a32887c49ac7, -584)),
+    ("10.3", 0, 64, AT_X_PLUS_1, 100, 500, False, 500,
+     (0, 0x555527d34d2b138db49fe79f084ee8b1ab3a6274c7010740bc217c04b8a42eb18727d98c0cd469e39bf4d3939295e1e42c5b, -414),
+     (0, 0x254d09db325ba99d3c0019deba60820a1995b9e1e3494fa3599e7663844136d89b4c74e63efea18e72d5c0506109553f60781, -694)),
+    ("11.1", 0, mpf(1e10), AT_X_PLUS_1, 50, 500, True, 11,
+     (0, 0x10ca672562512a36faaa2b4b800191725357d3e1a63c291408a5d6b, -292),
+     (0, 0x5d31570d44a95cb08ed4e9730c48d21a8862864f61eebab8616e4a5, -599)),
+    ("11.2", 0, 17, AT_X, 25, 120, False, 120,
+     (0, 0x1425b07063c24e5c84725d1775d74ff7, -142),
+     (0, 0x20432fdf0fba69dc172d0cae0f3fdf867, -223)),
+    ("12.1", 0, 25, AT_X, 30, 500, True, 230,
+     (0, 0x11789cf7f47ccb7378aa2a49a24f4cdd4e7a1, -157),
+     (0, 0x273f41f601f50cf8b65da5e81397b65bda515, -279)),
+    ("12.1", 1, 25, AT_X, 30, 500, True, 244,
+     (1, 0x8bc9abff6ac2418256d86e2ade3c228b85eb, -156),
+     (0, 0x29ad7ab4889b670719e77881315cb56163f1f, -279)),
+    ("13.1", 0, 45, AT_X, 40, 500, True, 165,
+     (0, 0x5648ba42cdffdd4a415d09258ca633e6dd4f1d6f53b70f, -197),
+     (0, 0x44358977587e0981ac1db722e0b8a3cdd2f70a28c457af, -353)),
+    ("13.1", 1, F(99, 4), AT_X_PLUS_1, 40, 500, False, 500,
+     (1, 0x1b92d0a9d45a8908763c8bab84fc7a22ac61a0422cb68d, -188),
+     (0, 0x6766f553edfebd85f268427fdf696c48ab46a51b6f249, -336)),
+    ("14.1", 0, 40, AT_X, 35, 500, True, 170,
+     (0, 0x1178d0b5c3aea86a8062b404cd8ed535eb6d25a89f, -188),
+     (0, 0xb2e54447f2ba2103a9fe0dfb8d32a0bbd789956bf, -327)),
+    ("14.1", 1, mpf('33.0625'), AT_X, 35, 500, True, 248,
+     (1, 0x29408e90e8403aa8fd5a115dd2154b082b4ae6cf63, -189),
+     (0, 0x2288ec10bce8c1718646d387f3663f64685a9742ed, -328)),
+    ("15.1", 0, 301, AT_X, 60, 500, True, 64,
+     (0, 0x9d7d91e80fe5847f4725dc33d792fd2fb5a4897be1afe9185ab3ba981e0a71c1, -282),
+     (0, 0x9092731098fa58aee039f4b889340d8f38bee4db756460c22f96c32a87d9e007, -515)),
+    ("15.2", 0, F(85, 2), AT_X, 30, 500, True, 106,
+     (0, 0x36999c4555348daeb89596bdc5b556cd367d3, -164),
+     (0, 0x1a550cc387a53fe4a6aaa3882650f3a1f891d, -285)),
+    ("16.1", 0, 100, AT_X, 60, 500, True, 73,
+     (0, 0xd1b4684a31331112008350f1c2c89500a52ed6ad0ac68f042776a85596cb5ad3, -271),
+     (0, 0x9342447e1983fce6f43dfd5f9ca419e2faefcbfde4bb3424a054a48e345b02ad, -503)),
+    ("16.1", 0, 2, AT_X, 300, 500, False, 64,
+     (0, 0x746f4041718432a1b0a8c71a3e0d1046c0d22ef17fe09d988534bf89b6a36cf2c3f8e8d60e40afe72d0f1dc352fb5db484c636d2586c40e543e956ab5a3a3fb7bdfb86a977ae2fb16c9f266f81f002a9ecfe8740e87f0914bbc54b0a6dae2d3ee3a9f7a533d2f673eafd39acd09da9f12c7ea6c940046ee3c0263f231f424b2f43844347501af605c98b5f3a307, -1135),
+     (0, 0x1da41122d9e825fa35f4a73170a8952176375857ff12df76e930bed02e505ac6747abb56f44e453d4007690448b67a097e8d7d29cc5c2a25485d8dd615ffc4b7ddba4c2fb40b9416b19d1eaed5bd13914f5001da41122d9e825fa35f4a73170a8952176375857ff12df76e930bed02e505ac6747abb56f44e453d4007690448b67a097e8d7d29cc5c2a25485d8dd, -1210)),
+    ("1.1", 0, 12, AT_X, 40, 300, False, 64,
+     (1, 0x4bcca231c2cb3f2f893e585e43ae54e592d1732d8706c1, -193),
+     (0, 0x2af20b8504ec12109931c0f14dace0019801b8158c7d15, -240)),
+    ("2.1", 0, 10**30, AT_X, 20, 500, True, 4,
+     (1, 0x1124031c73196ecf2f4c3f0190eb, -310),
+     (0, 0x2f6c4c06cb46cd708ef92944a329, -705)),
+    ("14.1", 0, 2, AT_X_PLUS_1, 200, 64, False, 64,
+     (0, 0x7d0c576dd9f3c9bf73f233a50613df7742c71f8238025067b6ab66b3dddf62cac9687a65fb43ec812971cfcee9f58848893821124b67377d94d2c7874955d9f7f8ac5d47343ac4e60cbec980131e9b20d57b7c8fa584f6d76c49c66882853b3f, -777),
+     (0, 0x2e2607fbb734750be240384aec00e2f2a8b0aebe76ac97be159b520d1b28a60b2e1ceb1863bb9f793a20b08bc99f415c11a960d5b1a06eb2f8f5240c9ad5f6f9408667526073af55282133893c54ca27f2833e704416b56777eea14cbc1e9019, -789)),
+    ("finite", 0, F(7, 3), AT_X, 30, 500, True, 11,
+     (0, 0x31b5de63634a3423e49aa4e1a08a59744bb41, -152),
+     (0, 0x0, 0)),
+    ("finite", 0, 11, AT_X_PLUS_1, 30, 6, False, 6,
+     (0, 0x3ff3d20ff3d20ff3d20ff3d20ff3d20ff3d21, -155),
+     (0, 0x11f21011f21011f21011f21011f21011f2101, -165)),
+]
+
+
+@pytest.mark.parametrize("fid,part,x,shape,digits,max_terms,served,terms,value,est",
+                         KERNEL_BITS)
+def test_kernel_bits_are_pinned(fid, part, x, shape, digits, max_terms, served, terms,
+                                value, est):
+    if fid == "finite":
+        c = weniger_transform(catalog.describe("15.1").series[0].inner, 12).values
+        source = StirlingCoefficients(c[:3] + (F(0),) + c[3:8] + (F(0), F(0)))
+    else:
+        source = catalog.describe(fid).series[part].inner
+    rep, ok = _run(source, x, shape, EvalContext(digits=digits, max_terms=max_terms))
+    assert (ok, rep.terms_used) == (served, terms)
+    assert rep.value._mpf_[:3] == value and rep.est_error._mpf_[:3] == est
+
 # terms_used of the mpf summation loop (the oracle above) on the series calls
 # that evaluate and digamma made when they anchored at max(n, digits + 10)
 # and shifted x up to digits: the integer kernel must stop each of these runs

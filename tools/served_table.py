@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Record what the package serves over a fixed grid, and compare two records.
+
+    python tools/served_table.py record OUT
+    python tools/served_table.py compare A B
+
+``record`` writes one JSON line per case: evaluations of all 32 formulas at
+n in N_GRID and digits in DIGIT_GRID with brute force beside each, digamma
+at X_GRID and DIGAMMA_DIGITS, and every request of the serve-warm lists of
+SEEDS (``benchmark/workloads.py``). A served case keeps the bits of
+its value and est_error and its terms_used; a refused one the same of its
+partial report. Run it once per checkout, with that checkout's ``src`` on
+PYTHONPATH.
+
+``compare`` matches the cases of two records and prints how many moved (value,
+terms_used, est_error, served/refused), the worst value move in units of
+10^-digits, and each record's worst distance from brute force or
+``mpmath.digamma`` in the same units. It exits 1 when a case is missing from
+either record, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from mpmath import mp, mpf
+
+from stirlingsum import catalog
+from stirlingsum.transform import EvalContext, NonConvergenceError
+
+N_GRID = (1, 2, 7, 30, 59, 100, 150, 199, 200, 201, 1000)  # and each domain_min
+DIGIT_GRID = (10, 20, 30, 50, 100)
+X_GRID = ("1/3", "3/4", "5/2", "7", "200", "100000", "10000000000")
+DIGAMMA_DIGITS = (10, 30, 50, 100)
+SEEDS = range(41, 51)
+
+
+def _bits(v: mpf) -> list:
+    sign, man, exp, _ = v._mpf_
+    return [sign, hex(man), exp]
+
+
+def _value(bits: list) -> mpf:
+    sign, man, exp = bits
+    return mp.make_mpf((sign, int(man, 16), exp, int(man, 16).bit_length()))
+
+
+def _report(rep, served: bool) -> dict:
+    return {"served": served, "value": _bits(rep.value), "terms": rep.terms_used,
+            "est": _bits(rep.est_error)}
+
+
+def _evaluate(fid: str, n: int, digits: int, brute: bool) -> dict:
+    case = {"kind": "evaluate", "target": fid, "n": n, "digits": digits}
+    try:
+        case.update(_report(catalog.evaluate(fid, n, EvalContext(digits=digits)), True))
+    except NonConvergenceError as exc:
+        case.update(_report(exc.report, False))
+    if brute:
+        case["check"] = _bits(catalog.brute_force(fid, n, digits + 10))
+    return case
+
+
+def _digamma(x: str, digits: int) -> dict:
+    """digamma reports no error estimate; ``est`` is None."""
+    case = {"kind": "digamma", "target": x, "n": None, "digits": digits}
+    try:
+        value, terms, _ = catalog.digamma_details(Fraction(x), digits)
+        case.update(served=True, value=_bits(value), terms=terms, est=None)
+    except NonConvergenceError as exc:
+        case.update(_report(exc.report, False))
+    q = Fraction(x)
+    with mp.workdps(digits + 20):
+        case["check"] = _bits(mp.digamma(mpf(q.numerator) / q.denominator))
+    return case
+
+
+def record(out: str) -> None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    from workloads import serve_warm
+
+    cases = []
+    for fid in map(str, catalog.formula_ids()):
+        f = catalog.describe(fid)
+        for n in sorted({f.domain_min, *(n for n in N_GRID if n >= f.domain_min)}):
+            for digits in DIGIT_GRID:
+                cases.append(_evaluate(fid, n, digits, brute=True))
+    for x in X_GRID:
+        for digits in DIGAMMA_DIGITS:
+            cases.append(_digamma(x, digits))
+    for seed in SEEDS:
+        for req in serve_warm(seed):
+            if req.kind == "evaluate":
+                case = _evaluate(req.target, req.n, req.digits, brute=req.n <= 1000)
+            else:
+                case = _digamma(req.target, req.digits)
+            cases.append({**case, "seed": seed})
+    with open(out, "w", encoding="ascii") as fh:
+        for case in cases:
+            fh.write(json.dumps(case) + "\n")
+    print(f"{len(cases)} cases written to {out}")
+
+
+def _key(case: dict) -> tuple:
+    return case["kind"], case["target"], case["n"], case["digits"], case.get("seed")
+
+
+def _units(a: mpf, b: mpf, digits: int) -> mpf:
+    with mp.workdps(digits + 60):
+        return abs(a - b) * mpf(10) ** digits
+
+
+def _load(path: str) -> dict:
+    with open(path, encoding="ascii") as fh:
+        return {_key(case): case for case in map(json.loads, fh)}
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a, b = _load(a_path), _load(b_path)
+    missing = len(a.keys() ^ b.keys())
+    moved = dict.fromkeys(("value", "terms", "est", "served"), 0)
+    worst, worst_case = mpf(0), None
+    checks = {a_path: mpf(0), b_path: mpf(0)}
+    for key in a.keys() & b.keys():
+        ca, cb = a[key], b[key]
+        for field in moved:
+            moved[field] += ca[field] != cb[field]
+        if ca["value"] != cb["value"]:
+            units = _units(_value(ca["value"]), _value(cb["value"]), ca["digits"])
+            if units > worst:
+                worst, worst_case = units, key
+        for path, case in ((a_path, ca), (b_path, cb)):
+            if case["served"] and "check" in case:
+                units = _units(_value(case["value"]), _value(case["check"]), case["digits"])
+                checks[path] = max(checks[path], units)
+    print(f"{len(a.keys() & b.keys())} cases in both, {missing} in one only")
+    print("moved: " + ", ".join(f"{k} {v}" for k, v in moved.items()))
+    print(f"worst value move: {mp.nstr(worst, 3)} units of 10^-digits at {worst_case}")
+    for path, units in checks.items():
+        print(f"worst served distance from the check in {path}: "
+              f"{mp.nstr(units, 3)} units of 10^-digits")
+    return 1 if missing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("record", help="write the served table of this checkout")
+    p.add_argument("out")
+    p = sub.add_parser("compare", help="compare two recorded tables")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        record(args.out)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
