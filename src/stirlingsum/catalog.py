@@ -33,7 +33,20 @@ from fractions import Fraction
 from importlib import resources
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_log, round_floor, round_nearest, to_fixed
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_ceil,
+    mpf_div,
+    mpf_log,
+    mpf_sub,
+    round_floor,
+    round_nearest,
+    to_fixed,
+    to_int,
+)
 
 from . import constants as _constants
 from .asymptotics import LogPowerTerm, em_tail
@@ -772,9 +785,10 @@ def _fixed_power(y: int, a: int, w: int) -> int:
     return y ** (a // 2) << w if a >= 0 else (1 << w) // y ** (-a // 2)
 
 
-def _fixed_log(y: int, w: int) -> int:
-    """log y in units 2^-w, rounded down: one mpf log at w + 8 bits."""
-    return to_fixed(mpf_log(from_int(y), w + 8, round_floor), w)
+def _fixed_log(y: int | mpf, w: int) -> int:
+    """log y in units 2^-w for an integer or mpf y > 0, rounded down: one mpf
+    log at w + 8 bits."""
+    return to_fixed(mpf_log(from_int(y) if type(y) is int else y._mpf_, w + 8, round_floor), w)
 
 
 def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
@@ -1202,7 +1216,26 @@ def recover_details(
 
 
 def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
-    """(psi(x), series terms used, upward shift applied); see :func:`digamma`."""
+    """(psi(x), series terms used, upward shift applied); see :func:`digamma`.
+
+    x is rounded to prec bits, prec = dps_to_prec(digits + guard + 8), and
+    y = x + shift, shift = ceil(anchor - x) when positive, is formed in mpf
+    at prec, exactly as ``mp.workdps(digits + guard + 8)`` would. Then
+
+        psi(x) = log y - 1/(2y) + S(y) - sum_{i<shift} 1/(x + i),
+
+    S the inverse-factorial series of 1.1's part, is summed in fixed point,
+    in units 2^-w with w = prec + 64, as :func:`_rhs` sums its head: log y
+    from :func:`_fixed_log`, 1/(2y) = q/(2p) for y = p/q as
+    one integer quotient, S(y) through ``to_fixed``, each 1/(x+i) as in
+    :func:`_summand_sum`. Each of the first three is under one unit low and
+    each shift term under one unit more, so the sum is off by under
+    shift + 3 units. The shift stays below the anchor, at most
+    BRUTE_FORCE_CAP < 2^24, so that is under 2^-(prec + 40), far inside an
+    ulp of psi wherever |psi| > 2^-40, and the value is rounded to prec
+    once. Nothing here reads mpmath's global precision or takes the
+    precision lock.
+    """
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
     guard = 10 + math.ceil(digits / 10)
@@ -1210,21 +1243,25 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
     ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)
     anchor = _anchor(None, digits, guard, max_terms)
-    with _PRECISION_LOCK, mp.workdps(digits + guard + 8):
-        xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
-        if xv <= 0:
-            raise DomainError(f"digamma needs x > 0, got {xv}")
-        shift = int(mp.ceil(max(mpf(0), anchor - xv)))
-        y = xv + shift
-        rep = eval_stirling_series(inner, y, AT_X, ctx)
-        value = mp.log(y) - 1 / (2 * y) + rep.value
-        if shift:
-            # sum of 1/(x+i) = q/(p+iq) in fixed point, as in _summand_sum
-            p, q = _as_ratio(xv)
-            w = mp.prec + shift.bit_length() + 10
-            total = sum((q << w) // (p + i * q) for i in range(shift))
-            value -= mp.make_mpf(from_man_exp(total, -w, mp.prec, round_nearest))
-    return value, rep.terms_used, shift
+    prec = dps_to_prec(digits + guard + 8)
+    if isinstance(x, Fraction):
+        num = from_int(x.numerator, prec, round_nearest)
+        xv = mp.make_mpf(mpf_div(num, from_int(x.denominator), prec, round_nearest))
+    else:
+        xv = mpf(x, prec=prec)
+    if xv <= 0:
+        raise DomainError(f"digamma needs x > 0, got {xv}")
+    gap = mp.make_mpf(mpf_sub(from_int(anchor), xv._mpf_, prec, round_nearest))
+    shift = to_int(mpf_ceil(gap._mpf_)) if gap > 0 else 0
+    y = mp.make_mpf(mpf_add(xv._mpf_, from_int(shift), prec, round_nearest))
+    rep = eval_stirling_series(inner, y, AT_X, ctx)
+    w = prec + 64
+    p, q = _as_ratio(y)
+    total = _fixed_log(y, w) - (q << w) // (2 * p) + to_fixed(rep.value._mpf_, w)
+    if shift:  # q/(p + i q) for i < shift, x = p/q, with no Python frame per term
+        p, q = _as_ratio(xv)
+        total -= sum(map((q << w).__floordiv__, range(p, p + shift * q, q)))
+    return mp.make_mpf(from_man_exp(total, -w, prec, round_nearest)), rep.terms_used, shift
 
 
 def digamma(x, digits: int = 30) -> mpf:

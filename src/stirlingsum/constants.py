@@ -20,7 +20,7 @@ import hashlib
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -58,10 +58,16 @@ _PARAM_TAGS = frozenset({"zeta", "zeta_prime"})
 
 @dataclass(frozen=True)
 class ConstantId:
-    """Identity of a mathematical constant, e.g. ``zeta(3/2)`` or ``log_2pi``."""
+    """Identity of a mathematical constant, e.g. ``zeta(3/2)`` or ``log_2pi``.
+
+    ``key`` is the identity in a string and plain integers, equal for equal
+    ids; the hash is taken from it, without the modular inverse a Fraction's
+    hash takes, since the store and the catalog hash ids on every call.
+    """
 
     tag: str
     s: Fraction | None = None
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tag in _SIMPLE_TAGS:
@@ -73,6 +79,11 @@ class ConstantId:
             object.__setattr__(self, "s", Fraction(self.s))
         else:
             raise DomainError(f"unknown constant tag {self.tag!r}")
+        key = (self.tag,) if self.s is None else (self.tag, *self.s.as_integer_ratio())
+        object.__setattr__(self, "key", key)
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __str__(self) -> str:
         if self.s is None:

@@ -18,7 +18,10 @@ c_k = (-1)^k M_k(0) and the recurrence
     M_{i+1}(j) = M_i(j+1) - i*M_i(j),
 
 so one anti-diagonal of moments, updated as each a_l arrives, yields the c_k
-in order (Weniger, Appl. Numer. Math. 2010).
+in order (Weniger, Appl. Numer. Math. 2010). Each InnerCoefficients instance
+keeps the longest prefix c_1..c_k computed so far with its frontier, and a
+later stream reads that prefix in place, at C speed, before the generator
+resumes the moment updates for the terms past it.
 
 The series is summed in fixed-point Python integers, not in mpmath floating
 point: x is taken exactly as p/q, 1/(x(x+1)...(x+k)) is carried as a
@@ -205,7 +208,29 @@ _checkpoint_lock = threading.Lock()
 def _transform_stream(
     a: InnerCoefficients, K: int | None
 ) -> Iterator[tuple[int, Fraction]]:
-    """Yield (k, c_k) for k = 1.. (up to K if given), exactly.
+    """(k, c_k) for k = 1.. (up to K if given), exactly.
+
+    The prefix a checkpoint keeps is read in place by a C-level iterator
+    (``enumerate`` over the kept list), so a warm caller pays no Python frame
+    per coefficient; only the coefficients past it come from the generator
+    :func:`_extend_stream`, chained on behind.
+    """
+    # A checkpoint's lists are never changed once stored, so its coefficients
+    # are read in place and copied only to be extended.
+    with _checkpoint_lock:
+        cp = _checkpoints.get(a)
+    kept = cp.coeffs if cp else []
+    prefix = itertools.islice(enumerate(kept, start=1), K)
+    if K is not None and K <= len(kept):
+        return prefix
+    return itertools.chain(prefix, _extend_stream(a, K, cp))
+
+
+def _extend_stream(
+    a: InnerCoefficients, K: int | None, cp: _StreamCheckpoint | None
+) -> Iterator[tuple[int, Fraction]]:
+    """Yield (k, c_k) past the checkpoint ``cp`` (from k = 1 without one), up
+    to K if given, and keep the longer prefix as the new checkpoint.
 
     With the linear functional L[t^l] = (-1)^l a_l (and L[1] = 0) the map is
     c_k = (-1)^k M_k(0), where M_i(j) = L[t^j (t)_i] and (t)_i is the falling
@@ -219,14 +244,7 @@ def _transform_stream(
     integers scaled by Q, a running common denominator of a_1..a_k, so each
     c_k costs k big-by-small multiplies and a single reduction.
     """
-    # A checkpoint's lists are never changed once stored, so its coefficients
-    # are read in place and copied only to be extended.
-    with _checkpoint_lock:
-        cp = _checkpoints.get(a)
     kept, Q, frontier = (cp.coeffs, cp.Q, cp.frontier) if cp else ([], 1, [0])
-    yield from itertools.islice(enumerate(kept, start=1), K)
-    if K is not None and K <= len(kept):
-        return
     done = list(kept)
     k = len(done)
     try:
@@ -362,11 +380,17 @@ def eval_stirling_series(
 ) -> EvaluationReport:
     """Evaluate  sum_k c_k / D_k(x)  with D_k = x(x+1)..(x+k) or (x+1)..(x+k).
 
-    The sum runs in Python integers and reads no global mpmath state, so it
-    needs no precision lock. x is taken exactly as p/q; 1/D_k is carried as a
-    W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length() + 8
-    for the working precision wp, and moves on to k+1 with one multiply by q
-    and one division by p + k*q. Each term c_k/D_k is the exact floor of
+    The (k, c_k) come from the module global ``_coefficient_stream``, looked
+    up at call time so that a wrapper set in its place sees every c_k a call
+    consumes: the values of a :class:`StirlingCoefficients`, or for an
+    :class:`InnerCoefficients` its kept transform prefix followed by the
+    terms computed past it (see :func:`_transform_stream`). Each c_k is read
+    with one ``as_integer_ratio()``. The sum runs in Python integers and
+    reads no global mpmath state, so it needs no precision lock. x is taken
+    exactly as p/q; 1/D_k is carried as a W-bit mantissa and a binary
+    exponent, W = wp + max_terms.bit_length() + 8 for the working precision
+    wp, and moves on to k+1 with one multiply by q and one division by
+    p + k*q. Each term c_k/D_k is the exact floor of
     c_k.numerator * mantissa / c_k.denominator in units 2^-(wp + 64) of the
     first nonzero term, added to an integer accumulator. The truncations stay
     below k*2^-(W-1) relative per term plus one unit per term, far inside the
@@ -416,7 +440,7 @@ def eval_stirling_series(
         s = W - n.bit_length() + d.bit_length()
         m = (n << s if s >= 0 else n >> -s) // d
         e -= s
-        num, den = ck.numerator, ck.denominator
+        num, den = ck.as_integer_ratio()
         if (stopped := small_run >= STOP_RULE) or terms_used >= run_limit:
             if num:  # first omitted term, either way, at W-bit precision
                 t, te = _mantissa(num * m, den, W)

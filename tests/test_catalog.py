@@ -602,6 +602,41 @@ def test_digamma_recurrence(x):
         assert abs(lhs - rhs) < mpf("1e-47")
 
 
+@pytest.mark.parametrize("x,digits", [(F(1, 3), 30), (7, 50), (mpf("2.5"), 40),
+                                      (0.75, 20), (10**10, 60)])
+def test_digamma_ignores_global_precision(x, digits):
+    with mp.workdps(5):
+        low = catalog.digamma_details(x, digits)
+    with mp.workdps(300):
+        high = catalog.digamma_details(x, digits)
+    assert (low[0]._mpf_, low[1:]) == (high[0]._mpf_, high[1:])
+
+
+def test_digamma_completes_while_the_precision_lock_is_held():
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with transform._PRECISION_LOCK:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(10)
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(catalog.digamma_details(F(2, 7), 37)), daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    finished = not worker.is_alive()  # before the holder lets go
+    release.set()
+    holder.join(timeout=10)
+    worker.join(timeout=20)
+    assert finished and len(result) == 1
+    value, terms, shift = catalog.digamma_details(F(2, 7), 37)
+    assert (result[0][0]._mpf_, result[0][1:]) == (value._mpf_, (terms, shift))
+
+
 def test_digamma_past_every_reachable_anchor_refuses_promptly():
     # no anchor within the brute-force cap fits 2200 terms at 20000 digits
     t0 = time.perf_counter()

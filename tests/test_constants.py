@@ -29,6 +29,7 @@ from stirlingsum.constants import (
     zeta_prime,
 )
 from stirlingsum.exactnum import DomainError
+from stirlingsum.transform import EvalContext
 
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
@@ -57,6 +58,37 @@ def test_constant_id_parse_round_trip():
 def test_constant_id_rejects_malformed(bad):
     with pytest.raises(DomainError):
         ConstantId.parse(bad)
+
+
+def test_constant_id_equality_and_hash_follow_the_identity():
+    same = [(ConstantId.parse("zeta(3/2)"), zeta(F(6, 4))),
+            (ConstantId.parse("zeta_prime(-1)"), zeta_prime(-1)),
+            (ConstantId.parse("gamma"), GAMMA)]
+    for parsed, built in same:
+        assert parsed == built and hash(parsed) == hash(built)
+        assert {built: 1}[parsed] == 1
+    distinct = {zeta(2), zeta_prime(2), zeta(F(1, 2)), zeta(F(-1, 2)), GAMMA, STIELTJES1}
+    assert len(distinct) == 6
+    assert zeta(F(1, 2)) != zeta(F(-1, 2))
+
+
+@pytest.mark.parametrize("fid", ["14.1", "4.1", "13.1"])
+def test_warm_evaluation_hashes_no_fraction(fid, monkeypatch):
+    # constant ids hash their plain-integer key; a Fraction hash takes a
+    # modular inverse. 4.1 and 13.1 carry zeta(3/2) and zeta_prime(2).
+    ctx = EvalContext(digits=30)
+    catalog.evaluate(fid, 5, ctx)
+    hashed = []
+    original = F.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    for _ in range(3):
+        catalog.evaluate(fid, 5, ctx)
+    assert hashed == []
 
 
 # ---------------------------------------------------------------------------

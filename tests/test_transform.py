@@ -415,6 +415,10 @@ def _mpf_series(c, x, start_shift, ctx):
         return total, terms_used, stopped, first
 
 
+def _report_bits(rep):
+    return rep.value._mpf_, rep.terms_used, rep.est_error._mpf_
+
+
 def _run(c, x, shape, ctx):
     try:
         return eval_stirling_series(c, x, shape, ctx), True
@@ -608,6 +612,49 @@ def test_kernel_bits_are_pinned(fid, part, x, shape, digits, max_terms, served, 
     rep, ok = _run(source, x, shape, EvalContext(digits=digits, max_terms=max_terms))
     assert (ok, rep.terms_used) == (served, terms)
     assert rep.value._mpf_[:3] == value and rep.est_error._mpf_[:3] == est
+
+
+def test_series_bits_agree_cold_warm_and_past_the_kept_prefix():
+    part = catalog.describe("9.1").series[0].inner
+    ctx = EvalContext(digits=40)
+
+    def fresh():  # an instance of its own, so a checkpoint of its own
+        return InnerCoefficients(fn=lambda l: part.fn(l), support_hint=part.support_hint)
+
+    a = fresh()
+    cold = eval_stirling_series(a, 45, AT_X, ctx)  # every c_k computed here
+    warm = eval_stirling_series(a, 45, AT_X, ctx)  # every c_k from the kept prefix
+    b = fresh()
+    weniger_transform(b, cold.terms_used // 2)
+    mid = eval_stirling_series(b, 45, AT_X, ctx)  # runs past the kept prefix
+    assert len(transform._checkpoints[b].coeffs) == cold.terms_used + 1
+    assert _report_bits(cold) == _report_bits(warm) == _report_bits(mid)
+    assert _report_bits(cold) == _report_bits(eval_stirling_series(part, 45, AT_X, ctx))
+
+
+def test_patched_coefficient_stream_sees_every_consumed_coefficient(monkeypatch):
+    inner = catalog.describe("1.1").series[0].inner
+    ctx = EvalContext(digits=30)
+    eval_stirling_series(inner, 40, AT_X, ctx)
+    catalog.digamma_details(F(1, 3), 30)
+    seen = []
+    original = transform._coefficient_stream
+
+    def recording(c):
+        for k, ck in original(c):
+            seen.append((k, ck))
+            yield k, ck
+
+    monkeypatch.setattr(transform, "_coefficient_stream", recording)
+    rep = eval_stirling_series(inner, 40, AT_X, ctx)
+    # each term summed, and the first omitted one behind est_error
+    assert [k for k, _ in seen] == list(range(1, rep.terms_used + 2))
+    replay = StirlingCoefficients(tuple(ck for _, ck in seen))
+    assert _report_bits(eval_stirling_series(replay, 40, AT_X, ctx)) == _report_bits(rep)
+    seen.clear()
+    _, terms, _ = catalog.digamma_details(F(1, 3), 30)
+    assert len(seen) == terms + 1
+
 
 # terms_used of the mpf summation loop (the oracle above) on the series calls
 # that evaluate and digamma made when they anchored at max(n, digits + 10)

@@ -8,15 +8,16 @@
 n in N_GRID and digits in DIGIT_GRID with brute force beside each, digamma
 at X_GRID and DIGAMMA_DIGITS, and every request of the serve-warm lists of
 SEEDS (``benchmark/workloads.py``). A served case keeps the bits of
-its value and est_error and its terms_used; a refused one the same of its
-partial report. Run it once per checkout, with that checkout's ``src`` on
-PYTHONPATH.
+its value and est_error and its terms_used, a served digamma case its shift
+instead of an est_error; a refused one the same of its partial report. Run
+it once per checkout, with that checkout's ``src`` on PYTHONPATH; one copy
+of this script can record both sides of a comparison.
 
-``compare`` matches the cases of two records and prints how many moved (value,
-terms_used, est_error, served/refused), the worst value move in units of
-10^-digits, and each record's worst distance from brute force or
-``mpmath.digamma`` in the same units. It exits 1 when a case is missing from
-either record, 0 otherwise.
+``compare`` matches the cases of two records and prints, for evaluate and
+digamma cases apart, how many moved (value, terms_used, est_error or shift,
+served/refused), the worst value move in units of 10^-digits, and each
+record's worst distance from brute force or ``mpmath.digamma`` in the same
+units. It exits 1 when a case is missing from either record, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ def _evaluate(fid: str, n: int, digits: int, brute: bool) -> dict:
 
 
 def _digamma(x: str, digits: int) -> dict:
-    """digamma reports no error estimate; ``est`` is None."""
+    """digamma reports no error estimate; ``est`` is None, and ``shift`` is
+    None when it refuses."""
     case = {"kind": "digamma", "target": x, "n": None, "digits": digits}
     try:
-        value, terms, _ = catalog.digamma_details(Fraction(x), digits)
-        case.update(served=True, value=_bits(value), terms=terms, est=None)
+        value, terms, shift = catalog.digamma_details(Fraction(x), digits)
+        case.update(served=True, value=_bits(value), terms=terms, est=None, shift=shift)
     except NonConvergenceError as exc:
-        case.update(_report(exc.report, False))
+        case.update(_report(exc.report, False), shift=None)
     q = Fraction(x)
     with mp.workdps(digits + 20):
         case["check"] = _bits(mp.digamma(mpf(q.numerator) / q.denominator))
@@ -119,30 +121,40 @@ def _load(path: str) -> dict:
         return {_key(case): case for case in map(json.loads, fh)}
 
 
+# The fields compared per kind of case.
+FIELDS = {"evaluate": ("value", "terms", "est", "served"),
+          "digamma": ("value", "terms", "shift", "served")}
+
+
 def compare(a_path: str, b_path: str) -> int:
     a, b = _load(a_path), _load(b_path)
+    both = a.keys() & b.keys()
     missing = len(a.keys() ^ b.keys())
-    moved = dict.fromkeys(("value", "terms", "est", "served"), 0)
-    worst, worst_case = mpf(0), None
-    checks = {a_path: mpf(0), b_path: mpf(0)}
-    for key in a.keys() & b.keys():
-        ca, cb = a[key], b[key]
-        for field in moved:
-            moved[field] += ca[field] != cb[field]
-        if ca["value"] != cb["value"]:
-            units = _units(_value(ca["value"]), _value(cb["value"]), ca["digits"])
-            if units > worst:
-                worst, worst_case = units, key
-        for path, case in ((a_path, ca), (b_path, cb)):
-            if case["served"] and "check" in case:
-                units = _units(_value(case["value"]), _value(case["check"]), case["digits"])
-                checks[path] = max(checks[path], units)
-    print(f"{len(a.keys() & b.keys())} cases in both, {missing} in one only")
-    print("moved: " + ", ".join(f"{k} {v}" for k, v in moved.items()))
-    print(f"worst value move: {mp.nstr(worst, 3)} units of 10^-digits at {worst_case}")
-    for path, units in checks.items():
-        print(f"worst served distance from the check in {path}: "
-              f"{mp.nstr(units, 3)} units of 10^-digits")
+    print(f"{len(both)} cases in both, {missing} in one only")
+    for kind, fields in FIELDS.items():
+        keys = sorted((key for key in both if key[0] == kind), key=str)
+        moved = dict.fromkeys(fields, 0)
+        worst, worst_case = mpf(0), None
+        checks = {a_path: mpf(0), b_path: mpf(0)}
+        for key in keys:
+            ca, cb = a[key], b[key]
+            for field in fields:
+                moved[field] += ca.get(field) != cb.get(field)
+            if ca["value"] != cb["value"]:
+                units = _units(_value(ca["value"]), _value(cb["value"]), ca["digits"])
+                if units > worst:
+                    worst, worst_case = units, key
+            for path, case in ((a_path, ca), (b_path, cb)):
+                if case["served"] and "check" in case:
+                    units = _units(_value(case["value"]), _value(case["check"]), case["digits"])
+                    checks[path] = max(checks[path], units)
+        print(f"{kind}: {len(keys)} cases, moved: "
+              + ", ".join(f"{k} {v}" for k, v in moved.items()))
+        print(f"{kind}: worst value move: {mp.nstr(worst, 3)} units of 10^-digits "
+              f"at {worst_case}")
+        for path, units in checks.items():
+            print(f"{kind}: worst served distance from the check in {path}: "
+                  f"{mp.nstr(units, 3)} units of 10^-digits")
     return 1 if missing else 0
 
 
