@@ -30,7 +30,6 @@ from .transform import (
     verify_transform_consistency,
     weniger_transform,
 )
-from .asymptotics import LogPowerTerm, differentiate, em_tail
 from .constants import ConstantId, get_constant
 from .catalog import (
     FormulaId,
@@ -43,6 +42,20 @@ from .catalog import (
 )
 
 __version__ = "0.1.0"
+
+# Served on first use (PEP 562): nothing a request runs needs the
+# summation-tail machinery, so importing the package does not load it.
+_ASYMPTOTICS = frozenset({"asymptotics", "LogPowerTerm", "differentiate", "em_tail"})
+
+
+def __getattr__(name: str):
+    if name in _ASYMPTOTICS:
+        from importlib import import_module
+
+        module = import_module(f"{__name__}.asymptotics")
+        return module if name == "asymptotics" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DomainError",

@@ -14,27 +14,33 @@ numbers) directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import DomainError, bernoulli
+from .exactnum import DomainError, _Frozen, bernoulli
 
 __all__ = ["LogPowerTerm", "EMTail", "differentiate", "em_tail"]
 
 
-@dataclass(frozen=True)
-class LogPowerTerm:
-    """coef * x^s * log(x)^m, with exact rational coef and s."""
+class LogPowerTerm(_Frozen):
+    """coef * x^s * log(x)^m, with exact rational coef and s. Terms with
+    equal fields are equal and hash alike."""
 
-    coef: Fraction
-    s: Fraction
-    m: int
+    __slots__ = ("coef", "s", "m")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coef", Fraction(self.coef))
-        object.__setattr__(self, "s", Fraction(self.s))
-        if self.m < 0:
-            raise DomainError(f"log power must be >= 0, got {self.m}")
+    def __init__(self, coef: Fraction, s: Fraction, m: int):
+        object.__setattr__(self, "coef", Fraction(coef))
+        object.__setattr__(self, "s", Fraction(s))
+        if m < 0:
+            raise DomainError(f"log power must be >= 0, got {m}")
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coef == other.coef and self.s == other.s and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash((self.coef, self.s, self.m))
 
 
 def _merge(terms) -> tuple[LogPowerTerm, ...]:
@@ -65,15 +71,17 @@ def differentiate(f) -> tuple[LogPowerTerm, ...]:
     return _merge(out)
 
 
-@dataclass(frozen=True)
-class EMTail:
+class EMTail(_Frozen):
     """Tail coefficients grouped by log power.
 
     ``groups[j]`` is a tuple of (exponent, coef) pairs, exponents descending:
     the tail contribution  sum coef * n^exponent * log(n)^j.
     """
 
-    groups: dict[int, tuple[tuple[Fraction, Fraction], ...]]
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: dict[int, tuple[tuple[Fraction, Fraction], ...]]):
+        object.__setattr__(self, "groups", groups)
 
     def coef(self, j: int, exponent) -> Fraction:
         exponent = Fraction(exponent)

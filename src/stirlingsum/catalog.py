@@ -28,7 +28,6 @@ import math
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -49,7 +48,6 @@ from mpmath.libmp import (
 )
 
 from . import constants as _constants
-from .asymptotics import LogPowerTerm, em_tail
 from .constants import (
     ConstantId,
     ELEMENTARY_IDS,
@@ -62,10 +60,18 @@ from .constants import (
     zeta,
     zeta_prime,
 )
-from .exactnum import DomainError, bernoulli, double_factorial_ext, euler_number, stirling_first
+from .exactnum import (
+    DomainError,
+    _Frozen,
+    bernoulli,
+    double_factorial_ext,
+    euler_number,
+    stirling_first,
+)
 from .transform import (
     AT_X,
     AT_X_PLUS_1,
+    DEFAULT_MAX_TERMS,
     STOP_RULE,
     EvalContext,
     EvaluationReport,
@@ -114,21 +120,34 @@ BRUTE_FORCE_CAP = 10**7
 _LOG_FACTORIAL_LIMIT = 20000
 
 
-@dataclass(frozen=True, order=True)
-class FormulaId:
-    """Identity ``<family>.<variant>`` mirroring the catalog numbering."""
+class FormulaId(_Frozen):
+    """Identity ``<family>.<variant>`` mirroring the catalog numbering. Ids
+    with equal fields are equal and hash alike, and ids sort by family, then
+    variant."""
 
-    family: int
-    variant: int = 1
+    __slots__ = ("family", "variant")
 
-    def __post_init__(self) -> None:
-        count = VARIANT_COUNTS.get(self.family)
+    def __init__(self, family: int, variant: int = 1):
+        count = VARIANT_COUNTS.get(family)
         if count is None:
-            raise DomainError(f"unknown formula family {self.family}")
-        if not 1 <= self.variant <= count:
-            raise DomainError(
-                f"family {self.family} has variants 1..{count}, got {self.variant}"
-            )
+            raise DomainError(f"unknown formula family {family}")
+        if not 1 <= variant <= count:
+            raise DomainError(f"family {family} has variants 1..{count}, got {variant}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "variant", variant)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.variant == other.variant
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.variant) < (other.family, other.variant)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.variant))
 
     def __str__(self) -> str:
         return f"{self.family}.{self.variant}"
@@ -148,106 +167,113 @@ class FormulaId:
         raise DomainError(f"cannot parse formula id {text!r}")
 
 
-@dataclass(frozen=True)
-class HeadTerm:
+class HeadTerm(_Frozen):
     """rational * (n + base_offset)^n_power * log(n)^log_power * constants.
 
     ``constants`` is a product of (ConstantId, integer exponent) pairs;
     ``parity`` of 0/1 multiplies by (-1)^n / (-1)^(n+1).
     """
 
-    rational: Fraction
-    n_power: Fraction = F(0)
-    log_power: int = 0
-    constants: tuple[tuple[ConstantId, int], ...] = ()
-    parity: int | None = None
-    base_offset: int = 0
+    __slots__ = ("rational", "n_power", "log_power", "constants", "parity", "base_offset")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", F(self.rational))
-        object.__setattr__(self, "n_power", F(self.n_power))
-        if self.log_power < 0:
+    def __init__(self, rational: Fraction, n_power: Fraction = F(0), log_power: int = 0,
+                 constants: tuple[tuple[ConstantId, int], ...] = (),
+                 parity: int | None = None, base_offset: int = 0):
+        set_ = object.__setattr__
+        set_(self, "rational", F(rational))
+        set_(self, "n_power", F(n_power))
+        if log_power < 0:
             raise DomainError("log_power must be >= 0")
+        set_(self, "log_power", log_power)
+        set_(self, "constants", constants)
+        set_(self, "parity", parity)
+        set_(self, "base_offset", base_offset)
 
 
-@dataclass(frozen=True)
-class SeriesPart:
+class SeriesPart(_Frozen):
     """prefactor * n^n_power * log(n)^log_power * sum_k c_k / D_k(n + x_offset).
 
     ``shape`` picks the denominator start (x... or x+1...); the exact inner
     inverse-power coefficients generate c_k through the transformation.
     """
 
-    inner: InnerCoefficients
-    prefactor: Fraction
-    n_power: Fraction = F(0)
-    log_power: int = 0
-    shape: str = AT_X
-    x_offset: int = 0
-    parity: int | None = None
+    __slots__ = ("inner", "prefactor", "n_power", "log_power", "shape", "x_offset", "parity")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefactor", F(self.prefactor))
-        object.__setattr__(self, "n_power", F(self.n_power))
+    def __init__(self, inner: InnerCoefficients, prefactor: Fraction, n_power: Fraction = F(0),
+                 log_power: int = 0, shape: str = AT_X, x_offset: int = 0,
+                 parity: int | None = None):
+        set_ = object.__setattr__
+        set_(self, "inner", inner)
+        set_(self, "prefactor", F(prefactor))
+        set_(self, "n_power", F(n_power))
+        set_(self, "log_power", log_power)
+        set_(self, "shape", shape)
+        set_(self, "x_offset", x_offset)
+        set_(self, "parity", parity)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(_Frozen):
     """(-1)^(k+parity) * y^s * log(y)^m at y = scale*k + shift.
 
     The term the left-hand side sums over k; ``s`` is a multiple of 1/2 and
     ``parity`` None means no sign alternation. ``key`` is the summand in
-    plain integers, equal for equal summands: it hashes without the modular
-    inverse a Fraction's hash takes.
+    plain integers, equal for equal summands: equality and the hash are
+    taken from it, without the modular inverse a Fraction's hash takes.
     """
 
-    s: Fraction
-    m: int = 0
-    parity: int | None = None
-    scale: int = 1
-    shift: int = 0
-    key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("s", "m", "parity", "scale", "shift", "key")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", F(self.s))
-        if (2 * self.s).denominator != 1:
-            raise DomainError(f"summand power must be a multiple of 1/2, got {self.s}")
-        key = (int(2 * self.s), self.m, self.parity, self.scale, self.shift)
-        object.__setattr__(self, "key", key)
+    def __init__(self, s: Fraction, m: int = 0, parity: int | None = None, scale: int = 1,
+                 shift: int = 0):
+        s = F(s)
+        if (2 * s).denominator != 1:
+            raise DomainError(f"summand power must be a multiple of 1/2, got {s}")
+        set_ = object.__setattr__
+        set_(self, "s", s)
+        set_(self, "m", m)
+        set_(self, "parity", parity)
+        set_(self, "scale", scale)
+        set_(self, "shift", shift)
+        set_(self, "key", (int(2 * s), m, parity, scale, shift))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
 
 _LOG_K = Summand(0, 1)
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(_Frozen):
     """sum_{k=summand_start}^{n} summand(k) = head(n) + sum of series parts(n).
 
-    The five fields after ``series`` are derived from the others once, at
-    construction.
+    The five attributes after ``series`` are derived from the others once, at
+    construction: ``domain_min``, ``alternating``, ``constants`` (in order of
+    first appearance), ``recover_target`` and ``top_power`` (the highest
+    power of n, head or series).
     """
 
-    id: FormulaId
-    lhs: str
-    summand: Summand
-    summand_start: int
-    head: tuple[HeadTerm, ...]
-    series: tuple[SeriesPart, ...]
-    domain_min: int = field(init=False)
-    alternating: bool = field(init=False)
-    constants: tuple[ConstantId, ...] = field(init=False)  # first-appearance order
-    recover_target: ConstantId = field(init=False)
-    top_power: Fraction = field(init=False)  # highest power of n, head or series
+    __slots__ = ("id", "lhs", "summand", "summand_start", "head", "series", "domain_min",
+                 "alternating", "constants", "recover_target", "top_power")
 
-    def __post_init__(self) -> None:
-        def set_(name, value):
-            object.__setattr__(self, name, value)
-
-        set_("domain_min", self.summand_start)
-        set_("alternating", self.summand.parity is not None)
-        set_("constants", tuple(dict.fromkeys(c for t in self.head for c, _ in t.constants)))
-        set_("recover_target", next(c for c in self.constants if _isolates(self, c)))
-        set_("top_power", max(t.n_power for t in self.head + self.series))
+    def __init__(self, id: FormulaId, lhs: str, summand: Summand, summand_start: int,
+                 head: tuple[HeadTerm, ...], series: tuple[SeriesPart, ...]):
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "lhs", lhs)
+        set_(self, "summand", summand)
+        set_(self, "summand_start", summand_start)
+        set_(self, "head", head)
+        set_(self, "series", series)
+        set_(self, "domain_min", summand_start)
+        set_(self, "alternating", summand.parity is not None)
+        set_(self, "constants", tuple(dict.fromkeys(c for t in head for c, _ in t.constants)))
+        set_(self, "recover_target", next(c for c in self.constants if _isolates(self, c)))
+        set_(self, "top_power", max(t.n_power for t in head + series))
 
 
 def _isolating_term(f: Formula, target: ConstantId) -> HeadTerm:
@@ -328,15 +354,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         f = Formula(**kw)
         cat[f.id] = f
 
-    def ht(rational, n_power=0, log_power=0, constants=(), parity=None, base_offset=0):
-        return HeadTerm(
-            F(rational), F(n_power), log_power, tuple(constants), parity, base_offset
-        )
-
-    def sp(inner, prefactor, n_power=0, log_power=0, shape=AT_X, x_offset=0, parity=None):
-        return SeriesPart(
-            inner, F(prefactor), F(n_power), log_power, shape, x_offset, parity
-        )
+    ht, sp = HeadTerm, SeriesPart
 
     # -- 1: harmonic numbers ------------------------------------------------
     log_n = ht(1, log_power=1)
@@ -1023,8 +1041,9 @@ _DEGRADED_CONSTANT_DIGITS = 120
 
 # Served right-hand sides at model anchors, per store, keyed on the formula,
 # anchor, context and the head constant values the store served (it may later
-# serve them at more digits); the oldest goes past the cap. Guarded by
-# _PRECISION_LOCK.
+# serve them at more digits), all as plain integers and mpf tuples, so that a
+# lookup runs no Python-level hash or comparison; the oldest goes past the
+# cap. Guarded by _PRECISION_LOCK.
 _rhs_memo: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 # Summed bridges below model anchors, keyed on the summand (formulas summing
@@ -1074,7 +1093,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
             f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"
         )
         ctx = EvalContext(min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), max_terms=ctx.max_terms)
-    model = _anchor(f.id, ctx.digits, ctx.guard, EvalContext.max_terms)
+    model = _anchor(f.id, ctx.digits, ctx.guard, DEFAULT_MAX_TERMS)
     anchor = max(n, model)
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
@@ -1082,8 +1101,11 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         rhs = bridge = key = None
         if n < model:  # kept below the model's anchor; at or past it, no bridge
             if failure is None:  # and only with undegraded constants
-                memo = _rhs_memo.setdefault(store, {})
-                key = (f.id, anchor, ctx, *cvalues.values())
+                memo = _rhs_memo.get(store)
+                if memo is None:
+                    memo = _rhs_memo.setdefault(store, {})
+                key = (f.id.family, f.id.variant, anchor, ctx.digits, ctx.guard, ctx.max_terms,
+                       *[v._mpf_ for v in cvalues.values()])
                 rhs = memo.get(key)
             bkey = (f.summand.key, n, anchor, mp.prec)
             bridge = _bridge_memo.get(bkey)
@@ -1127,13 +1149,31 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    constant: ConstantId
-    value: mpf
-    n0: int
-    digits: int
-    terms_used: int
+class RecoveryResult(_Frozen):
+    """A recovered head constant: its value at ``digits`` digits, the partial
+    sum's end ``n0`` and the series terms used. Results with equal fields are
+    equal and hash alike."""
+
+    __slots__ = ("constant", "value", "n0", "digits", "terms_used")
+
+    def __init__(self, constant: ConstantId, value: mpf, n0: int, digits: int, terms_used: int):
+        set_ = object.__setattr__
+        set_(self, "constant", constant)
+        set_(self, "value", value)
+        set_(self, "n0", n0)
+        set_(self, "digits", digits)
+        set_(self, "terms_used", terms_used)
+
+    def _fields(self) -> tuple:
+        return self.constant, self.value, self.n0, self.digits, self.terms_used
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def _recovery_target(f: Formula, store) -> ConstantId:
@@ -1322,6 +1362,8 @@ def em_variant_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]
 
 def em_reference_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]:
     """Same map derived independently from the summation tail of the summand."""
+    from .asymptotics import LogPowerTerm, em_tail  # imported on use: only here
+
     f = _with_summation_tail(formula)
     cutoff = _em_cutoff(f, L)
     tail = em_tail([LogPowerTerm(1, f.summand.s, f.summand.m)], L + 8)

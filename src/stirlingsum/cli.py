@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -222,6 +221,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import statistics  # imported on use: no other command needs it
+
     if args.repeat < 1:
         raise DomainError(f"need --repeat >= 1, got {args.repeat}")
     runs: list[float] = []

@@ -16,17 +16,15 @@ arithmetic layer; see :func:`elementary`.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
 from mpmath import mp, mpf
 
-from .exactnum import DomainError
+from .exactnum import DomainError, _Frozen
 from .transform import _PRECISION_LOCK, EvaluationReport, NonConvergenceError, _to_mpf
 
 __all__ = [
@@ -56,31 +54,35 @@ _SIMPLE_TAGS = frozenset({"gamma", "stieltjes1", "pi", "log2", "log_pi", "log_2p
 _PARAM_TAGS = frozenset({"zeta", "zeta_prime"})
 
 
-@dataclass(frozen=True)
-class ConstantId:
+class ConstantId(_Frozen):
     """Identity of a mathematical constant, e.g. ``zeta(3/2)`` or ``log_2pi``.
 
     ``key`` is the identity in a string and plain integers, equal for equal
-    ids; the hash is taken from it, without the modular inverse a Fraction's
-    hash takes, since the store and the catalog hash ids on every call.
+    ids; equality and the hash are taken from it, without the modular
+    inverse a Fraction's hash takes, since the store and the catalog hash ids
+    on every call.
     """
 
-    tag: str
-    s: Fraction | None = None
-    key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("tag", "s", "key")
 
-    def __post_init__(self) -> None:
-        if self.tag in _SIMPLE_TAGS:
-            if self.s is not None:
-                raise DomainError(f"{self.tag} takes no argument")
-        elif self.tag in _PARAM_TAGS:
-            if self.s is None:
-                raise DomainError(f"{self.tag} needs an argument")
-            object.__setattr__(self, "s", Fraction(self.s))
+    def __init__(self, tag: str, s: Fraction | None = None):
+        if tag in _SIMPLE_TAGS:
+            if s is not None:
+                raise DomainError(f"{tag} takes no argument")
+        elif tag in _PARAM_TAGS:
+            if s is None:
+                raise DomainError(f"{tag} needs an argument")
+            s = Fraction(s)
         else:
-            raise DomainError(f"unknown constant tag {self.tag!r}")
-        key = (self.tag,) if self.s is None else (self.tag, *self.s.as_integer_ratio())
-        object.__setattr__(self, "key", key)
+            raise DomainError(f"unknown constant tag {tag!r}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "key", (tag,) if s is None else (tag, *s.as_integer_ratio()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -220,6 +222,8 @@ def digits_agree(value, reference: str, digits: int) -> bool:
 
 
 def _load_references(path: str | os.PathLike | None) -> dict[str, str]:
+    import hashlib  # imported on use: requests that serve no constant skip it
+
     if path is None:
         path = os.environ.get(REFERENCE_PATH_ENV)
     if path is not None:

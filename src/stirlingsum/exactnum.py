@@ -37,6 +37,22 @@ class DomainError(ValueError):
     """An argument is outside an operation's mathematical domain."""
 
 
+class _Frozen:
+    """Base of the package's immutable value classes. Each sets its slots
+    once, in ``__init__``, through ``object.__setattr__``; assigning a field
+    later raises ``AttributeError``. ``copy`` and ``pickle`` restore the
+    slots the same way."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 # ---------------------------------------------------------------------------
 # Signed Stirling numbers of the first kind
 # ---------------------------------------------------------------------------

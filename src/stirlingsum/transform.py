@@ -39,7 +39,6 @@ import math
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
@@ -54,7 +53,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exactnum import DomainError
+from .exactnum import DomainError, _Frozen
 
 # mpmath's working precision is process-global state, so numeric kernels
 # across the package that compute in mpf hold this (reentrant) lock while
@@ -82,16 +81,27 @@ AT_X = "at_x"  # denominators x(x+1)...(x+k)
 AT_X_PLUS_1 = "at_x_plus_1"  # denominators (x+1)...(x+k)
 
 
-@dataclass(frozen=True)
-class InnerCoefficients:
+class InnerCoefficients(_Frozen):
     """Inverse-power coefficients a_l (l >= 1), lazily generated and exact.
 
     ``fn`` must be total and deterministic for l >= 1. ``support_hint``, when
-    set, promises a_l = 0 for every l beyond it.
+    set, promises a_l = 0 for every l beyond it. Instances with equal fields
+    are equal and hash alike, so they share one transform checkpoint.
     """
 
-    fn: Callable[[int], Fraction]
-    support_hint: int | None = None
+    __slots__ = ("fn", "support_hint", "__weakref__")
+
+    def __init__(self, fn: Callable[[int], Fraction], support_hint: int | None = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "support_hint", support_hint)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fn == other.fn and self.support_hint == other.support_hint
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.support_hint))
 
     def __call__(self, l: int) -> Fraction:
         if self.support_hint is not None and l > self.support_hint:
@@ -99,11 +109,21 @@ class InnerCoefficients:
         return Fraction(self.fn(l))
 
 
-@dataclass(frozen=True)
-class StirlingCoefficients:
+class StirlingCoefficients(_Frozen):
     """A finite prefix c_1..c_K of exact inverse-factorial coefficients."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -112,8 +132,11 @@ class StirlingCoefficients:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class EvalContext:
+# The term budget of an EvalContext built without one.
+DEFAULT_MAX_TERMS = 500
+
+
+class EvalContext(_Frozen):
     """Precision and truncation policy for series evaluation.
 
     ``guard`` defaults to 10 + ceil(digits/10). The working precision is
@@ -121,46 +144,65 @@ class EvalContext:
     10^-(digits + guard/2) of the partial sum. The series kernel's own
     truncation error does not eat into the guard: it carries
     max_terms.bit_length() + 8 extra bits in 1/D_k and 64 extra bits in the
-    accumulator, enough for the whole term budget.
+    accumulator, enough for the whole term budget. Contexts with equal
+    fields are equal and hash alike.
     """
 
-    digits: int = 30
-    guard: int | None = None
-    max_terms: int = 500
+    __slots__ = ("digits", "guard", "max_terms")
 
-    def __post_init__(self) -> None:
-        if self.guard is None:
-            object.__setattr__(self, "guard", 10 + math.ceil(self.digits / 10))
-        if self.digits < 1:
-            raise DomainError(f"digits must be >= 1, got {self.digits}")
-        if self.guard < 10:
-            raise DomainError(f"guard must be >= 10, got {self.guard}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+    def __init__(self, digits: int = 30, guard: int | None = None,
+                 max_terms: int = DEFAULT_MAX_TERMS):
+        if guard is None:
+            guard = 10 + math.ceil(digits / 10)
+        if digits < 1:
+            raise DomainError(f"digits must be >= 1, got {digits}")
+        if guard < 10:
+            raise DomainError(f"guard must be >= 10, got {guard}")
+        if max_terms < 1:
+            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+        set_ = object.__setattr__
+        set_(self, "digits", digits)
+        set_(self, "guard", guard)
+        set_(self, "max_terms", max_terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.digits == other.digits and self.guard == other.guard
+                and self.max_terms == other.max_terms)
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.guard, self.max_terms))
 
     @property
     def working_digits(self) -> int:
         return self.digits + self.guard
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(_Frozen):
     """Result of a series (or formula) evaluation."""
 
-    value: mpf
-    terms_used: int
-    est_error: mpf  # 2 x |first omitted term|
-    precision_used: int  # working precision, decimal digits
-    elapsed: float  # seconds
+    __slots__ = ("value", "terms_used", "est_error", "precision_used", "elapsed")
+
+    def __init__(self, value: mpf, terms_used: int, est_error: mpf,
+                 precision_used: int, elapsed: float):
+        set_ = object.__setattr__
+        set_(self, "value", value)
+        set_(self, "terms_used", terms_used)
+        set_(self, "est_error", est_error)  # 2 x |first omitted term|
+        set_(self, "precision_used", precision_used)  # working precision, decimal digits
+        set_(self, "elapsed", elapsed)  # seconds
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Frozen):
     """Two truncations of the same content, for asymptotic cross-checks."""
 
-    factorial_sum: mpf
-    inverse_power_sum: mpf
-    difference: mpf
+    __slots__ = ("factorial_sum", "inverse_power_sum", "difference")
+
+    def __init__(self, factorial_sum: mpf, inverse_power_sum: mpf, difference: mpf):
+        object.__setattr__(self, "factorial_sum", factorial_sum)
+        object.__setattr__(self, "inverse_power_sum", inverse_power_sum)
+        object.__setattr__(self, "difference", difference)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -182,15 +224,15 @@ def weniger_transform(a: InnerCoefficients, K: int) -> StirlingCoefficients:
     return StirlingCoefficients(tuple(c for _, c in _transform_stream(a, K)))
 
 
-@dataclass
 class _StreamCheckpoint:
     """Resumable transform state at k: c_1..c_k, the common denominator Q of
     a_1..a_k and the scaled moment frontier Q*M_i(k-i), i = 0..k, which
     M_{i+1}(j) = M_i(j+1) - i*M_i(j) carries on to k+1."""
 
-    coeffs: list[Fraction]
-    Q: int
-    frontier: list[int]
+    __slots__ = ("coeffs", "Q", "frontier")
+
+    def __init__(self, coeffs: list[Fraction], Q: int, frontier: list[int]):
+        self.coeffs, self.Q, self.frontier = coeffs, Q, frontier
 
 
 # Transformed coefficients depend only on the inner sequence, never on x, so

@@ -1,5 +1,7 @@
 """Tests for the formula catalog: coefficients, evaluation, recovery, digamma."""
 
+import copy
+import pickle
 import sys
 import threading
 import time
@@ -11,11 +13,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
-from stirlingsum import catalog, transform
+from stirlingsum import asymptotics, catalog, transform
 from stirlingsum.catalog import FormulaId, brute_force, describe, evaluate
 from stirlingsum.constants import (
     GAMMA,
     RECOVERY_FORMULA,
+    ConstantId,
     ConstantStore,
     default_store,
     digits_agree,
@@ -39,12 +42,70 @@ def test_formula_ids_cover_all_variants():
     assert ALL_IDS[-1] == FormulaId(16, 1)
     assert str(FormulaId(12, 1)) == "12.1"
     assert FormulaId.parse("4.3") == FormulaId(4, 3)
+    # sorted by family, then variant; equal ids are one key
+    assert [str(fid) for fid in ALL_IDS] == [
+        "1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2", "4.3", "5.1", "5.2",
+        "5.3", "6.1", "6.2", "6.3", "7.1", "7.2", "8.1", "8.2", "9.1", "9.2", "10.1",
+        "10.2", "10.3", "11.1", "11.2", "12.1", "13.1", "14.1", "15.1", "15.2", "16.1",
+    ]
+    assert sorted(reversed(ALL_IDS)) == list(ALL_IDS)
+    parsed, built = FormulaId.parse("4.1"), FormulaId(4, 1)
+    assert parsed == built and hash(parsed) == hash(built) and {built: 1}[parsed] == 1
+    assert FormulaId(4, 2) != built and built != (4, 1)
 
 
 @pytest.mark.parametrize("bad", ["99.1", "1.3", "0.1", "12.2", "one", "1.1.1"])
 def test_bad_formula_ids_rejected(bad):
     with pytest.raises(DomainError):
         FormulaId.parse(bad)
+
+
+def test_value_classes_refuse_assignment():
+    f = describe("14.1")
+    store = ConstantStore()
+    rep = evaluate("1.1", 10, EvalContext(digits=20), store=store)
+    res = catalog.recover_details("2.1", digits=20, store=store)
+    instances = [
+        (FormulaId(1, 1), "variant"), (f, "lhs"), (f, "top_power"), (f.head[0], "rational"),
+        (f.series[0], "prefactor"), (f.summand, "s"), (res, "value"),
+        (GAMMA, "tag"), (zeta(2), "key"),
+        (EvalContext(), "digits"), (rep, "value"), (f.series[0].inner, "fn"),
+        (transform.weniger_transform(f.series[0].inner, 3), "values"),
+        (transform.verify_transform_consistency(f.series[0].inner, 20, 3), "difference"),
+        (asymptotics.LogPowerTerm(1, 2, 0), "m"),
+        (asymptotics.em_tail([asymptotics.LogPowerTerm(1, -1, 0)], 2), "groups"),
+    ]
+    for obj, name in instances:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            obj.unknown_field = 1
+        assert getattr(obj, name) is before
+        assert getattr(copy.copy(obj), name) is before  # copies restore the fields
+    for obj in (FormulaId(4, 1), zeta(2), EvalContext(digits=40), f.summand, res):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert _report_bits(pickle.loads(pickle.dumps(rep))) == _report_bits(rep)
+
+
+def test_construction_checks_still_fire():
+    cases = [
+        (lambda: FormulaId(17), "unknown formula family 17"),
+        (lambda: FormulaId(12, 2), "family 12 has variants 1..1, got 2"),
+        (lambda: catalog.HeadTerm(1, log_power=-1), "log_power must be >= 0"),
+        (lambda: catalog.Summand(F(1, 3)), "summand power must be a multiple of 1/2, got 1/3"),
+        (lambda: EvalContext(digits=0), "digits must be >= 1, got 0"),
+        (lambda: EvalContext(digits=10, guard=9), "guard must be >= 10, got 9"),
+        (lambda: EvalContext(max_terms=0), "max_terms must be >= 1, got 0"),
+        (lambda: ConstantId("gamma", 2), "gamma takes no argument"),
+        (lambda: ConstantId("zeta"), "zeta needs an argument"),
+        (lambda: ConstantId("eta", 2), "unknown constant tag 'eta'"),
+        (lambda: asymptotics.LogPowerTerm(1, 0, -1), "log power must be >= 0, got -1"),
+    ]
+    for build, message in cases:
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_describe_harmonic_head_shape():
@@ -501,7 +562,28 @@ def test_memo_stays_within_its_cap():
         evaluate("1.1", 2, EvalContext(digits=20, max_terms=m), store=store)
     memo = catalog._rhs_memo[store]
     assert len(memo) == 1024
-    assert {key[2].max_terms for key in memo} == set(range(106, 1130))  # oldest dropped
+    # keys are (family, variant, anchor, digits, guard, max_terms, *constants)
+    assert {key[5] for key in memo} == set(range(106, 1130))  # oldest dropped
+
+
+def test_repeated_evaluation_below_the_anchor_hashes_and_compares_no_mpf(monkeypatch):
+    # the memo keys hold plain integers and mpf tuples, never an mpf
+    ctx = EvalContext(digits=30)
+    assert 3 < catalog._anchor(FormulaId(14, 1), ctx.digits, ctx.guard, 500)
+    first = _report_bits(evaluate("14.1", 3, ctx))
+    calls = []
+    cls = type(mpf(1))
+    for name in ("__hash__", "__eq__"):
+        original = getattr(cls, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    again = [_report_bits(evaluate("14.1", 3, ctx)) for _ in range(3)]
+    assert calls == []
+    assert again == [first] * 3
 
 
 @settings(max_examples=150)

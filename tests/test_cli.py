@@ -3,6 +3,9 @@
 import hashlib
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from mpmath import mp, mpf
@@ -317,3 +320,37 @@ def test_text_and_json_carry_the_same_numbers(capsys):
     assert lines["value"] == rec["value"]
     assert int(lines["terms"]) == rec["terms"]
     assert lines["est_error"] == rec["est_error"]
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+_COLD_IMPORT = """
+import json
+import sys
+before = set(sys.modules)
+import stirlingsum.cli
+unused = {"dataclasses", "hashlib", "inspect", "statistics", "stirlingsum.asymptotics"}
+print(json.dumps(sorted(unused & (set(sys.modules) - before))))
+import stirlingsum
+from stirlingsum import catalog
+star = {}
+exec("from stirlingsum import *", star)
+print(json.dumps([stirlingsum.em_tail.__module__, stirlingsum.LogPowerTerm.__name__,
+                  star["differentiate"].__module__, sorted(set(stirlingsum.__all__) - set(star)),
+                  catalog.em_variant_map("1.1", 20) == catalog.em_reference_map("1.1", 20)]))
+"""
+
+
+def test_cli_import_loads_nothing_a_request_never_uses():
+    # in a fresh interpreter: what the command-line entry imports, and that
+    # the summation-tail names are still served once asked for
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    loaded, served = (json.loads(line) for line in proc.stdout.splitlines())
+    assert loaded == []
+    assert served == ["stirlingsum.asymptotics", "LogPowerTerm", "stirlingsum.asymptotics", [],
+                      True]

@@ -259,6 +259,34 @@ def test_repeated_transforms_replay_cached_coefficients():
     assert unit_calls == []
 
 
+def test_inner_coefficients_with_equal_fields_share_one_checkpoint():
+    calls = []
+
+    def fn(l):
+        calls.append(l)
+        return F(1, l + 1)
+
+    a, b = InnerCoefficients(fn), InnerCoefficients(fn=fn)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != InnerCoefficients(fn, support_hint=5)
+    first = weniger_transform(a, 30)
+    calls.clear()
+    assert weniger_transform(b, 30) == first
+    assert calls == []
+    assert transform._checkpoints[b] is transform._checkpoints[a]
+
+
+def test_eval_context_equality_hash_and_default_guard():
+    assert EvalContext(digits=40) == EvalContext(40, 14, 500)
+    assert len({EvalContext(digits=40): 1, EvalContext(40, 14, 500): 2}) == 1
+    assert EvalContext(digits=40) != EvalContext(digits=40, max_terms=499)
+    default = EvalContext()
+    assert (default.digits, default.guard, default.max_terms) == (30, 13, 500)
+    for digits, guard in [(1, 11), (10, 11), (11, 12), (99, 20), (100, 20), (901, 101)]:
+        ctx = EvalContext(digits=digits)
+        assert (ctx.guard, ctx.working_digits) == (guard, digits + guard)
+
+
 def test_checkpoint_resume_past_cache_cap_stays_exact():
     # the cache keeps a bounded prefix; resuming beyond it must recompute
     # the uncached tail rather than splice mismatched state
