@@ -36,10 +36,14 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     from_man_exp,
+    from_rational,
+    fzero,
     mpf_add,
     mpf_ceil,
     mpf_div,
     mpf_log,
+    mpf_mul,
+    mpf_pow_int,
     mpf_sub,
     round_floor,
     round_nearest,
@@ -77,10 +81,8 @@ from .transform import (
     EvaluationReport,
     InnerCoefficients,
     NonConvergenceError,
-    _PRECISION_LOCK,
     _as_ratio,
     _eps,
-    _to_mpf,
     eval_stirling_series,
     required_terms_estimate,
     weniger_transform,
@@ -809,8 +811,8 @@ def _fixed_log(y: int | mpf, w: int) -> int:
     return to_fixed(mpf_log(from_int(y) if type(y) is int else y._mpf_, w + 8, round_floor), w)
 
 
-def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
-    """The summand of ``f`` summed over k = lo+1..hi, at the current precision,
+def _summand_sum(f: Formula, lo: int, hi: int, prec: int) -> mpf:
+    """The summand of ``f`` summed over k = lo+1..hi, rounded to prec bits,
     on the path :func:`_summand_path` names."""
     u = f.summand
     if hi <= lo:
@@ -818,11 +820,12 @@ def _summand_sum(f: Formula, lo: int, hi: int) -> mpf:
     ys = range(u.scale * (lo + 1) + u.shift, u.scale * hi + u.shift + 1, u.scale)
     signs = _signs(u, lo)
     if _summand_path(u, hi) == "log_factorial":
-        return mp.log(mpf(math.prod(ys)))
+        return mp.make_mpf(mpf_log(from_int(math.prod(ys), prec, round_nearest), prec,
+                                   round_nearest))
     # Fixed point: each term floored to units 2^-w, w = prec plus the bits of
     # the term count plus 10 past the largest term, an odd power y^(a/2) by
     # one integer square root, then one rounding of the exact integer sum.
-    a, m, prec = int(2 * u.s), u.m, mp.prec
+    a, m = int(2 * u.s), u.m
     ends = [y for y in (ys[0], ys[-1]) if y > 1 or (y == 1 and not m)]
     top = max((a / 2 * math.log2(y) + (m * math.log2(math.log(y)) if m else 0) for y in ends),
               default=0)
@@ -844,8 +847,7 @@ def brute_force(formula, n: int, digits: int = 30) -> mpf:
         raise DomainError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
-    with _PRECISION_LOCK, mp.workdps(digits + 10):
-        return _summand_sum(f, f.summand_start - 1, n)
+    return _summand_sum(f, f.summand_start - 1, n, dps_to_prec(digits + 10))
 
 
 # ---------------------------------------------------------------------------
@@ -876,11 +878,7 @@ def _headroom(f: Formula, anchor: int) -> int:
 def _fetch_constants(
     f: Formula, store, cdigits: int, exclude: ConstantId | None = None
 ) -> dict[ConstantId, mpf]:
-    # constants are fetched before entering the precision lock so that the
-    # per-constant store locks are never acquired inside it
-    return {
-        cid: store.get(cid, cdigits) for cid in f.constants if cid != exclude
-    }
+    return {cid: store.get(cid, cdigits) for cid in f.constants if cid != exclude}
 
 
 # Bits past the working precision in the fixed-point head and part scales of
@@ -889,14 +887,14 @@ _RHS_GUARD = 64
 
 
 def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalContext,
-         skip: HeadTerm | None = None):
-    """The right-hand side at x, at the current precision, with ``skip`` left
-    out of the head: (head, each series part scaled, their terms, their
-    largest scaled error estimate, the refusal of each part that refused).
+         prec: int, skip: HeadTerm | None = None):
+    """The right-hand side at x, at prec bits, with ``skip`` left out of the
+    head: (head, each series part scaled, their terms, their largest scaled
+    error estimate, the refusal of each part that refused).
 
     The head and the part scales are computed in fixed point, in units 2^-w
-    with w = prec + G for the current precision prec and G = _RHS_GUARD. A
-    term r (x+offset)^(a/2) log(x)^m prod C^p takes its power from
+    with w = prec + G for G = _RHS_GUARD. A term
+    r (x+offset)^(a/2) log(x)^m prod C^p takes its power from
     :func:`_fixed_power`, log x from one :func:`_fixed_log`, each constant
     from its served mpf through ``to_fixed``, each product and quotient
     floored to units 2^-w, r as one integer quotient last and its parity as
@@ -913,7 +911,6 @@ def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalConte
     exact product of the part's mpf value and its fixed-point scale, rounded
     to prec once; its error estimate likewise.
     """
-    prec = mp.prec
     w = prec + _RHS_GUARD
     logx = _fixed_log(x, w) if any(t.log_power for t in f.head + f.series) else None
 
@@ -1043,21 +1040,24 @@ _DEGRADED_CONSTANT_DIGITS = 120
 # anchor, context and the head constant values the store served (it may later
 # serve them at more digits), all as plain integers and mpf tuples, so that a
 # lookup runs no Python-level hash or comparison; the oldest goes past the
-# cap. Guarded by _PRECISION_LOCK.
+# cap.
 _rhs_memo: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 # Summed bridges below model anchors, keyed on the summand (formulas summing
 # the same terms share them), n, the anchor and the precision; the oldest goes
-# past the cap. Guarded by _PRECISION_LOCK.
+# past the cap.
 _bridge_memo: dict[tuple, mpf] = {}
 _MEMO_CAP = 1024  # entries in each memo, as _anchor's cache
+_memo_lock = threading.Lock()  # taken by _keep alone; lookups are plain dict reads
 
 
 def _keep(memo: dict, key, value) -> None:
-    """Keep ``value`` under ``key``, dropping the oldest entry past the cap."""
-    memo[key] = value
-    if len(memo) > _MEMO_CAP:
-        del memo[next(iter(memo))]
+    """Keep ``value`` under ``key``, dropping the oldest entry past the cap,
+    one thread at a time: racing ones must not evict the same entry."""
+    with _memo_lock:
+        memo[key] = value
+        if len(memo) > _MEMO_CAP:
+            del memo[next(iter(memo))]
 
 
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
@@ -1097,43 +1097,46 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     anchor = max(n, model)
     hr = _headroom(f, anchor)
     wd = ctx.digits + ctx.guard + hr
-    with _PRECISION_LOCK, mp.workdps(wd):
-        rhs = bridge = key = None
-        if n < model:  # kept below the model's anchor; at or past it, no bridge
-            if failure is None:  # and only with undegraded constants
-                memo = _rhs_memo.get(store)
-                if memo is None:
-                    memo = _rhs_memo.setdefault(store, {})
-                key = (f.id.family, f.id.variant, anchor, ctx.digits, ctx.guard, ctx.max_terms,
-                       *[v._mpf_ for v in cvalues.values()])
-                rhs = memo.get(key)
-            bkey = (f.summand.key, n, anchor, mp.prec)
-            bridge = _bridge_memo.get(bkey)
-            if bridge is None:
-                bridge = _summand_sum(f, n, anchor)
-                _keep(_bridge_memo, bkey, bridge)
-        if rhs is None:
-            rhs = _rhs(f, anchor, cvalues, EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms))
-            if key is not None and not rhs[4]:  # a refusal is recomputed every time
-                _keep(memo, key, rhs)
-        head, scaled, terms_used, part_est, errors = rhs
-        total = sum(scaled, head if bridge is None else head - bridge)
-        # The head constants are served to digits + guard places, and an
-        # error of one unit in each moves the head by at most 6 units (14.1:
-        # five constants, each with a weight below 2). The head,
-        # bridge and scaled parts are each rounded once at the working
-        # precision, the head after a fixed-point sum off by under 2^-13 ulp,
-        # and added with one rounding per part; the headroom keeps each of
-        # those ulps under 10^-(digits + guard + 3). So 100 units in the
-        # constants' last place bound both, whatever the truncation estimate
-        # below.
-        est = mp.make_mpf(from_man_exp(*_eps(ctx.digits + ctx.guard - 2, mp.prec)))
-        if failure is not None:
-            est = mpf(10) ** (2 - _DEGRADED_CONSTANT_DIGITS)
-        est = max(est, part_est)
+    prec = dps_to_prec(wd)
+    rhs = bridge = key = None
+    if n < model:  # kept below the model's anchor; at or past it, no bridge
+        if failure is None:  # and only with undegraded constants
+            memo = _rhs_memo.get(store)
+            if memo is None:
+                memo = _rhs_memo.setdefault(store, {})
+            key = (f.id.family, f.id.variant, anchor, ctx.digits, ctx.guard, ctx.max_terms,
+                   *[v._mpf_ for v in cvalues.values()])
+            rhs = memo.get(key)
+        bkey = (f.summand.key, n, anchor, prec)
+        bridge = _bridge_memo.get(bkey)
+        if bridge is None:
+            bridge = _summand_sum(f, n, anchor, prec)
+            _keep(_bridge_memo, bkey, bridge)
+    if rhs is None:
+        rhs = _rhs(f, anchor, cvalues, EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms),
+                   prec)
+        if key is not None and not rhs[4]:  # a refusal is recomputed every time
+            _keep(memo, key, rhs)
+    head, scaled, terms_used, part_est, errors = rhs
+    total = head._mpf_ if bridge is None else mpf_sub(head._mpf_, bridge._mpf_, prec,
+                                                       round_nearest)
+    for part in scaled:
+        total = mpf_add(total, part._mpf_, prec, round_nearest)
+    # The head constants are served to digits + guard places, and an error
+    # of one unit in each moves the head by at most 6 units (14.1: five
+    # constants, each with a weight below 2). The head, bridge and scaled
+    # parts are each rounded once at the working precision, the head after a
+    # fixed-point sum off by under 2^-13 ulp, and added with one rounding per
+    # part; the headroom keeps each of those ulps under
+    # 10^-(digits + guard + 3). So 100 units in the constants' last place
+    # bound both, whatever the truncation estimate below.
+    est = from_man_exp(*_eps(ctx.digits + ctx.guard - 2, prec))
+    if failure is not None:
+        est = mpf_pow_int(from_int(10), 2 - _DEGRADED_CONSTANT_DIGITS, prec, round_nearest)
+    est = max(mp.make_mpf(est), part_est)
     failures = ([failure] if failure else []) + [str(e) for e in errors]
     report = EvaluationReport(
-        value=total,
+        value=mp.make_mpf(total),
         terms_used=terms_used,
         est_error=est,
         precision_used=wd,
@@ -1229,17 +1232,22 @@ def recover_details(
     def solve(current: int) -> RecoveryResult:
         hr = _headroom(f, current)
         part_ctx = EvalContext(digits=digits + hr, guard=guard, max_terms=max_terms)
-        with _PRECISION_LOCK, mp.workdps(digits + guard + hr):
-            head, scaled, terms_used, _, errors = _rhs(f, current, cvalues, part_ctx, term)
-            if errors:
-                raise errors[0]
-            tail = sum(scaled, mpf(0))
-            residue = _summand_sum(f, f.summand_start - 1, current) - head - tail
-            coef = _to_mpf(term.rational)
-            for cid, p in term.constants:
-                if cid != target:
-                    coef *= cvalues[cid] ** p
-            value = residue / coef
+        prec = dps_to_prec(digits + guard + hr)
+        head, scaled, terms_used, _, errors = _rhs(f, current, cvalues, part_ctx, prec, term)
+        if errors:
+            raise errors[0]
+        partial = _summand_sum(f, f.summand_start - 1, current, prec)._mpf_
+        tail = fzero
+        for part in scaled:
+            tail = mpf_add(tail, part._mpf_, prec, round_nearest)
+        residue = mpf_sub(mpf_sub(partial, head._mpf_, prec, round_nearest), tail, prec,
+                          round_nearest)
+        coef = from_rational(*term.rational.as_integer_ratio(), prec, round_nearest)
+        for cid, p in term.constants:
+            if cid != target:
+                power = mpf_pow_int(cvalues[cid]._mpf_, p, prec, round_nearest)
+                coef = mpf_mul(coef, power, prec, round_nearest)
+        value = mp.make_mpf(mpf_div(residue, coef, prec, round_nearest))
         return RecoveryResult(target, value, current, digits, terms_used)
 
     if n0 is None or n0 == anchor:
@@ -1260,7 +1268,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
 
     x is rounded to prec bits, prec = dps_to_prec(digits + guard + 8), and
     y = x + shift, shift = ceil(anchor - x) when positive, is formed in mpf
-    at prec, exactly as ``mp.workdps(digits + guard + 8)`` would. Then
+    at prec, each step rounded to nearest. Then
 
         psi(x) = log y - 1/(2y) + S(y) - sum_{i<shift} 1/(x + i),
 
@@ -1273,8 +1281,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     shift + 3 units. The shift stays below the anchor, at most
     BRUTE_FORCE_CAP < 2^24, so that is under 2^-(prec + 40), far inside an
     ulp of psi wherever |psi| > 2^-40, and the value is rounded to prec
-    once. Nothing here reads mpmath's global precision or takes the
-    precision lock.
+    once.
     """
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")

@@ -23,9 +23,10 @@ from fractions import Fraction
 from importlib import resources
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, round_nearest, to_str
 
 from .exactnum import DomainError, _Frozen
-from .transform import _PRECISION_LOCK, EvaluationReport, NonConvergenceError, _to_mpf
+from .transform import EvaluationReport, NonConvergenceError
 
 __all__ = [
     "ConstantId",
@@ -362,17 +363,17 @@ def get_constant(cid: ConstantId, digits: int) -> mpf:
 
 
 def elementary(op: str, digits: int, x=None) -> mpf:
-    """Elementary values at requested precision: ``pi`` and ``log``."""
+    """``pi``, or ``log`` of an int, float, decimal string or mpf, at digits + 10 digits."""
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
-    with _PRECISION_LOCK, mp.workdps(digits + 10):
-        if op == "pi":
-            return +mp.pi
-        if op != "log":
-            raise DomainError(f"unknown elementary op {op!r}")
-        if x is None:
-            raise DomainError("missing argument")
-        xv = _to_mpf(x) if isinstance(x, Fraction) else mpf(x)
-        if xv <= 0:
-            raise DomainError(f"log needs x > 0, got {xv}")
-        return mp.log(xv)
+    prec = dps_to_prec(digits + 10)
+    if op == "pi":
+        return mp.make_mpf(mpf_pi(prec, round_nearest))
+    if op != "log":
+        raise DomainError(f"unknown elementary op {op!r}")
+    if x is None:
+        raise DomainError("missing argument")
+    xv = mpf(x, prec=prec, rounding=round_nearest)
+    if xv <= 0:
+        raise DomainError(f"log needs x > 0, got {to_str(xv._mpf_, digits + 10)}")
+    return mp.make_mpf(mpf_log(xv._mpf_, prec, round_nearest))

@@ -28,7 +28,7 @@ point: x is taken exactly as p/q, 1/(x(x+1)...(x+k)) is carried as a
 mantissa and a binary exponent, and each term is an integer quotient added to
 an integer accumulator. Only the returned value and error estimate become mpf
 numbers, rounded once to the working precision, so the evaluator reads no
-global mpmath state and holds no lock.
+global mpmath state.
 """
 
 from __future__ import annotations
@@ -48,18 +48,13 @@ from mpmath.libmp import (
     from_float,
     from_int,
     from_man_exp,
+    from_rational,
     fzero,
     mpf_pow,
     round_nearest,
 )
 
 from .exactnum import DomainError, _Frozen
-
-# mpmath's working precision is process-global state, so numeric kernels
-# across the package that compute in mpf hold this (reentrant) lock while
-# adjusting it.  Cache reads, exact rational work and the integer series
-# kernel never touch it.
-_PRECISION_LOCK = threading.RLock()
 
 __all__ = [
     "InnerCoefficients",
@@ -384,10 +379,6 @@ def _x_text(xf: float, p: int, q: int) -> str:
     return f"{xf:g}" if xf else f"10^{math.log10(p) - math.log10(q):.1f}"
 
 
-def _to_mpf(q: Fraction) -> mpf:
-    return mpf(q.numerator) / q.denominator if q.denominator != 1 else mpf(q.numerator)
-
-
 def _mantissa(n: int, d: int, bits: int) -> tuple[int, int]:
     """(m, e) with m * 2^e = n/d rounded down (d > 0; flooring twice floors
     once) and m of ``bits`` or bits+1 bits."""
@@ -428,11 +419,10 @@ def eval_stirling_series(
     :class:`InnerCoefficients` its kept transform prefix followed by the
     terms computed past it (see :func:`_transform_stream`). Each c_k is read
     with one ``as_integer_ratio()``. The sum runs in Python integers and
-    reads no global mpmath state, so it needs no precision lock. x is taken
-    exactly as p/q; 1/D_k is carried as a W-bit mantissa and a binary
-    exponent, W = wp + max_terms.bit_length() + 8 for the working precision
-    wp, and moves on to k+1 with one multiply by q and one division by
-    p + k*q. Each term c_k/D_k is the exact floor of
+    reads no global mpmath state. x is taken exactly as p/q; 1/D_k is carried
+    as a W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length()
+    + 8 for the working precision wp, and moves on to k+1 with one multiply
+    by q and one division by p + k*q. Each term c_k/D_k is the exact floor of
     c_k.numerator * mantissa / c_k.denominator in units 2^-(wp + 64) of the
     first nonzero term, added to an integer accumulator. The truncations stay
     below k*2^-(W-1) relative per term plus one unit per term, far inside the
@@ -529,26 +519,21 @@ def verify_transform_consistency(
 
     For finite-support or numerically convergent inputs the two truncations
     must agree to roughly the size of the first omitted factorial term; used
-    by property tests as an end-to-end check of the transformation.
+    by property tests as an end-to-end check of the transformation. Both sums
+    and their difference are exact at x = p/q, each rounded to digits + 10 once.
     """
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
-    with _PRECISION_LOCK, mp.workdps(digits + 10):
-        xv = mpf(x)
-        denom = xv
-        fact_sum = mpf(0)
-        for k, ck in _transform_stream(a, K):
-            denom *= xv + k
-            if ck:
-                fact_sum += _to_mpf(ck) / denom
-        L = a.support_hint if a.support_hint is not None else K
-        pow_sum = mpf(0)
-        for l in range(1, L + 1):
-            al = a(l)
-            if al:
-                pow_sum += _to_mpf(al) / xv ** (l + 1)
-        return ConsistencyReport(
-            factorial_sum=fact_sum,
-            inverse_power_sum=pow_sum,
-            difference=fact_sum - pow_sum,
-        )
+    xq = Fraction(*_as_ratio(x))
+    denom, fact_sum = xq, Fraction(0)
+    for k, ck in _transform_stream(a, K):
+        denom *= xq + k
+        fact_sum += ck / denom
+    L = a.support_hint if a.support_hint is not None else K
+    pow_sum = sum((a(l) / xq ** (l + 1) for l in range(1, L + 1)), Fraction(0))
+    prec = dps_to_prec(digits + 10)
+
+    def rounded(v: Fraction) -> mpf:
+        return mp.make_mpf(from_rational(v.numerator, v.denominator, prec, round_nearest))
+
+    return ConsistencyReport(rounded(fact_sum), rounded(pow_sum), rounded(fact_sum - pow_sum))

@@ -1,7 +1,9 @@
 """Tests for the formula catalog: coefficients, evaluation, recovery, digamma."""
 
 import copy
+import pathlib
 import pickle
+import re
 import sys
 import threading
 import time
@@ -22,6 +24,7 @@ from stirlingsum.constants import (
     ConstantStore,
     default_store,
     digits_agree,
+    elementary,
     get_constant,
     zeta,
 )
@@ -413,9 +416,8 @@ def test_fixed_point_head_within_an_ulp(fid):
         with mp.workdps(digits + ctx.guard):
             cvalues = {cid: mpf(store.reference_digits(cid)) for cid in f.constants}
         for x in (f.domain_min + 1, 7, 200, 10**5, 10**7):
-            with mp.workdps(digits + ctx.guard + catalog._headroom(f, x)):
-                prec = mp.prec
-                heads = [catalog._rhs(f, x, cvalues, ctx, skip)[0] for skip in skips]
+            prec = dps_to_prec(digits + ctx.guard + catalog._headroom(f, x))
+            heads = [catalog._rhs(f, x, cvalues, ctx, prec, skip)[0] for skip in skips]
             with mp.workprec(prec + 64):
                 for head, skip in zip(heads, skips):
                     exact = _mpf_head(f, x, cvalues, skip)
@@ -503,10 +505,10 @@ def _count_rhs(monkeypatch):
     leaves a head term out, is not counted)."""
     calls = []
 
-    def counted(f, x, cvalues, part_ctx, skip=None):
+    def counted(f, x, cvalues, part_ctx, prec, skip=None):
         if skip is None:
             calls.append(x)
-        return rhs(f, x, cvalues, part_ctx, skip)
+        return rhs(f, x, cvalues, part_ctx, prec, skip)
 
     rhs = catalog._rhs
     monkeypatch.setattr(catalog, "_rhs", counted)
@@ -694,29 +696,94 @@ def test_digamma_ignores_global_precision(x, digits):
     assert (low[0]._mpf_, low[1:]) == (high[0]._mpf_, high[1:])
 
 
-def test_digamma_completes_while_the_precision_lock_is_held():
-    held, release = threading.Event(), threading.Event()
+def _served_with_fresh_caches(evals=(("4.1", 5, 30),), brutes=(("4.1", 5, 30),),
+                              recoveries=(), logs=(), psi=((F(2, 7), 37),)):
+    """The bits of evaluations (fresh store, no kept bridges), brute force,
+    recoveries (a fresh store each), elementary pi and log, and digamma."""
+    catalog._bridge_memo.clear()
+    store = ConstantStore()
+    out = [_report_bits(evaluate(fid, n, EvalContext(digits=d), store=store))
+           for fid, n, d in evals]
+    out += [brute_force(fid, n, d)._mpf_ for fid, n, d in brutes]
+    for fid, d in recoveries:
+        rec = catalog.recover_details(fid, digits=d, store=ConstantStore())
+        out.append((rec.value._mpf_, rec.terms_used, rec.n0))
+    out += [(elementary("pi", d)._mpf_, elementary("log", d, x)._mpf_) for x, d in logs]
+    out += [(v._mpf_, terms, shift)
+            for v, terms, shift in (catalog.digamma_details(x, d) for x, d in psi)]
+    return out
 
-    def hold():
-        with transform._PRECISION_LOCK:
-            held.set()
+
+def test_requests_complete_while_a_recovery_is_parked_in_its_series(monkeypatch):
+    # no request waits on another thread's series call, and none reads the
+    # precision of one running beside it
+    expected = _served_with_fresh_caches()
+    parked, release = threading.Event(), threading.Event()
+    series = catalog.eval_stirling_series
+
+    def parking(*args, **kwargs):
+        if threading.current_thread().name == "recovery":
+            parked.set()
             release.wait(60)
+        return series(*args, **kwargs)
 
-    holder = threading.Thread(target=hold, daemon=True)
-    holder.start()
-    assert held.wait(10)
+    monkeypatch.setattr(catalog, "eval_stirling_series", parking)
+    recovery = threading.Thread(
+        target=lambda: catalog.recover_details("2.1", digits=40, store=ConstantStore()),
+        name="recovery", daemon=True)
+    recovery.start()
+    assert parked.wait(10)
     result = []
-    worker = threading.Thread(
-        target=lambda: result.append(catalog.digamma_details(F(2, 7), 37)), daemon=True)
+    worker = threading.Thread(target=lambda: result.append(_served_with_fresh_caches()),
+                              daemon=True)
     worker.start()
-    worker.join(timeout=20)
-    finished = not worker.is_alive()  # before the holder lets go
+    worker.join(timeout=10)
+    finished = not worker.is_alive()  # before the recovery goes on
     release.set()
-    holder.join(timeout=10)
+    recovery.join(timeout=20)
     worker.join(timeout=20)
-    assert finished and len(result) == 1
-    value, terms, shift = catalog.digamma_details(F(2, 7), 37)
-    assert (result[0][0]._mpf_, result[0][1:]) == (value._mpf_, (terms, shift))
+    assert not recovery.is_alive()
+    assert finished and result == [expected]
+
+
+def test_served_bits_ignore_precision_changed_by_another_thread():
+    # another thread switching mpmath's global precision while requests run
+    # moves no served bit
+    grid = dict(evals=[(fid, n, d) for fid in ("1.1", "4.1", "11.1") for n, d in
+                       ((2, 20), (9, 30), (300, 25))],
+                brutes=[(fid, 40, d) for fid in ("2.1", "14.1") for d in (20, 50)],
+                recoveries=[("2.1", 30), ("1.1", 45)],
+                logs=[(2, 20), (mpf(3) / 7, 40)], psi=[])
+    expected = _served_with_fresh_caches(**grid)
+    stop = threading.Event()
+
+    def toggle():
+        while not stop.is_set():
+            mp.dps = 5
+            mp.dps = 300
+
+    prec, interval = mp.prec, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    toggler = threading.Thread(target=toggle, daemon=True)
+    toggler.start()
+    try:
+        served = [_served_with_fresh_caches(**grid) for _ in range(5)]
+    finally:
+        stop.set()
+        toggler.join(timeout=10)
+        sys.setswitchinterval(interval)
+        mp.prec = prec
+    assert not toggler.is_alive()
+    assert served == [expected] * 5
+
+
+def test_package_leaves_global_precision_alone():
+    # every numeric routine takes its precision as an argument
+    src = pathlib.Path(catalog.__file__).parent
+    pattern = re.compile(r"\bmp\.(dps|prec)\b|work(dps|prec)|extra(dps|prec)|_PRECISION_LOCK")
+    found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert found == []
 
 
 def test_digamma_past_every_reachable_anchor_refuses_promptly():
@@ -825,8 +892,8 @@ def _check_bridge(fid, n, ctx, clear=True):
     assert _report_bits(evaluate(fid, n, ctx)) == expected
     assert _report_bits(evaluate(fid, n, ctx)) == expected  # bridge kept
     if clear:
-        with mp.workdps(ctx.digits + ctx.guard + catalog._headroom(f, anchor)):
-            direct = catalog._summand_sum(f, n, anchor)
+        prec = dps_to_prec(ctx.digits + ctx.guard + catalog._headroom(f, anchor))
+        direct = catalog._summand_sum(f, n, anchor, prec)
         assert [v._mpf_ for v in catalog._bridge_memo.values()] == [direct._mpf_]
 
 
@@ -893,6 +960,33 @@ def test_kept_bridges_under_threads():
     requests = [(fid, n, 30) for fid in ("1.1", "1.2", "16.1") for n in range(1, 21)]
     assert _served_alike_by_racing_threads(requests, catalog._bridge_memo)
     assert len(catalog._bridge_memo) == 40
+
+
+def test_keep_evicts_under_threads(monkeypatch):
+    # threads racing past the cap each drop one oldest entry: none fails to
+    # find it, none iterates a memo another is changing
+    monkeypatch.setattr(catalog, "_MEMO_CAP", 4)
+    memo, errors = {}, []
+
+    def work(i):
+        try:
+            for j in range(20000):
+                catalog._keep(memo, (i, j), j)
+        except Exception as exc:  # the thread ends; asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(memo) == 4
 
 
 def test_weighted_harmonic_closed_form_under_threads(monkeypatch):

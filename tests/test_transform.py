@@ -18,7 +18,6 @@ from stirlingsum.transform import (
     NonConvergenceError,
     StirlingCoefficients,
     eval_stirling_series,
-    _to_mpf,
     pochhammer,
     required_terms_estimate,
     verify_transform_consistency,
@@ -28,6 +27,11 @@ from stirlingsum.transform import (
 HARMONIC_TAIL = InnerCoefficients(fn=lambda l: -bernoulli(l + 1) / (l + 1))
 ZERO = InnerCoefficients(fn=lambda l: F(0), support_hint=1)
 UNIT = InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0), support_hint=1)
+
+
+def _to_mpf(q: F) -> mpf:
+    """q at the caller's mpmath precision: the numerator, then the quotient."""
+    return mpf(q.numerator) / q.denominator if q.denominator != 1 else mpf(q.numerator)
 
 
 def test_harmonic_tail_printed_coefficients():

@@ -6,18 +6,22 @@
 
 ``record`` writes one JSON line per case: evaluations of all 32 formulas at
 n in N_GRID and digits in DIGIT_GRID with brute force beside each, digamma
-at X_GRID and DIGAMMA_DIGITS, and every request of the serve-warm lists of
-SEEDS (``benchmark/workloads.py``). A served case keeps the bits of
-its value and est_error and its terms_used, a served digamma case its shift
-instead of an est_error; a refused one the same of its partial report. Run
+at X_GRID and DIGAMMA_DIGITS, each constant of ``RECOVERY_FORMULA``
+recovered at RECOVERY_DIGITS from a fresh store with its reference digits
+beside it, and every request of the serve-warm lists of SEEDS
+(``benchmark/workloads.py``). A served case keeps the bits of its value and
+est_error and its terms_used, a served digamma case its shift instead of an
+est_error, a recovery its n0; a refused one the same of its partial report.
+Run
 it once per checkout, with that checkout's ``src`` on PYTHONPATH; one copy
 of this script can record both sides of a comparison.
 
-``compare`` matches the cases of two records and prints, for evaluate and
-digamma cases apart, how many moved (value, terms_used, est_error or shift,
-served/refused), the worst value move in units of 10^-digits, and each
-record's worst distance from brute force or ``mpmath.digamma`` in the same
-units. It exits 1 when a case is missing from either record, 0 otherwise.
+``compare`` matches the cases of two records and prints, for each kind of
+case apart, how many moved (value, terms_used, est_error, shift or n0,
+served/refused, and an evaluation's brute-force check), the worst value move
+in units of 10^-digits, and each record's worst distance from brute force,
+``mpmath.digamma`` or the reference digits in the same units. It exits 1
+when a case is missing from either record, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from pathlib import Path
 from mpmath import mp, mpf
 
 from stirlingsum import catalog
+from stirlingsum.constants import RECOVERY_FORMULA, ConstantStore
 from stirlingsum.transform import EvalContext, NonConvergenceError
 
 N_GRID = (1, 2, 7, 30, 59, 100, 150, 199, 200, 201, 1000)  # and each domain_min
 DIGIT_GRID = (10, 20, 30, 50, 100)
 X_GRID = ("1/3", "3/4", "5/2", "7", "200", "100000", "10000000000")
 DIGAMMA_DIGITS = (10, 30, 50, 100)
+RECOVERY_DIGITS = (20, 50, 100)
 SEEDS = range(41, 51)
 
 
@@ -81,6 +87,20 @@ def _digamma(x: str, digits: int) -> dict:
     return case
 
 
+def _recover(cid, fid: str, digits: int) -> dict:
+    """A recovery from a fresh store; ``n0`` is None when it refuses."""
+    case = {"kind": "recover", "target": fid, "n": None, "digits": digits}
+    store = ConstantStore()
+    try:
+        res = catalog.recover_details(fid, digits=digits, store=store)
+        case.update(served=True, value=_bits(res.value), terms=res.terms_used, n0=res.n0)
+    except NonConvergenceError as exc:
+        case.update(_report(exc.report, False), n0=None)
+    with mp.workdps(digits + 20):
+        case["check"] = _bits(mpf(store.reference_digits(cid)))
+    return case
+
+
 def record(out: str) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
     from workloads import serve_warm
@@ -94,6 +114,9 @@ def record(out: str) -> None:
     for x in X_GRID:
         for digits in DIGAMMA_DIGITS:
             cases.append(_digamma(x, digits))
+    for cid, fid in RECOVERY_FORMULA.items():
+        for digits in RECOVERY_DIGITS:
+            cases.append(_recover(cid, fid, digits))
     for seed in SEEDS:
         for req in serve_warm(seed):
             if req.kind == "evaluate":
@@ -122,8 +145,9 @@ def _load(path: str) -> dict:
 
 
 # The fields compared per kind of case.
-FIELDS = {"evaluate": ("value", "terms", "est", "served"),
-          "digamma": ("value", "terms", "shift", "served")}
+FIELDS = {"evaluate": ("value", "terms", "est", "served", "check"),
+          "digamma": ("value", "terms", "shift", "served"),
+          "recover": ("value", "terms", "n0", "served")}
 
 
 def compare(a_path: str, b_path: str) -> int:
