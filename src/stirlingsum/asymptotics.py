@@ -16,31 +16,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import DomainError, _Frozen, bernoulli
+from .exactnum import DomainError, _Frozen, _Keyed, bernoulli
 
 __all__ = ["LogPowerTerm", "EMTail", "differentiate", "em_tail"]
 
 
-class LogPowerTerm(_Frozen):
-    """coef * x^s * log(x)^m, with exact rational coef and s. Terms with
-    equal fields are equal and hash alike."""
+class LogPowerTerm(_Keyed):
+    """coef * x^s * log(x)^m, with exact rational coef and s; ``key`` is
+    (coef, s, m)."""
 
     __slots__ = ("coef", "s", "m")
 
     def __init__(self, coef: Fraction, s: Fraction, m: int):
-        object.__setattr__(self, "coef", Fraction(coef))
-        object.__setattr__(self, "s", Fraction(s))
+        coef, s = Fraction(coef), Fraction(s)
         if m < 0:
             raise DomainError(f"log power must be >= 0, got {m}")
-        object.__setattr__(self, "m", m)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coef == other.coef and self.s == other.s and self.m == other.m
-
-    def __hash__(self) -> int:
-        return hash((self.coef, self.s, self.m))
+        set_ = object.__setattr__
+        set_(self, "coef", coef)
+        set_(self, "s", s)
+        set_(self, "m", m)
+        set_(self, "key", (coef, s, m))
 
 
 def _merge(terms) -> tuple[LogPowerTerm, ...]:

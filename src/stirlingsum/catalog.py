@@ -67,6 +67,7 @@ from .constants import (
 from .exactnum import (
     DomainError,
     _Frozen,
+    _Keyed,
     bernoulli,
     double_factorial_ext,
     euler_number,
@@ -122,10 +123,9 @@ BRUTE_FORCE_CAP = 10**7
 _LOG_FACTORIAL_LIMIT = 20000
 
 
-class FormulaId(_Frozen):
-    """Identity ``<family>.<variant>`` mirroring the catalog numbering. Ids
-    with equal fields are equal and hash alike, and ids sort by family, then
-    variant."""
+class FormulaId(_Keyed):
+    """Identity ``<family>.<variant>`` mirroring the catalog numbering.
+    ``key`` is (family, variant), so ids sort by family, then variant."""
 
     __slots__ = ("family", "variant")
 
@@ -137,19 +137,12 @@ class FormulaId(_Frozen):
             raise DomainError(f"family {family} has variants 1..{count}, got {variant}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "variant", variant)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.family == other.family and self.variant == other.variant
+        object.__setattr__(self, "key", (family, variant))
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.family, self.variant) < (other.family, other.variant)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.variant))
+        return self.key < other.key
 
     def __str__(self) -> str:
         return f"{self.family}.{self.variant}"
@@ -214,16 +207,16 @@ class SeriesPart(_Frozen):
         set_(self, "parity", parity)
 
 
-class Summand(_Frozen):
+class Summand(_Keyed):
     """(-1)^(k+parity) * y^s * log(y)^m at y = scale*k + shift.
 
     The term the left-hand side sums over k; ``s`` is a multiple of 1/2 and
     ``parity`` None means no sign alternation. ``key`` is the summand in
-    plain integers, equal for equal summands: equality and the hash are
-    taken from it, without the modular inverse a Fraction's hash takes.
+    plain integers, so that hashing it takes no modular inverse as a
+    Fraction's hash does.
     """
 
-    __slots__ = ("s", "m", "parity", "scale", "shift", "key")
+    __slots__ = ("s", "m", "parity", "scale", "shift")
 
     def __init__(self, s: Fraction, m: int = 0, parity: int | None = None, scale: int = 1,
                  shift: int = 0):
@@ -237,14 +230,6 @@ class Summand(_Frozen):
         set_(self, "scale", scale)
         set_(self, "shift", shift)
         set_(self, "key", (int(2 * s), m, parity, scale, shift))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
 
 _LOG_K = Summand(0, 1)
@@ -1104,8 +1089,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
             memo = _rhs_memo.get(store)
             if memo is None:
                 memo = _rhs_memo.setdefault(store, {})
-            key = (f.id.family, f.id.variant, anchor, ctx.digits, ctx.guard, ctx.max_terms,
-                   *[v._mpf_ for v in cvalues.values()])
+            key = (*f.id.key, anchor, *ctx.key, *[v._mpf_ for v in cvalues.values()])
             rhs = memo.get(key)
         bkey = (f.summand.key, n, anchor, prec)
         bridge = _bridge_memo.get(bkey)
@@ -1152,10 +1136,9 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
 # ---------------------------------------------------------------------------
 
 
-class RecoveryResult(_Frozen):
+class RecoveryResult(_Keyed):
     """A recovered head constant: its value at ``digits`` digits, the partial
-    sum's end ``n0`` and the series terms used. Results with equal fields are
-    equal and hash alike."""
+    sum's end ``n0`` and the series terms used; ``key`` is all five fields."""
 
     __slots__ = ("constant", "value", "n0", "digits", "terms_used")
 
@@ -1166,17 +1149,7 @@ class RecoveryResult(_Frozen):
         set_(self, "n0", n0)
         set_(self, "digits", digits)
         set_(self, "terms_used", terms_used)
-
-    def _fields(self) -> tuple:
-        return self.constant, self.value, self.n0, self.digits, self.terms_used
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+        set_(self, "key", (constant, value, n0, digits, terms_used))
 
 
 def _recovery_target(f: Formula, store) -> ConstantId:
@@ -1223,7 +1196,7 @@ def recover_details(
     target = _recovery_target(f, store)
     store.check_reach(target, digits)
     term = _isolating_term(f, target)
-    guard = 10 + math.ceil(digits / 10)
+    guard = EvalContext(digits).guard
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
     max_terms = max(500, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
@@ -1285,7 +1258,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     """
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
-    guard = 10 + math.ceil(digits / 10)
+    guard = EvalContext(digits).guard
     inner = describe("1.1").series[0].inner
     max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
     ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)

@@ -25,7 +25,7 @@ from importlib import resources
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, round_nearest, to_str
 
-from .exactnum import DomainError, _Frozen
+from .exactnum import DomainError, _Keyed
 from .transform import EvaluationReport, NonConvergenceError
 
 __all__ = [
@@ -55,16 +55,15 @@ _SIMPLE_TAGS = frozenset({"gamma", "stieltjes1", "pi", "log2", "log_pi", "log_2p
 _PARAM_TAGS = frozenset({"zeta", "zeta_prime"})
 
 
-class ConstantId(_Frozen):
+class ConstantId(_Keyed):
     """Identity of a mathematical constant, e.g. ``zeta(3/2)`` or ``log_2pi``.
 
-    ``key`` is the identity in a string and plain integers, equal for equal
-    ids; equality and the hash are taken from it, without the modular
-    inverse a Fraction's hash takes, since the store and the catalog hash ids
-    on every call.
+    ``key`` is the identity in a string and plain integers, so that hashing
+    an id takes no modular inverse as a Fraction's hash does: the store and
+    the catalog hash ids on every call.
     """
 
-    __slots__ = ("tag", "s", "key")
+    __slots__ = ("tag", "s")
 
     def __init__(self, tag: str, s: Fraction | None = None):
         if tag in _SIMPLE_TAGS:
@@ -79,14 +78,6 @@ class ConstantId(_Frozen):
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "key", (tag,) if s is None else (tag, *s.as_integer_ratio()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __str__(self) -> str:
         if self.s is None:

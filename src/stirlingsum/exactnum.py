@@ -53,6 +53,22 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
+class _Keyed(_Frozen):
+    """A value class whose identity is ``key``, set once in ``__init__``:
+    instances of one class with equal keys are equal and hash alike, and
+    instances of different classes never compare equal."""
+
+    __slots__ = ("key",)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
 # ---------------------------------------------------------------------------
 # Signed Stirling numbers of the first kind
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exactnum import DomainError, _Frozen
+from .exactnum import DomainError, _Frozen, _Keyed
 
 __all__ = [
     "InnerCoefficients",
@@ -76,49 +76,32 @@ AT_X = "at_x"  # denominators x(x+1)...(x+k)
 AT_X_PLUS_1 = "at_x_plus_1"  # denominators (x+1)...(x+k)
 
 
-class InnerCoefficients(_Frozen):
+class InnerCoefficients(_Keyed):
     """Inverse-power coefficients a_l (l >= 1), lazily generated and exact.
 
-    ``fn`` must be total and deterministic for l >= 1. ``support_hint``, when
-    set, promises a_l = 0 for every l beyond it. Instances with equal fields
-    are equal and hash alike, so they share one transform checkpoint.
+    ``fn`` must be total and deterministic for l >= 1. ``key`` is ``fn``:
+    instances on one function share one transform checkpoint.
     """
 
-    __slots__ = ("fn", "support_hint", "__weakref__")
+    __slots__ = ("fn", "__weakref__")
 
-    def __init__(self, fn: Callable[[int], Fraction], support_hint: int | None = None):
+    def __init__(self, fn: Callable[[int], Fraction]):
         object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "support_hint", support_hint)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.fn == other.fn and self.support_hint == other.support_hint
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.support_hint))
+        object.__setattr__(self, "key", fn)
 
     def __call__(self, l: int) -> Fraction:
-        if self.support_hint is not None and l > self.support_hint:
-            return Fraction(0)
         return Fraction(self.fn(l))
 
 
-class StirlingCoefficients(_Frozen):
-    """A finite prefix c_1..c_K of exact inverse-factorial coefficients."""
+class StirlingCoefficients(_Keyed):
+    """A finite prefix c_1..c_K of exact inverse-factorial coefficients;
+    ``key`` is ``values``."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[Fraction, ...]):
         object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
+        object.__setattr__(self, "key", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -131,7 +114,7 @@ class StirlingCoefficients(_Frozen):
 DEFAULT_MAX_TERMS = 500
 
 
-class EvalContext(_Frozen):
+class EvalContext(_Keyed):
     """Precision and truncation policy for series evaluation.
 
     ``guard`` defaults to 10 + ceil(digits/10). The working precision is
@@ -139,8 +122,8 @@ class EvalContext(_Frozen):
     10^-(digits + guard/2) of the partial sum. The series kernel's own
     truncation error does not eat into the guard: it carries
     max_terms.bit_length() + 8 extra bits in 1/D_k and 64 extra bits in the
-    accumulator, enough for the whole term budget. Contexts with equal
-    fields are equal and hash alike.
+    accumulator, enough for the whole term budget. ``key`` is
+    (digits, guard, max_terms).
     """
 
     __slots__ = ("digits", "guard", "max_terms")
@@ -159,15 +142,7 @@ class EvalContext(_Frozen):
         set_(self, "digits", digits)
         set_(self, "guard", guard)
         set_(self, "max_terms", max_terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.digits == other.digits and self.guard == other.guard
-                and self.max_terms == other.max_terms)
-
-    def __hash__(self) -> int:
-        return hash((self.digits, self.guard, self.max_terms))
+        set_(self, "key", (digits, guard, max_terms))
 
     @property
     def working_digits(self) -> int:
@@ -529,8 +504,7 @@ def verify_transform_consistency(
     for k, ck in _transform_stream(a, K):
         denom *= xq + k
         fact_sum += ck / denom
-    L = a.support_hint if a.support_hint is not None else K
-    pow_sum = sum((a(l) / xq ** (l + 1) for l in range(1, L + 1)), Fraction(0))
+    pow_sum = sum((a(l) / xq ** (l + 1) for l in range(1, K + 1)), Fraction(0))
     prec = dps_to_prec(digits + 10)
 
     def rounded(v: Fraction) -> mpf:

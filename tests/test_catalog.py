@@ -1,5 +1,6 @@
 """Tests for the formula catalog: coefficients, evaluation, recovery, digamma."""
 
+import ast
 import copy
 import pathlib
 import pickle
@@ -86,9 +87,24 @@ def test_value_classes_refuse_assignment():
             obj.unknown_field = 1
         assert getattr(obj, name) is before
         assert getattr(copy.copy(obj), name) is before  # copies restore the fields
-    for obj in (FormulaId(4, 1), zeta(2), EvalContext(digits=40), f.summand, res):
+    keyed = (FormulaId(4, 1), zeta(2), EvalContext(digits=40), f.summand, res,
+             asymptotics.LogPowerTerm(F(1, 3), F(-1, 2), 1),
+             transform.StirlingCoefficients((F(1, 12), F(1, 12))),
+             f.series[0].inner)  # on catalog._plain_log2_inner, pickled by name
+    assert f.series[0].inner.fn is catalog._plain_log2_inner
+    for obj in keyed:
         assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.copy(obj) == obj and hash(copy.copy(obj)) == hash(obj)
+        with pytest.raises(AttributeError):
+            obj.key = obj.key
     assert _report_bits(pickle.loads(pickle.dumps(rep))) == _report_bits(rep)
+
+
+def test_equal_keys_of_different_classes_stay_apart():
+    fid, coeffs = FormulaId(1, 2), transform.StirlingCoefficients((1, 2))
+    assert fid.key == coeffs.key and hash(fid) == hash(coeffs)
+    assert fid != coeffs and coeffs != fid
+    assert len({fid: "id", coeffs: "coefficients"}) == 2
 
 
 def test_construction_checks_still_fire():
@@ -784,6 +800,20 @@ def test_package_leaves_global_precision_alone():
     found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert found == []
+
+
+def test_identity_is_defined_once_in_keyed():
+    # every value class with an identity takes equality and the hash from
+    # exactnum._Keyed's key; the others keep identity equality
+    src = pathlib.Path(catalog.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in cls.body}
+        found += [(path.name, owner.get(id(node)), node.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")]
+    assert found == [("exactnum.py", "_Keyed", "__eq__"), ("exactnum.py", "_Keyed", "__hash__")]
 
 
 def test_digamma_past_every_reachable_anchor_refuses_promptly():

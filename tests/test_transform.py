@@ -25,8 +25,8 @@ from stirlingsum.transform import (
 )
 
 HARMONIC_TAIL = InnerCoefficients(fn=lambda l: -bernoulli(l + 1) / (l + 1))
-ZERO = InnerCoefficients(fn=lambda l: F(0), support_hint=1)
-UNIT = InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0), support_hint=1)
+ZERO = InnerCoefficients(fn=lambda l: F(0))
+UNIT = InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0))
 
 
 def _to_mpf(q: F) -> mpf:
@@ -66,10 +66,10 @@ def test_transform_is_linear(xs, ys, alpha, beta):
     n = max(len(xs), len(ys))
     xs = xs + [0] * (n - len(xs))
     ys = ys + [0] * (n - len(ys))
-    a = InnerCoefficients(fn=lambda l: F(xs[l - 1]), support_hint=n)
-    b = InnerCoefficients(fn=lambda l: F(ys[l - 1]), support_hint=n)
+    a = InnerCoefficients(fn=lambda l: F(xs[l - 1]) if l <= n else F(0))
+    b = InnerCoefficients(fn=lambda l: F(ys[l - 1]) if l <= n else F(0))
     combo = InnerCoefficients(
-        fn=lambda l: F(alpha * xs[l - 1] + beta * ys[l - 1]), support_hint=n
+        fn=lambda l: F(alpha * xs[l - 1] + beta * ys[l - 1]) if l <= n else F(0)
     )
     K = n + 4
     ca, cb, cc = (weniger_transform(s, K) for s in (a, b, combo))
@@ -86,10 +86,7 @@ def test_transform_matches_stirling_sum_definition():
         for part in catalog.describe(fid).series
     ]
     sequences.append(
-        InnerCoefficients(
-            fn=lambda l: [F(3, 7), F(-5), F(2, 9)][l - 1] if l <= 3 else F(0),
-            support_hint=3,
-        )
+        InnerCoefficients(fn=lambda l: [F(3, 7), F(-5), F(2, 9)][l - 1] if l <= 3 else F(0))
     )
     K = 80
     for a in sequences:
@@ -190,10 +187,7 @@ def test_eval_at_x_plus_1_shape():
 
 
 def test_finite_support_truncations_agree():
-    a = InnerCoefficients(
-        fn=lambda l: [F(1), F(-2, 3), F(5)][l - 1] if l <= 3 else F(0),
-        support_hint=3,
-    )
+    a = InnerCoefficients(fn=lambda l: [F(1), F(-2, 3), F(5)][l - 1] if l <= 3 else F(0))
     for x in (20, 35):
         for K in (3, 10, 25, 40):
             r = verify_transform_consistency(a, x, K, digits=30)
@@ -272,7 +266,6 @@ def test_inner_coefficients_with_equal_fields_share_one_checkpoint():
 
     a, b = InnerCoefficients(fn), InnerCoefficients(fn=fn)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a != InnerCoefficients(fn, support_hint=5)
     first = weniger_transform(a, 30)
     calls.clear()
     assert weniger_transform(b, 30) == first
@@ -294,11 +287,11 @@ def test_eval_context_equality_hash_and_default_guard():
 def test_checkpoint_resume_past_cache_cap_stays_exact():
     # the cache keeps a bounded prefix; resuming beyond it must recompute
     # the uncached tail rather than splice mismatched state
-    a = InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0), support_hint=1)
+    a = InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0))
     deep = weniger_transform(a, 520)
     again = weniger_transform(a, 526)
     fresh = weniger_transform(
-        InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0), support_hint=1), 526
+        InnerCoefficients(fn=lambda l: F(1) if l == 1 else F(0)), 526
     )
     assert list(again.values) == list(fresh.values)
     assert list(deep.values) == list(fresh.values)[:520]
@@ -651,7 +644,7 @@ def test_series_bits_agree_cold_warm_and_past_the_kept_prefix():
     ctx = EvalContext(digits=40)
 
     def fresh():  # an instance of its own, so a checkpoint of its own
-        return InnerCoefficients(fn=lambda l: part.fn(l), support_hint=part.support_hint)
+        return InnerCoefficients(fn=lambda l: part.fn(l))
 
     a = fresh()
     cold = eval_stirling_series(a, 45, AT_X, ctx)  # every c_k computed here
