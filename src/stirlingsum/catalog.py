@@ -39,7 +39,6 @@ from mpmath.libmp import (
     from_rational,
     fzero,
     mpf_add,
-    mpf_ceil,
     mpf_div,
     mpf_log,
     mpf_mul,
@@ -48,7 +47,6 @@ from mpmath.libmp import (
     round_floor,
     round_nearest,
     to_fixed,
-    to_int,
 )
 
 from . import constants as _constants
@@ -790,10 +788,12 @@ def _fixed_power(y: int, a: int, w: int) -> int:
     return y ** (a // 2) << w if a >= 0 else (1 << w) // y ** (-a // 2)
 
 
-def _fixed_log(y: int | mpf, w: int) -> int:
-    """log y in units 2^-w for an integer or mpf y > 0, rounded down: one mpf
-    log at w + 8 bits."""
-    return to_fixed(mpf_log(from_int(y) if type(y) is int else y._mpf_, w + 8, round_floor), w)
+def _fixed_log(p: int, w: int, q: int = 1) -> int:
+    """log(p/q) in units 2^-w for integers p, q > 0, rounded down: one mpf
+    log at w + 8 bits, of p taken exactly when q = 1 and otherwise of p/q
+    rounded down to w + 8 bits (digamma's exact argument)."""
+    y = from_int(p) if q == 1 else from_rational(p, q, w + 8, round_floor)
+    return to_fixed(mpf_log(y, w + 8, round_floor), w)
 
 
 def _summand_sum(f: Formula, lo: int, hi: int, prec: int) -> mpf:
@@ -1236,51 +1236,58 @@ def recover_details(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def _digamma_plan(digits: int) -> tuple[EvalContext, int, int]:
+    """(series context, anchor, prec) of a digamma call at ``digits``, a
+    function of ``digits`` alone."""
+    guard = EvalContext(digits).guard
+    max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
+    ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)
+    return ctx, _anchor(None, digits, guard, max_terms), dps_to_prec(digits + guard + 8)
+
+
 def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     """(psi(x), series terms used, upward shift applied); see :func:`digamma`.
 
-    x is rounded to prec bits, prec = dps_to_prec(digits + guard + 8), and
-    y = x + shift, shift = ceil(anchor - x) when positive, is formed in mpf
-    at prec, each step rounded to nearest. Then
+    x is taken exactly as p/q. When p or q is longer than prec bits, prec =
+    dps_to_prec(digits + guard + 8), x is first rounded to nearest at prec
+    bits, which bounds the cost of a long argument; that moves x by under
+    2^-prec relative, and psi by under x psi'(x) 2^-prec < (1 + 1/x) 2^-prec,
+    eight digits past digits + guard. Then shift = ceil(anchor - x) when
+    positive, y = x + shift = (p + shift q)/q exactly, and
 
-        psi(x) = log y - 1/(2y) + S(y) - sum_{i<shift} 1/(x + i),
+        psi(x) = log y - 1/(2y) + S(y) - sum_{i<shift} q/(p + i q),
 
-    S the inverse-factorial series of 1.1's part, is summed in fixed point,
-    in units 2^-w with w = prec + 64, as :func:`_rhs` sums its head: log y
-    from :func:`_fixed_log`, 1/(2y) = q/(2p) for y = p/q as
-    one integer quotient, S(y) through ``to_fixed``, each 1/(x+i) as in
-    :func:`_summand_sum`. Each of the first three is under one unit low and
-    each shift term under one unit more, so the sum is off by under
-    shift + 3 units. The shift stays below the anchor, at most
-    BRUTE_FORCE_CAP < 2^24, so that is under 2^-(prec + 40), far inside an
-    ulp of psi wherever |psi| > 2^-40, and the value is rounded to prec
-    once.
+    S the inverse-factorial series of 1.1's part, summed at y exactly. The
+    rest is summed in fixed point, in units 2^-w with w = prec + 64, as
+    :func:`_rhs` sums its head: log y from :func:`_fixed_log`, which rounds
+    y down to w + 8 bits (under 2^-(w+6) off in log y) and floors a log of
+    w + 8 bits (under |log y| 2^-(w+7) more) to units, 1/(2y) = q/(2(p +
+    shift q)) as one integer quotient, S(y) through ``to_fixed``, each
+    shift term as one integer quotient. That is under 2 + |log y|/128
+    units for the log, under one unit for each of the others, so under
+    shift + 4 + |log y|/128 units in all. The shift stays below the anchor,
+    at most BRUTE_FORCE_CAP < 2^24, so for |log y| < 2^24 that is under
+    2^-(prec + 39), far inside an ulp of psi wherever |psi| > 2^-38, and the
+    value is rounded to prec once. With x exact and q short, every divisor
+    of the shift sum, and of the series' steps, is p + i q, one or two limbs.
     """
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
-    guard = EvalContext(digits).guard
-    inner = describe("1.1").series[0].inner
-    max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
-    ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)
-    anchor = _anchor(None, digits, guard, max_terms)
-    prec = dps_to_prec(digits + guard + 8)
-    if isinstance(x, Fraction):
-        num = from_int(x.numerator, prec, round_nearest)
-        xv = mp.make_mpf(mpf_div(num, from_int(x.denominator), prec, round_nearest))
-    else:
-        xv = mpf(x, prec=prec)
-    if xv <= 0:
+    ctx, anchor, prec = _digamma_plan(digits)
+    p, q = _as_ratio(x)
+    if p <= 0:
+        xv = mp.make_mpf(from_rational(p, q, prec, round_nearest))
         raise DomainError(f"digamma needs x > 0, got {xv}")
-    gap = mp.make_mpf(mpf_sub(from_int(anchor), xv._mpf_, prec, round_nearest))
-    shift = to_int(mpf_ceil(gap._mpf_)) if gap > 0 else 0
-    y = mp.make_mpf(mpf_add(xv._mpf_, from_int(shift), prec, round_nearest))
-    rep = eval_stirling_series(inner, y, AT_X, ctx)
+    if max(p.bit_length(), q.bit_length()) > prec:
+        p, q = _as_ratio(mp.make_mpf(from_rational(p, q, prec, round_nearest)))
+    shift = max(0, anchor - p // q)
+    py = p + shift * q
+    rep = eval_stirling_series(describe("1.1").series[0].inner, Fraction(py, q), AT_X, ctx)
     w = prec + 64
-    p, q = _as_ratio(y)
-    total = _fixed_log(y, w) - (q << w) // (2 * p) + to_fixed(rep.value._mpf_, w)
-    if shift:  # q/(p + i q) for i < shift, x = p/q, with no Python frame per term
-        p, q = _as_ratio(xv)
-        total -= sum(map((q << w).__floordiv__, range(p, p + shift * q, q)))
+    total = _fixed_log(py, w, q) - (q << w) // (2 * py) + to_fixed(rep.value._mpf_, w)
+    if shift:  # q/(p + i q) for i < shift, with no Python frame per term
+        total -= sum(map((q << w).__floordiv__, range(p, py, q)))
     return mp.make_mpf(from_man_exp(total, -w, prec, round_nearest)), rep.terms_used, shift
 
 

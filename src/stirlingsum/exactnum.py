@@ -229,20 +229,24 @@ def stirling_a(k: int) -> Fraction:
     return Fraction((-1) ** k, 2 * k) * acc
 
 
+_odd_double_factorials = [1]  # (2j-1)!! at index j, from (-1)!! = 1; append-only
+_odd_double_factorial_lock = threading.Lock()
+
+
 def double_factorial_ext(m: int) -> Fraction:
     """Double factorial on odd integers, extended to negative arguments.
 
     For m >= -1 this is the usual m!! (with (-1)!! = 1). For m = -(2j+1),
     j >= 1, the value is (-1)^j / (2j-1)!! — the unique continuation under
-    (m+2)!! = (m+2) * m!!.
+    (m+2)!! = (m+2) * m!!. Each (2j-1)!! is kept once computed, so a call
+    multiplies only the factors past the largest one asked for so far.
     """
     if m % 2 == 0:
         raise DomainError(f"argument must be odd, got {m}")
-    if m >= -1:
-        acc = 1
-        while m > 1:
-            acc *= m
-            m -= 2
-        return Fraction(acc)
-    j = (-m - 1) // 2
-    return Fraction((-1) ** j, int(double_factorial_ext(2 * j - 1)))
+    j = (m + 1) // 2 if m >= -1 else (-m - 1) // 2
+    with _odd_double_factorial_lock:
+        table = _odd_double_factorials
+        while len(table) <= j:
+            table.append(table[-1] * (2 * len(table) - 1))
+        value = table[j]
+    return Fraction(value) if m >= -1 else Fraction((-1) ** j, value)

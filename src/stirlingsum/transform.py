@@ -371,12 +371,18 @@ def _eps(digits: float, wp: int) -> tuple[int, int]:
 
 def _as_ratio(x) -> tuple[int, int]:
     """x exactly as p/q in lowest terms (q > 0): an mpf as man*2^exp, anything
-    else through Fraction (int, Fraction, float, decimal string)."""
+    else through Fraction (int, Fraction, float, decimal string). An infinite
+    or nan x raises DomainError."""
     if isinstance(x, mpf):
-        sign, man, exp, _ = x._mpf_  # inf and nan carry man = 0
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:  # zero is (0, 0, 0, 0); inf and nan carry man 0, exp not 0
+            raise DomainError(f"x must be a finite number, got {x}")
         man = -man if sign else man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    r = Fraction(x)
+    try:
+        r = Fraction(x)
+    except (OverflowError, ValueError):
+        raise DomainError(f"x must be a finite number, got {x}") from None
     return r.numerator, r.denominator
 
 

@@ -826,11 +826,51 @@ def test_digamma_past_every_reachable_anchor_refuses_promptly():
 
 
 def test_digamma_rejects_nonpositive_and_bad_digits():
-    for bad in (0, -1, F(-1, 2)):
+    for bad in (0, -1, F(-1, 2), 0.0, -2.5, mpf(0), mpf(-3), float("inf"), float("-inf"),
+                float("nan"), mpf("inf"), mpf("-inf"), mpf("nan")):
         with pytest.raises(DomainError):
             catalog.digamma(bad, 30)
     with pytest.raises(DomainError):
         catalog.digamma(1, 0)
+
+
+# (x, digits, terms, shift): the terms and shift served when x was first
+# rounded to prec bits; taking x exactly must keep them.
+EXACT_ARGUMENT_CASES = [
+    (x, digits, terms, shift)
+    for x, rows in ((F(1, 10), ((20, 28, 147), (50, 56, 268), (100, 103, 473))),
+                    ("0.1", ((20, 28, 147), (50, 56, 268), (100, 103, 473))),
+                    (F(123457, 10), ((20, 12, 0), (50, 23, 0), (100, 43, 0))),
+                    (F(1, 3), ((20, 28, 147), (50, 56, 268), (100, 103, 473))))
+    for digits, terms, shift in rows
+]
+
+
+@pytest.mark.parametrize("x,digits,terms,shift", EXACT_ARGUMENT_CASES)
+def test_digamma_at_its_exact_argument(x, digits, terms, shift):
+    value, used, applied = catalog.digamma_details(x, digits)
+    assert (used, applied) == (terms, shift)
+    r = F(x)
+    with mp.workdps(digits + 20):
+        assert abs(value - mp.digamma(mpf(r.numerator) / r.denominator)) <= mpf(10) ** -digits / 2
+
+
+def test_digamma_rounds_a_long_argument_to_prec_bits():
+    # an mpf with a 3000-bit mantissa and a Fraction with 400-bit parts are
+    # served as their prec-bit rounding
+    digits = 30
+    prec = dps_to_prec(digits + EvalContext(digits).guard + 8)
+    long_mpf = mp.make_mpf(from_rational((1 << 2999) | 1, 1 << 2998, 3000, round_nearest))
+    long_fraction = F(3**252 + 1, 7**142)
+    assert long_mpf._mpf_[3] == 3000
+    assert min(long_fraction.numerator.bit_length(), long_fraction.denominator.bit_length()) > 398
+    for x in (long_mpf, long_fraction):
+        p, q = transform._as_ratio(x)
+        rounded = mp.make_mpf(from_rational(p, q, prec, round_nearest))
+        assert F(*transform._as_ratio(rounded)) != F(p, q)
+        served = catalog.digamma_details(x, digits)
+        expected = catalog.digamma_details(rounded, digits)
+        assert (served[0]._mpf_, served[1:]) == (expected[0]._mpf_, expected[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from stirlingsum import exactnum
 from stirlingsum.exactnum import (
     DomainError,
     bernoulli,
@@ -261,6 +262,21 @@ def test_double_factorial_classic_and_extended_values():
 def test_double_factorial_recurrence_across_negative_seam():
     for m in range(-11, 10, 2):
         assert double_factorial_ext(m + 2) == (m + 2) * double_factorial_ext(m)
+
+
+def test_double_factorial_matches_the_direct_product(monkeypatch):
+    # the kept table, grown one factor at a time and at once from empty,
+    # gives what multiplying the factors gives
+    def direct(m):
+        if m >= -1:
+            return F(math.prod(range(m, 0, -2)))
+        j = (-m - 1) // 2
+        return F((-1) ** j, math.prod(range(2 * j - 1, 0, -2)))
+
+    odd = list(range(-81, 2202, 2))
+    for order in (odd, odd[::-1]):
+        monkeypatch.setattr(exactnum, "_odd_double_factorials", [1])
+        assert [double_factorial_ext(m) for m in order] == [direct(m) for m in order]
 
 
 def test_double_factorial_rejects_even_arguments():

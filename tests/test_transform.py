@@ -168,8 +168,9 @@ def test_eval_nonconvergence_carries_partial_report():
 
 
 def test_eval_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        eval_stirling_series(UNIT, -3, AT_X, EvalContext())
+    for x in (-3, float("inf"), float("nan"), mpf("inf"), mpf("nan")):
+        with pytest.raises(DomainError):
+            eval_stirling_series(UNIT, x, AT_X, EvalContext())
     with pytest.raises(DomainError):
         eval_stirling_series(UNIT, 10, "at_x_plus_2", EvalContext())
     with pytest.raises(DomainError):
@@ -723,6 +724,10 @@ def test_digamma_stops_where_recorded(x, digits, terms):
         y = xv + int(mp.ceil(max(mpf(0), digits - xv)))
     inner = catalog.describe("1.1").series[0].inner
     assert eval_stirling_series(inner, y, AT_X, ctx).terms_used == terms
+    # and at the exact y = x + shift that digamma_details sums at
+    r = F(*transform._as_ratio(x))
+    exact_y = r + max(0, math.ceil(digits - r))
+    assert eval_stirling_series(inner, exact_y, AT_X, ctx).terms_used == terms
     value = catalog.digamma_details(x, digits)[0]
     with mp.workdps(digits + 20):
         assert abs(value - mp.digamma(xv)) <= mpf(10) ** -digits / 2

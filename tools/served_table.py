@@ -40,7 +40,7 @@ from stirlingsum.transform import EvalContext, NonConvergenceError
 
 N_GRID = (1, 2, 7, 30, 59, 100, 150, 199, 200, 201, 1000)  # and each domain_min
 DIGIT_GRID = (10, 20, 30, 50, 100)
-X_GRID = ("1/3", "3/4", "5/2", "7", "200", "100000", "10000000000")
+X_GRID = ("1/3", "3/4", "5/2", "7", "200", "100000", "10000000000", "0.1", "12345.678")
 DIGAMMA_DIGITS = (10, 30, 50, 100)
 RECOVERY_DIGITS = (20, 50, 100)
 SEEDS = range(41, 51)
