@@ -69,7 +69,7 @@ from .exactnum import (
     bernoulli,
     double_factorial_ext,
     euler_number,
-    stirling_first,
+    stirling_first,  # uncalled here; benchmark/tracing.py patches catalog.stirling_first
 )
 from .transform import (
     AT_X,
@@ -286,10 +286,6 @@ def _isolates(f: Formula, target: ConstantId) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _inner(fn) -> InnerCoefficients:
-    return InnerCoefficients(fn=fn)
-
-
 def _root_inner(sign: int, a: int, b: int, c: int, d: int) -> InnerCoefficients:
     """sign * (2l+a)!! / (2^(l+b) (l+c)!) * B_(l+d) — the root-family shape."""
 
@@ -302,29 +298,33 @@ def _root_inner(sign: int, a: int, b: int, c: int, d: int) -> InnerCoefficients:
         )
         return sign * value
 
-    return _inner(fn)
+    return InnerCoefficients(fn)
 
 
 _harmonic_numbers = [F(0)]  # H_0, H_1, ...; append-only
 _harmonic_lock = threading.Lock()
 
 
-def _weighted_harmonic(l: int) -> Fraction:
-    # sum_{m=0}^{l-1} (m+1)/(l-m) = (l+1) H_l - l, the inner weight of the
-    # third log family
+def _harmonic(l: int) -> Fraction:  # H_l, behind the inners of all three log families
     with _harmonic_lock:
         while len(_harmonic_numbers) <= l:
             _harmonic_numbers.append(_harmonic_numbers[-1] + F(1, len(_harmonic_numbers)))
-        h = _harmonic_numbers[l]
-    return (l + 1) * h - l
+        return _harmonic_numbers[l]
+
+
+def _weighted_harmonic(l: int) -> Fraction:
+    # sum_{m=0}^{l-1} (m+1)/(l-m) = (l+1) H_l - l, the inner weight of 13.1
+    return (l + 1) * _harmonic(l) - l
 
 
 def _plain_log_inner(l: int) -> Fraction:
-    return bernoulli(l + 1) * stirling_first(l + 1, 2) / math.factorial(l + 1)
+    # 12.1's B_(l+1) S_(l+1)(2) / (l+1)!, where S_(l+1)(2) = (-1)^(l+1) l! H_l
+    return F(-1) ** (l + 1) * bernoulli(l + 1) * _harmonic(l) / (l + 1)
 
 
 def _plain_log2_inner(l: int) -> Fraction:
-    return bernoulli(l + 2) * stirling_first(l + 1, 2) / math.factorial(l + 2)
+    # 14.1's B_(l+2) S_(l+1)(2) / (l+2)!, from the same Stirling column
+    return F(-1) ** (l + 1) * bernoulli(l + 2) * _harmonic(l) / ((l + 1) * (l + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         f = Formula(**kw)
         cat[f.id] = f
 
-    ht, sp = HeadTerm, SeriesPart
+    ht, sp, inner = HeadTerm, SeriesPart, InnerCoefficients
 
     # -- 1: harmonic numbers ------------------------------------------------
     log_n = ht(1, log_power=1)
@@ -350,7 +350,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(-1),
         summand_start=1,
         head=(log_n, gamma_t, ht(F(1, 2), -1)),
-        series=(sp(_inner(lambda l: -bernoulli(l + 1) / (l + 1)), 1),),
+        series=(sp(inner(lambda l: -bernoulli(l + 1) / (l + 1)), 1),),
     )
     add(
         id=FormulaId(1, 2),
@@ -358,7 +358,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(-1),
         summand_start=1,
         head=(log_n, gamma_t),
-        series=(sp(_inner(lambda l: -bernoulli(l) / l), 1, shape=AT_X_PLUS_1),),
+        series=(sp(inner(lambda l: -bernoulli(l) / l), 1, shape=AT_X_PLUS_1),),
     )
 
     # -- 2: partial sums of 1/k^2 -------------------------------------------
@@ -369,7 +369,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(-2),
         summand_start=1,
         head=(z2, ht(-1, -1), ht(F(1, 2), -2)),
-        series=(sp(_inner(lambda l: -bernoulli(l + 1)), 1, -1),),
+        series=(sp(inner(lambda l: -bernoulli(l + 1)), 1, -1),),
     )
     add(
         id=FormulaId(2, 2),
@@ -377,7 +377,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(-2),
         summand_start=1,
         head=(z2, ht(-1, -1)),
-        series=(sp(_inner(lambda l: -bernoulli(l)), 1),),
+        series=(sp(inner(lambda l: -bernoulli(l)), 1),),
     )
 
     # -- 3: partial sums of 1/k^3 -------------------------------------------
@@ -388,7 +388,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(-3),
         summand_start=1,
         head=(z3, ht(F(-1, 2), -2), ht(F(1, 2), -3)),
-        series=(sp(_inner(lambda l: -(l + 2) * bernoulli(l + 1)), F(1, 2), -2),),
+        series=(sp(inner(lambda l: -(l + 2) * bernoulli(l + 1)), F(1, 2), -2),),
     )
     add(
         id=FormulaId(3, 2),
@@ -396,7 +396,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(-3),
         summand_start=1,
         head=(z3, ht(F(-1, 2), -2)),
-        series=(sp(_inner(lambda l: -(l + 1) * bernoulli(l)), F(1, 2), -1),),
+        series=(sp(inner(lambda l: -(l + 1) * bernoulli(l)), F(1, 2), -1),),
     )
 
     # -- 4, 5, 6: sums of k^(1/2), k^(3/2), k^(5/2) --------------------------
@@ -528,7 +528,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=_LOG_K,
         summand_start=1,
         head=stirling_head,
-        series=(sp(_inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1,
+        series=(sp(inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1,
                    shape=AT_X_PLUS_1),),
     )
     add(
@@ -537,7 +537,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=_LOG_K,
         summand_start=1,
         head=stirling_head + (ht(F(1, 12), -1),),
-        series=(sp(_inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2))), 1),),
+        series=(sp(inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2))), 1),),
     )
     add(
         id=FormulaId(10, 3),
@@ -545,7 +545,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=_LOG_K,
         summand_start=1,
         head=stirling_head,
-        series=(sp(_inner(lambda l: F(0) if l == 1 else bernoulli(l) / (l * (l - 1))),
+        series=(sp(inner(lambda l: F(0) if l == 1 else bernoulli(l) / (l * (l - 1))),
                    1, 1, shape=AT_X_PLUS_1),),
     )
 
@@ -565,7 +565,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(1, 1),
         summand_start=1,
         head=head11,
-        series=(sp(_inner(lambda l: -bernoulli(l + 2) / (l * (l + 1) * (l + 2))), 1,
+        series=(sp(inner(lambda l: -bernoulli(l + 2) / (l * (l + 1) * (l + 2))), 1,
                    shape=AT_X_PLUS_1),),
     )
     add(
@@ -574,7 +574,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         summand=Summand(1, 1),
         summand_start=1,
         head=head11,
-        series=(sp(_inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))),
+        series=(sp(inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))),
                    1),),
     )
 
@@ -590,8 +590,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(F(1, 2), -1, log_power=1),
         ),
         series=(
-            sp(_inner(_plain_log_inner), 1),
-            sp(_inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1,
+            sp(inner(_plain_log_inner), 1),
+            sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1,
                log_power=1),
         ),
     )
@@ -608,9 +608,9 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(F(1, 2), -2, log_power=1),
         ),
         series=(
-            sp(_inner(lambda l: F(-1) ** (l + 1) * _weighted_harmonic(l)
-                      * bernoulli(l + 1) / (l + 1)), 1, -1),
-            sp(_inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1),
+            sp(inner(lambda l: F(-1) ** (l + 1) * _weighted_harmonic(l)
+                     * bernoulli(l + 1) / (l + 1)), 1, -1),
+            sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1),
         ),
     )
     add(
@@ -632,8 +632,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(1, constants=((STIELTJES1, 1),)),
         ),
         series=(
-            sp(_inner(_plain_log2_inner), 2),
-            sp(_inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))),
+            sp(inner(_plain_log2_inner), 2),
+            sp(inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))),
                2, log_power=1),
         ),
     )
@@ -642,7 +642,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     # a_l = (-1)^(l+1) E_l / 2^l: odd Euler numbers vanish, so the first
     # nonzero entry is l = 2. Both printings share this one instance, and so
     # one transform checkpoint.
-    leibniz_inner = _inner(lambda l: F((-1) ** (l + 1) * euler_number(l), 2**l))
+    leibniz_inner = inner(lambda l: F((-1) ** (l + 1) * euler_number(l), 2**l))
     add(
         id=FormulaId(15, 1),
         lhs="sum_{k=0}^{n} (-1)^k/(2k+1)",
@@ -674,8 +674,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(1, constants=((LOG2, 1),)),
             ht(F(-1, 2), -1, parity=0),
         ),
-        series=(sp(_inner(lambda l: (-1) ** (l * (l + 3) // 2) * (2 ** (l + 1) - 1)
-                          * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),),
+        series=(sp(inner(lambda l: (-1) ** (l * (l + 3) // 2) * (2 ** (l + 1) - 1)
+                         * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),),
     )
 
     return cat
@@ -708,10 +708,14 @@ def part_coefficients(formula, K: int, log_power: int = 0) -> tuple[Fraction, ..
     f = describe(formula)
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
+    part = _series_part(f, log_power)
+    return tuple(part.prefactor * v for v in weniger_transform(part.inner, K).values)
+
+
+def _series_part(f: Formula, log_power: int) -> SeriesPart:
     for part in f.series:
         if part.log_power == log_power:
-            c = weniger_transform(part.inner, K)
-            return tuple(part.prefactor * v for v in c.values)
+            return part
     raise DomainError(f"{f.id} has no series part with log power {log_power}")
 
 
@@ -737,12 +741,7 @@ def golden_coefficients(formula, log_power: int = 0) -> tuple[Fraction, ...]:
 
 def series_term_magnitudes(formula, n: int, K: int, log_power: int = 0) -> list[Fraction]:
     """Exact |c_k| / D_k(n + x_offset) for k = 1..K (part scale excluded)."""
-    f = describe(formula)
-    for part in f.series:
-        if part.log_power == log_power:
-            break
-    else:
-        raise DomainError(f"{f.id} has no series part with log power {log_power}")
+    part = _series_part(describe(formula), log_power)
     x = n + part.x_offset
     if x < 1:
         raise DomainError(f"need n + offset >= 1, got {x}")

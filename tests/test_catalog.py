@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import math
 import pathlib
 import pickle
 import re
@@ -29,7 +30,7 @@ from stirlingsum.constants import (
     get_constant,
     zeta,
 )
-from stirlingsum.exactnum import DomainError
+from stirlingsum.exactnum import DomainError, bernoulli, stirling_first
 from stirlingsum.transform import AT_X, AT_X_PLUS_1, EvalContext, NonConvergenceError
 
 ALL_IDS = catalog.formula_ids()
@@ -1060,15 +1061,27 @@ def test_keep_evicts_under_threads(monkeypatch):
 
 
 def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
-    # (l+1) H_l - l from a shared harmonic-number cache, filled from a cold
-    # start by racing threads, equals the defining sum sum_m (m+1)/(l-m)
+    # the inners of 12.1, 13.1 and 14.1 read H_l from one harmonic-number
+    # table, filled from a cold start by racing threads; each equals its
+    # definition: 13.1's weight (l+1) H_l - l is sum_m (m+1)/(l-m), and the
+    # plain-log inners of 12.1 and 14.1 are B_(l+1) S_(l+1)(2) / (l+1)! and
+    # B_(l+2) S_(l+1)(2) / (l+2)!, checked past stirling_row's 300-row cache
     monkeypatch.setattr(catalog, "_harmonic_numbers", [F(0)])
-    expected = {l: sum((F(m + 1, l - m) for m in range(l)), F(0)) for l in range(1, 121)}
+    top = 320
+    expected = {}
+    for l in range(1, top + 1):
+        s2 = stirling_first(l + 1, 2)
+        expected[l] = (
+            sum((F(m + 1, l - m) for m in range(l)), F(0)),
+            bernoulli(l + 1) * s2 / math.factorial(l + 1),
+            bernoulli(l + 2) * s2 / math.factorial(l + 2),
+        )
     got = {}
 
     def work(offset):
-        for l in range(120 - offset, 0, -8):
-            got[l] = catalog._weighted_harmonic(l)
+        for l in range(top - offset, 0, -8):
+            got[l] = (catalog._weighted_harmonic(l), catalog._plain_log_inner(l),
+                      catalog._plain_log2_inner(l))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1082,6 +1095,23 @@ def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == expected
-    assert catalog._harmonic_numbers == [F(0)] + [
-        sum((F(1, j) for j in range(1, i + 1)), F(0)) for i in range(1, 121)
-    ]
+    h = [F(0)]
+    for j in range(1, top + 1):
+        h.append(h[-1] + F(1, j))
+    assert catalog._harmonic_numbers == h
+
+
+def test_no_serving_module_calls_the_stirling_triangle():
+    # the catalog's inners use closed forms; Stirling rows serve only the
+    # public API and exactnum's own number families
+    src = pathlib.Path(catalog.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("stirling_first", "stirling_row"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
