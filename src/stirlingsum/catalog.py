@@ -27,7 +27,6 @@ import itertools
 import math
 import threading
 import time
-import weakref
 from fractions import Fraction
 from importlib import resources
 
@@ -112,10 +111,8 @@ __all__ = [
 
 F = Fraction
 
-VARIANT_COUNTS = {
-    1: 2, 2: 2, 3: 2, 4: 3, 5: 3, 6: 3, 7: 2, 8: 2,
-    9: 2, 10: 3, 11: 2, 12: 1, 13: 1, 14: 1, 15: 2, 16: 1,
-}
+# family -> number of variants, counted as _build_catalog declares them
+VARIANT_COUNTS: dict[int, int] = {}
 
 BRUTE_FORCE_CAP = 10**7
 _LOG_FACTORIAL_LIMIT = 20000
@@ -234,27 +231,27 @@ _LOG_K = Summand(0, 1)
 
 
 class Formula(_Frozen):
-    """sum_{k=summand_start}^{n} summand(k) = head(n) + sum of series parts(n).
+    """sum_{k=domain_min}^{n} summand(k) = head(n) + sum of series parts(n).
 
-    The five attributes after ``series`` are derived from the others once, at
-    construction: ``domain_min``, ``alternating``, ``constants`` (in order of
-    first appearance), ``recover_target`` and ``top_power`` (the highest
-    power of n, head or series).
+    ``lhs`` prints the left-hand side; ``domain_min``, where the sum starts,
+    is also the least n served. The four attributes after ``series`` are
+    derived from the others once, at construction: ``alternating``,
+    ``constants`` (in order of first appearance), ``recover_target`` and
+    ``top_power`` (the highest power of n, head or series).
     """
 
-    __slots__ = ("id", "lhs", "summand", "summand_start", "head", "series", "domain_min",
+    __slots__ = ("id", "lhs", "summand", "domain_min", "head", "series",
                  "alternating", "constants", "recover_target", "top_power")
 
-    def __init__(self, id: FormulaId, lhs: str, summand: Summand, summand_start: int,
+    def __init__(self, id: FormulaId, lhs: str, summand: Summand, domain_min: int,
                  head: tuple[HeadTerm, ...], series: tuple[SeriesPart, ...]):
         set_ = object.__setattr__
         set_(self, "id", id)
         set_(self, "lhs", lhs)
         set_(self, "summand", summand)
-        set_(self, "summand_start", summand_start)
+        set_(self, "domain_min", domain_min)
         set_(self, "head", head)
         set_(self, "series", series)
-        set_(self, "domain_min", summand_start)
         set_(self, "alternating", summand.parity is not None)
         set_(self, "constants", tuple(dict.fromkeys(c for t in head for c, _ in t.constants)))
         set_(self, "recover_target", next(c for c in self.constants if _isolates(self, c)))
@@ -335,69 +332,36 @@ def _plain_log2_inner(l: int) -> Fraction:
 def _build_catalog() -> dict[FormulaId, Formula]:
     cat: dict[FormulaId, Formula] = {}
 
-    def add(**kw) -> None:
-        f = Formula(**kw)
+    def add(family: int, lhs: str, summand: Summand, start: int,
+            head: tuple[HeadTerm, ...], series: tuple[SeriesPart, ...]) -> None:
+        # variants are numbered in the order they are declared here
+        variant = VARIANT_COUNTS[family] = VARIANT_COUNTS.get(family, 0) + 1
+        f = Formula(FormulaId(family, variant), lhs, summand, start, head, series)
         cat[f.id] = f
 
     ht, sp, inner = HeadTerm, SeriesPart, InnerCoefficients
+    # A family of several variants binds its (family, lhs, summand, start) as
+    # ``left`` once, and the head terms its variants share as ``head``.
 
     # -- 1: harmonic numbers ------------------------------------------------
-    log_n = ht(1, log_power=1)
-    gamma_t = ht(1, constants=((GAMMA, 1),))
-    add(
-        id=FormulaId(1, 1),
-        lhs="sum_{k=1}^{n} 1/k",
-        summand=Summand(-1),
-        summand_start=1,
-        head=(log_n, gamma_t, ht(F(1, 2), -1)),
-        series=(sp(inner(lambda l: -bernoulli(l + 1) / (l + 1)), 1),),
-    )
-    add(
-        id=FormulaId(1, 2),
-        lhs="sum_{k=1}^{n} 1/k",
-        summand=Summand(-1),
-        summand_start=1,
-        head=(log_n, gamma_t),
-        series=(sp(inner(lambda l: -bernoulli(l) / l), 1, shape=AT_X_PLUS_1),),
-    )
+    left = (1, "sum_{k=1}^{n} 1/k", Summand(-1), 1)
+    head = (ht(1, log_power=1), ht(1, constants=((GAMMA, 1),)))
+    add(*left, head + (ht(F(1, 2), -1),),
+        (sp(inner(lambda l: -bernoulli(l + 1) / (l + 1)), 1),))
+    add(*left, head, (sp(inner(lambda l: -bernoulli(l) / l), 1, shape=AT_X_PLUS_1),))
 
     # -- 2: partial sums of 1/k^2 -------------------------------------------
-    z2 = ht(1, constants=((zeta(2), 1),))
-    add(
-        id=FormulaId(2, 1),
-        lhs="sum_{k=1}^{n} 1/k^2",
-        summand=Summand(-2),
-        summand_start=1,
-        head=(z2, ht(-1, -1), ht(F(1, 2), -2)),
-        series=(sp(inner(lambda l: -bernoulli(l + 1)), 1, -1),),
-    )
-    add(
-        id=FormulaId(2, 2),
-        lhs="sum_{k=1}^{n} 1/k^2",
-        summand=Summand(-2),
-        summand_start=1,
-        head=(z2, ht(-1, -1)),
-        series=(sp(inner(lambda l: -bernoulli(l)), 1),),
-    )
+    left = (2, "sum_{k=1}^{n} 1/k^2", Summand(-2), 1)
+    head = (ht(1, constants=((zeta(2), 1),)), ht(-1, -1))
+    add(*left, head + (ht(F(1, 2), -2),), (sp(inner(lambda l: -bernoulli(l + 1)), 1, -1),))
+    add(*left, head, (sp(inner(lambda l: -bernoulli(l)), 1),))
 
     # -- 3: partial sums of 1/k^3 -------------------------------------------
-    z3 = ht(1, constants=((zeta(3), 1),))
-    add(
-        id=FormulaId(3, 1),
-        lhs="sum_{k=1}^{n} 1/k^3",
-        summand=Summand(-3),
-        summand_start=1,
-        head=(z3, ht(F(-1, 2), -2), ht(F(1, 2), -3)),
-        series=(sp(inner(lambda l: -(l + 2) * bernoulli(l + 1)), F(1, 2), -2),),
-    )
-    add(
-        id=FormulaId(3, 2),
-        lhs="sum_{k=1}^{n} 1/k^3",
-        summand=Summand(-3),
-        summand_start=1,
-        head=(z3, ht(F(-1, 2), -2)),
-        series=(sp(inner(lambda l: -(l + 1) * bernoulli(l)), F(1, 2), -1),),
-    )
+    left = (3, "sum_{k=1}^{n} 1/k^3", Summand(-3), 1)
+    head = (ht(1, constants=((zeta(3), 1),)), ht(F(-1, 2), -2))
+    add(*left, head + (ht(F(1, 2), -3),),
+        (sp(inner(lambda l: -(l + 2) * bernoulli(l + 1)), F(1, 2), -2),))
+    add(*left, head, (sp(inner(lambda l: -(l + 1) * bernoulli(l)), F(1, 2), -1),))
 
     # -- 4, 5, 6: sums of k^(1/2), k^(3/2), k^(5/2) --------------------------
     # (head constant is the zeta value at the reflected argument over pi^j)
@@ -447,178 +411,91 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         ),
     ]
     for family, power, lead, ccoef, (pi_pow, zs), pref, variants in root_families:
-        zc = zeta(zs)
-        base_head = [
-            ht(lead, power + 1),
-            ht(ccoef, constants=((PI, pi_pow), (zc, 1))),
-        ]
-        for v, (root_args, extras, part_power) in enumerate(variants, 1):
-            head = list(base_head) + [ht(c, p) for c, p in extras]
-            add(
-                id=FormulaId(family, v),
-                lhs=f"sum_{{k=0}}^{{n}} k^({power})",
-                summand=Summand(power),
-                summand_start=0,
-                head=tuple(head),
-                series=(sp(_root_inner(*root_args), pref, part_power,
-                           shape=AT_X_PLUS_1),),
-            )
+        left = (family, f"sum_{{k=0}}^{{n}} k^({power})", Summand(power), 0)
+        head = (ht(lead, power + 1), ht(ccoef, constants=((PI, pi_pow), (zeta(zs), 1))))
+        for root_args, extras, part_power in variants:
+            add(*left, head + tuple(ht(c, p) for c, p in extras),
+                (sp(_root_inner(*root_args), pref, part_power, shape=AT_X_PLUS_1),))
 
     # -- 7, 8, 9: sums of k^(-1/2), k^(-3/2), k^(-5/2) -----------------------
-    z12, z32, z52 = zeta(F(1, 2)), zeta(F(3, 2)), zeta(F(5, 2))
-    add(
-        id=FormulaId(7, 1),
-        lhs="sum_{k=1}^{n} k^(-1/2)",
-        summand=Summand(F(-1, 2)),
-        summand_start=1,
-        head=(ht(2, F(1, 2)), ht(1, constants=((z12, 1),)), ht(F(1, 2), F(-1, 2))),
-        series=(sp(_root_inner(-1, -1, 0, 1, 1), 1, F(-1, 2), shape=AT_X_PLUS_1),),
-    )
-    add(
-        id=FormulaId(7, 2),
-        lhs="sum_{k=1}^{n} k^(-1/2)",
-        summand=Summand(F(-1, 2)),
-        summand_start=1,
-        head=(ht(2, F(1, 2)), ht(1, constants=((z12, 1),))),
-        series=(sp(_root_inner(-1, -3, -1, 0, 0), 1, F(1, 2), shape=AT_X_PLUS_1),),
-    )
-    add(
-        id=FormulaId(8, 1),
-        lhs="sum_{k=1}^{n} k^(-3/2)",
-        summand=Summand(F(-3, 2)),
-        summand_start=1,
-        head=(ht(1, constants=((z32, 1),)), ht(-2, F(-1, 2)), ht(F(1, 2), F(-3, 2))),
-        series=(sp(_root_inner(-1, 1, 1, 1, 1), 2, F(-1, 2)),),
-    )
-    add(
-        id=FormulaId(8, 2),
-        lhs="sum_{k=1}^{n} k^(-3/2)",
-        summand=Summand(F(-3, 2)),
-        summand_start=1,
-        head=(ht(1, constants=((z32, 1),)), ht(-2, F(-1, 2))),
-        series=(sp(_root_inner(-1, -1, 0, 0, 0), 2, F(-1, 2), shape=AT_X_PLUS_1),),
-    )
-    add(
-        id=FormulaId(9, 1),
-        lhs="sum_{k=1}^{n} k^(-5/2)",
-        summand=Summand(F(-5, 2)),
-        summand_start=1,
-        head=(ht(1, constants=((z52, 1),)), ht(F(-2, 3), F(-3, 2)), ht(F(1, 2), F(-5, 2))),
-        series=(sp(_root_inner(-1, 3, 2, 1, 1), F(4, 3), F(-3, 2)),),
-    )
-    add(
-        id=FormulaId(9, 2),
-        lhs="sum_{k=1}^{n} k^(-5/2)",
-        summand=Summand(F(-5, 2)),
-        summand_start=1,
-        head=(ht(1, constants=((z52, 1),)), ht(F(-2, 3), F(-3, 2))),
-        series=(sp(_root_inner(-1, 1, 1, 0, 0), F(4, 3), F(-1, 2)),),
-    )
+    left = (7, "sum_{k=1}^{n} k^(-1/2)", Summand(F(-1, 2)), 1)
+    head = (ht(2, F(1, 2)), ht(1, constants=((zeta(F(1, 2)), 1),)))
+    add(*left, head + (ht(F(1, 2), F(-1, 2)),),
+        (sp(_root_inner(-1, -1, 0, 1, 1), 1, F(-1, 2), shape=AT_X_PLUS_1),))
+    add(*left, head, (sp(_root_inner(-1, -3, -1, 0, 0), 1, F(1, 2), shape=AT_X_PLUS_1),))
+    left = (8, "sum_{k=1}^{n} k^(-3/2)", Summand(F(-3, 2)), 1)
+    head = (ht(1, constants=((zeta(F(3, 2)), 1),)), ht(-2, F(-1, 2)))
+    add(*left, head + (ht(F(1, 2), F(-3, 2)),), (sp(_root_inner(-1, 1, 1, 1, 1), 2, F(-1, 2)),))
+    add(*left, head, (sp(_root_inner(-1, -1, 0, 0, 0), 2, F(-1, 2), shape=AT_X_PLUS_1),))
+    left = (9, "sum_{k=1}^{n} k^(-5/2)", Summand(F(-5, 2)), 1)
+    head = (ht(1, constants=((zeta(F(5, 2)), 1),)), ht(F(-2, 3), F(-3, 2)))
+    add(*left, head + (ht(F(1, 2), F(-5, 2)),),
+        (sp(_root_inner(-1, 3, 2, 1, 1), F(4, 3), F(-3, 2)),))
+    add(*left, head, (sp(_root_inner(-1, 1, 1, 0, 0), F(4, 3), F(-1, 2)),))
 
     # -- 10: log(n!) — convergent Stirling's formula --------------------------
-    stirling_head = (
+    left = (10, "log(n!) = sum_{k=1}^{n} log(k)", _LOG_K, 1)
+    head = (
         ht(1, 1, log_power=1),
         ht(-1, 1),
         ht(F(1, 2), constants=((LOG_2PI, 1),)),
         ht(F(1, 2), log_power=1),
     )
-    add(
-        id=FormulaId(10, 1),
-        lhs="log(n!) = sum_{k=1}^{n} log(k)",
-        summand=_LOG_K,
-        summand_start=1,
-        head=stirling_head,
-        series=(sp(inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1,
-                   shape=AT_X_PLUS_1),),
-    )
-    add(
-        id=FormulaId(10, 2),
-        lhs="log(n!) = sum_{k=1}^{n} log(k)",
-        summand=_LOG_K,
-        summand_start=1,
-        head=stirling_head + (ht(F(1, 12), -1),),
-        series=(sp(inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2))), 1),),
-    )
-    add(
-        id=FormulaId(10, 3),
-        lhs="log(n!) = sum_{k=1}^{n} log(k)",
-        summand=_LOG_K,
-        summand_start=1,
-        head=stirling_head,
-        series=(sp(inner(lambda l: F(0) if l == 1 else bernoulli(l) / (l * (l - 1))),
-                   1, 1, shape=AT_X_PLUS_1),),
-    )
+    add(*left, head,
+        (sp(inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1, shape=AT_X_PLUS_1),))
+    add(*left, head + (ht(F(1, 12), -1),),
+        (sp(inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2))), 1),))
+    add(*left, head,
+        (sp(inner(lambda l: F(0) if l == 1 else bernoulli(l) / (l * (l - 1))),
+            1, 1, shape=AT_X_PLUS_1),))
 
     # -- 11: sum k*log(k) ------------------------------------------------------
-    zp1 = zeta_prime(-1)
-    head11 = (
+    left = (11, "sum_{k=1}^{n} k*log(k)", Summand(1, 1), 1)
+    head = (
         ht(F(1, 2), 2, log_power=1),
         ht(F(-1, 4), 2),
         ht(F(1, 2), 1, log_power=1),
         ht(F(1, 12), log_power=1),
         ht(F(1, 12)),
-        ht(-1, constants=((zp1, 1),)),
+        ht(-1, constants=((zeta_prime(-1), 1),)),
     )
-    add(
-        id=FormulaId(11, 1),
-        lhs="sum_{k=1}^{n} k*log(k)",
-        summand=Summand(1, 1),
-        summand_start=1,
-        head=head11,
-        series=(sp(inner(lambda l: -bernoulli(l + 2) / (l * (l + 1) * (l + 2))), 1,
-                   shape=AT_X_PLUS_1),),
-    )
-    add(
-        id=FormulaId(11, 2),
-        lhs="sum_{k=1}^{n} k*log(k)",
-        summand=Summand(1, 1),
-        summand_start=1,
-        head=head11,
-        series=(sp(inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))),
-                   1),),
-    )
+    add(*left, head,
+        (sp(inner(lambda l: -bernoulli(l + 2) / (l * (l + 1) * (l + 2))), 1,
+            shape=AT_X_PLUS_1),))
+    add(*left, head,
+        (sp(inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))), 1),))
 
     # -- 12, 13, 14: log-weighted sums (two series parts each) ----------------
     add(
-        id=FormulaId(12, 1),
-        lhs="sum_{k=1}^{n} log(k)/k",
-        summand=Summand(-1, 1),
-        summand_start=1,
-        head=(
+        12, "sum_{k=1}^{n} log(k)/k", Summand(-1, 1), 1,
+        (
             ht(F(1, 2), log_power=2),
             ht(1, constants=((STIELTJES1, 1),)),
             ht(F(1, 2), -1, log_power=1),
         ),
-        series=(
+        (
             sp(inner(_plain_log_inner), 1),
             sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1,
                log_power=1),
         ),
     )
-    zp2 = zeta_prime(2)
     add(
-        id=FormulaId(13, 1),
-        lhs="sum_{k=1}^{n} log(k)/k^2",
-        summand=Summand(-2, 1),
-        summand_start=1,
-        head=(
-            ht(-1, constants=((zp2, 1),)),
+        13, "sum_{k=1}^{n} log(k)/k^2", Summand(-2, 1), 1,
+        (
+            ht(-1, constants=((zeta_prime(2), 1),)),
             ht(-1, -1, log_power=1),
             ht(-1, -1),
             ht(F(1, 2), -2, log_power=1),
         ),
-        series=(
+        (
             sp(inner(lambda l: F(-1) ** (l + 1) * _weighted_harmonic(l)
                      * bernoulli(l + 1) / (l + 1)), 1, -1),
             sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1),
         ),
     )
     add(
-        id=FormulaId(14, 1),
-        lhs="sum_{k=1}^{n} log(k)^2",
-        summand=Summand(0, 2),
-        summand_start=1,
-        head=(
+        14, "sum_{k=1}^{n} log(k)^2", Summand(0, 2), 1,
+        (
             ht(1, 1, log_power=2),
             ht(-2, 1, log_power=1),
             ht(2, 1),
@@ -631,7 +508,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(F(-1, 2), constants=((LOG_PI, 2),)),
             ht(1, constants=((STIELTJES1, 1),)),
         ),
-        series=(
+        (
             sp(inner(_plain_log2_inner), 2),
             sp(inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))),
                2, log_power=1),
@@ -643,39 +520,22 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     # nonzero entry is l = 2. Both printings share this one instance, and so
     # one transform checkpoint.
     leibniz_inner = inner(lambda l: F((-1) ** (l + 1) * euler_number(l), 2**l))
+    head = (ht(F(1, 4), constants=((PI, 1),)),)
     add(
-        id=FormulaId(15, 1),
-        lhs="sum_{k=0}^{n} (-1)^k/(2k+1)",
-        summand=Summand(-1, parity=0, scale=2, shift=1),
-        summand_start=0,
-        head=(
-            ht(F(1, 4), constants=((PI, 1),)),
-            ht(F(1, 4), -1, parity=0, base_offset=1),
-        ),
-        series=(sp(leibniz_inner, F(1, 4), x_offset=1, parity=1),),
+        15, "sum_{k=0}^{n} (-1)^k/(2k+1)", Summand(-1, parity=0, scale=2, shift=1), 0,
+        head + (ht(F(1, 4), -1, parity=0, base_offset=1),),
+        (sp(leibniz_inner, F(1, 4), x_offset=1, parity=1),),
     )
     add(
-        id=FormulaId(15, 2),
-        lhs="sum_{k=1}^{n} (-1)^(k+1)/(2k-1)",
-        summand=Summand(-1, parity=1, scale=2, shift=-1),
-        summand_start=1,
-        head=(
-            ht(F(1, 4), constants=((PI, 1),)),
-            ht(F(-1, 4), -1, parity=0),
-        ),
-        series=(sp(leibniz_inner, F(1, 4), parity=0),),
+        15, "sum_{k=1}^{n} (-1)^(k+1)/(2k-1)", Summand(-1, parity=1, scale=2, shift=-1), 1,
+        head + (ht(F(-1, 4), -1, parity=0),),
+        (sp(leibniz_inner, F(1, 4), parity=0),),
     )
     add(
-        id=FormulaId(16, 1),
-        lhs="sum_{k=1}^{n} (-1)^(k+1)/k",
-        summand=Summand(-1, parity=1),
-        summand_start=1,
-        head=(
-            ht(1, constants=((LOG2, 1),)),
-            ht(F(-1, 2), -1, parity=0),
-        ),
-        series=(sp(inner(lambda l: (-1) ** (l * (l + 3) // 2) * (2 ** (l + 1) - 1)
-                         * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),),
+        16, "sum_{k=1}^{n} (-1)^(k+1)/k", Summand(-1, parity=1), 1,
+        (ht(1, constants=((LOG2, 1),)), ht(F(-1, 2), -1, parity=0)),
+        (sp(inner(lambda l: (-1) ** (l * (l + 3) // 2) * (2 ** (l + 1) - 1)
+                  * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),),
     )
 
     return cat
@@ -831,7 +691,7 @@ def brute_force(formula, n: int, digits: int = 30) -> mpf:
         raise DomainError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     if digits < 1:
         raise DomainError(f"need digits >= 1, got {digits}")
-    return _summand_sum(f, f.summand_start - 1, n, dps_to_prec(digits + 10))
+    return _summand_sum(f, f.domain_min - 1, n, dps_to_prec(digits + 10))
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +844,7 @@ def _predicted(f: Formula | None, x: int, digits: int, guard: int):
     else:
         hr = _headroom(f, x)
         parts, sdigits, wd = len(f.series), digits + hr, digits + guard + hr
-        path, count = _summand_path(f.summand, x), x - f.summand_start + 1
+        path, count = _summand_path(f.summand, x), x - f.domain_min + 1
     terms = required_terms_estimate(x, sdigits + guard / 2) + STOP_RULE
     series = terms * _term_us("series", wd) + _TRANSFORM_US * terms**2 * (1 + terms / 1000)
     return parts * series + count * _term_us(path, wd), terms
@@ -1020,12 +880,13 @@ def _anchor(fid: FormulaId | None, digits: int, guard: int, max_terms: int) -> i
 # constant's reach.
 _DEGRADED_CONSTANT_DIGITS = 120
 
-# Served right-hand sides at model anchors, per store, keyed on the formula,
-# anchor, context and the head constant values the store served (it may later
-# serve them at more digits), all as plain integers and mpf tuples, so that a
-# lookup runs no Python-level hash or comparison; the oldest goes past the
-# cap.
-_rhs_memo: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+# Served right-hand sides at model anchors, keyed on the formula, context and
+# the head constant values served (a store may later serve them at more
+# digits), which fix the anchor and so the whole right-hand side: stores
+# serving the same values share them. All are plain integers and mpf tuples,
+# so that a lookup runs no Python-level hash or comparison; the oldest goes
+# past the cap.
+_rhs_memo: dict[tuple, tuple] = {}
 
 # Summed bridges below model anchors, keyed on the summand (formulas summing
 # the same terms share them), n, the anchor and the precision; the oldest goes
@@ -1051,9 +912,10 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     anchor the cost model finds for the formula, digits and guard under the
     default 500-term budget (a smaller ``max_terms`` truncates the same run);
     summand terms bridge the anchor back down to n. Below a, the right-hand
-    side at a is the same for every n: once served, it is kept per store and
-    context, and the bridge from n is kept per summand and precision, so a
-    repeated call sums neither; at or past a nothing is kept or looked up.
+    side at a is the same for every n: once served, it is kept per context
+    and head constant values, and the bridge from n is kept per summand and
+    precision, so a repeated call sums neither; at or past a nothing is kept
+    or looked up.
     The head is summed in fixed point and rounded once (see :func:`_rhs`).
     The report aggregates part term counts and carries the largest scaled
     twice-first-omitted-term estimate across parts.
@@ -1085,11 +947,8 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     rhs = bridge = key = None
     if n < model:  # kept below the model's anchor; at or past it, no bridge
         if failure is None:  # and only with undegraded constants
-            memo = _rhs_memo.get(store)
-            if memo is None:
-                memo = _rhs_memo.setdefault(store, {})
-            key = (*f.id.key, anchor, *ctx.key, *[v._mpf_ for v in cvalues.values()])
-            rhs = memo.get(key)
+            key = (*f.id.key, *ctx.key, *[v._mpf_ for v in cvalues.values()])
+            rhs = _rhs_memo.get(key)
         bkey = (f.summand.key, n, anchor, prec)
         bridge = _bridge_memo.get(bkey)
         if bridge is None:
@@ -1099,7 +958,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         rhs = _rhs(f, anchor, cvalues, EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms),
                    prec)
         if key is not None and not rhs[4]:  # a refusal is recomputed every time
-            _keep(memo, key, rhs)
+            _keep(_rhs_memo, key, rhs)
     head, scaled, terms_used, part_est, errors = rhs
     total = head._mpf_ if bridge is None else mpf_sub(head._mpf_, bridge._mpf_, prec,
                                                        round_nearest)
@@ -1208,7 +1067,7 @@ def recover_details(
         head, scaled, terms_used, _, errors = _rhs(f, current, cvalues, part_ctx, prec, term)
         if errors:
             raise errors[0]
-        partial = _summand_sum(f, f.summand_start - 1, current, prec)._mpf_
+        partial = _summand_sum(f, f.domain_min - 1, current, prec)._mpf_
         tail = fzero
         for part in scaled:
             tail = mpf_add(tail, part._mpf_, prec, round_nearest)

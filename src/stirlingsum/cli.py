@@ -84,13 +84,18 @@ def _print_record(args, record: dict, text_lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_list(args) -> int:
+def _family_ids(family: int | None) -> tuple:
+    """Every formula id, or those of ``family``, which must be in the catalog."""
     ids = catalog.formula_ids()
-    if args.family is not None:
-        if args.family not in catalog.VARIANT_COUNTS:
-            raise DomainError(f"unknown formula family {args.family}")
-        ids = tuple(i for i in ids if i.family == args.family)
-    for fid in ids:
+    if family is None:
+        return ids
+    if family not in catalog.VARIANT_COUNTS:
+        raise DomainError(f"unknown formula family {family}")
+    return tuple(i for i in ids if i.family == family)
+
+
+def cmd_list(args) -> int:
+    for fid in _family_ids(args.family):
         f = catalog.describe(fid)
         constants = [str(c) for c in f.constants]
         record = {
@@ -185,12 +190,7 @@ def cmd_recover(args) -> int:
 def cmd_verify(args) -> int:
     if args.all == (args.family is not None):
         raise DomainError("pass exactly one of --all or --family")
-    if args.family is not None:
-        if args.family not in catalog.VARIANT_COUNTS:
-            raise DomainError(f"unknown formula family {args.family}")
-        ids = [i for i in catalog.formula_ids() if i.family == args.family]
-    else:
-        ids = list(catalog.formula_ids())
+    ids = _family_ids(args.family)
     digits = args.digits
     tol = mp.make_mpf(mpf_pow_int(from_int(10), 5 - digits, 53, round_nearest))  # 53 bits suffice
     failures = 0

@@ -172,40 +172,74 @@ def test_alternating_harmonic_inner_coefficients():
 
 
 # (domain_min, alternating, constants, recover_target), as stated by hand in
-# each catalog entry before these fields were derived from summand and head
+# each catalog entry before these fields were derived from summand and head,
+# then the printed left-hand side and the key of the summand it sums, so that
+# a family's (lhs, summand, start) cannot drift from what `list` prints.
 DERIVED_METADATA = {
-    "1.1": (1, False, ("gamma",), "gamma"),
-    "1.2": (1, False, ("gamma",), "gamma"),
-    "2.1": (1, False, ("zeta(2)",), "zeta(2)"),
-    "2.2": (1, False, ("zeta(2)",), "zeta(2)"),
-    "3.1": (1, False, ("zeta(3)",), "zeta(3)"),
-    "3.2": (1, False, ("zeta(3)",), "zeta(3)"),
-    "4.1": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)"),
-    "4.2": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)"),
-    "4.3": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)"),
-    "5.1": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)"),
-    "5.2": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)"),
-    "5.3": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)"),
-    "6.1": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)"),
-    "6.2": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)"),
-    "6.3": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)"),
-    "7.1": (1, False, ("zeta(1/2)",), "zeta(1/2)"),
-    "7.2": (1, False, ("zeta(1/2)",), "zeta(1/2)"),
-    "8.1": (1, False, ("zeta(3/2)",), "zeta(3/2)"),
-    "8.2": (1, False, ("zeta(3/2)",), "zeta(3/2)"),
-    "9.1": (1, False, ("zeta(5/2)",), "zeta(5/2)"),
-    "9.2": (1, False, ("zeta(5/2)",), "zeta(5/2)"),
-    "10.1": (1, False, ("log_2pi",), "log_2pi"),
-    "10.2": (1, False, ("log_2pi",), "log_2pi"),
-    "10.3": (1, False, ("log_2pi",), "log_2pi"),
-    "11.1": (1, False, ("zeta_prime(-1)",), "zeta_prime(-1)"),
-    "11.2": (1, False, ("zeta_prime(-1)",), "zeta_prime(-1)"),
-    "12.1": (1, False, ("stieltjes1",), "stieltjes1"),
-    "13.1": (1, False, ("zeta_prime(2)",), "zeta_prime(2)"),
-    "14.1": (1, False, ("gamma", "pi", "log2", "log_pi", "stieltjes1"), "stieltjes1"),
-    "15.1": (0, True, ("pi",), "pi"),
-    "15.2": (1, True, ("pi",), "pi"),
-    "16.1": (1, True, ("log2",), "log2"),
+    "1.1": (1, False, ("gamma",), "gamma",
+            "sum_{k=1}^{n} 1/k", (-2, 0, None, 1, 0)),
+    "1.2": (1, False, ("gamma",), "gamma",
+            "sum_{k=1}^{n} 1/k", (-2, 0, None, 1, 0)),
+    "2.1": (1, False, ("zeta(2)",), "zeta(2)",
+            "sum_{k=1}^{n} 1/k^2", (-4, 0, None, 1, 0)),
+    "2.2": (1, False, ("zeta(2)",), "zeta(2)",
+            "sum_{k=1}^{n} 1/k^2", (-4, 0, None, 1, 0)),
+    "3.1": (1, False, ("zeta(3)",), "zeta(3)",
+            "sum_{k=1}^{n} 1/k^3", (-6, 0, None, 1, 0)),
+    "3.2": (1, False, ("zeta(3)",), "zeta(3)",
+            "sum_{k=1}^{n} 1/k^3", (-6, 0, None, 1, 0)),
+    "4.1": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)",
+            "sum_{k=0}^{n} k^(1/2)", (1, 0, None, 1, 0)),
+    "4.2": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)",
+            "sum_{k=0}^{n} k^(1/2)", (1, 0, None, 1, 0)),
+    "4.3": (0, False, ("pi", "zeta(3/2)"), "zeta(3/2)",
+            "sum_{k=0}^{n} k^(1/2)", (1, 0, None, 1, 0)),
+    "5.1": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)",
+            "sum_{k=0}^{n} k^(3/2)", (3, 0, None, 1, 0)),
+    "5.2": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)",
+            "sum_{k=0}^{n} k^(3/2)", (3, 0, None, 1, 0)),
+    "5.3": (0, False, ("pi", "zeta(5/2)"), "zeta(5/2)",
+            "sum_{k=0}^{n} k^(3/2)", (3, 0, None, 1, 0)),
+    "6.1": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)",
+            "sum_{k=0}^{n} k^(5/2)", (5, 0, None, 1, 0)),
+    "6.2": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)",
+            "sum_{k=0}^{n} k^(5/2)", (5, 0, None, 1, 0)),
+    "6.3": (0, False, ("pi", "zeta(7/2)"), "zeta(7/2)",
+            "sum_{k=0}^{n} k^(5/2)", (5, 0, None, 1, 0)),
+    "7.1": (1, False, ("zeta(1/2)",), "zeta(1/2)",
+            "sum_{k=1}^{n} k^(-1/2)", (-1, 0, None, 1, 0)),
+    "7.2": (1, False, ("zeta(1/2)",), "zeta(1/2)",
+            "sum_{k=1}^{n} k^(-1/2)", (-1, 0, None, 1, 0)),
+    "8.1": (1, False, ("zeta(3/2)",), "zeta(3/2)",
+            "sum_{k=1}^{n} k^(-3/2)", (-3, 0, None, 1, 0)),
+    "8.2": (1, False, ("zeta(3/2)",), "zeta(3/2)",
+            "sum_{k=1}^{n} k^(-3/2)", (-3, 0, None, 1, 0)),
+    "9.1": (1, False, ("zeta(5/2)",), "zeta(5/2)",
+            "sum_{k=1}^{n} k^(-5/2)", (-5, 0, None, 1, 0)),
+    "9.2": (1, False, ("zeta(5/2)",), "zeta(5/2)",
+            "sum_{k=1}^{n} k^(-5/2)", (-5, 0, None, 1, 0)),
+    "10.1": (1, False, ("log_2pi",), "log_2pi",
+             "log(n!) = sum_{k=1}^{n} log(k)", (0, 1, None, 1, 0)),
+    "10.2": (1, False, ("log_2pi",), "log_2pi",
+             "log(n!) = sum_{k=1}^{n} log(k)", (0, 1, None, 1, 0)),
+    "10.3": (1, False, ("log_2pi",), "log_2pi",
+             "log(n!) = sum_{k=1}^{n} log(k)", (0, 1, None, 1, 0)),
+    "11.1": (1, False, ("zeta_prime(-1)",), "zeta_prime(-1)",
+             "sum_{k=1}^{n} k*log(k)", (2, 1, None, 1, 0)),
+    "11.2": (1, False, ("zeta_prime(-1)",), "zeta_prime(-1)",
+             "sum_{k=1}^{n} k*log(k)", (2, 1, None, 1, 0)),
+    "12.1": (1, False, ("stieltjes1",), "stieltjes1",
+             "sum_{k=1}^{n} log(k)/k", (-2, 1, None, 1, 0)),
+    "13.1": (1, False, ("zeta_prime(2)",), "zeta_prime(2)",
+             "sum_{k=1}^{n} log(k)/k^2", (-4, 1, None, 1, 0)),
+    "14.1": (1, False, ("gamma", "pi", "log2", "log_pi", "stieltjes1"), "stieltjes1",
+             "sum_{k=1}^{n} log(k)^2", (0, 2, None, 1, 0)),
+    "15.1": (0, True, ("pi",), "pi",
+             "sum_{k=0}^{n} (-1)^k/(2k+1)", (-2, 0, 0, 2, 1)),
+    "15.2": (1, True, ("pi",), "pi",
+             "sum_{k=1}^{n} (-1)^(k+1)/(2k-1)", (-2, 0, 1, 2, -1)),
+    "16.1": (1, True, ("log2",), "log2",
+             "sum_{k=1}^{n} (-1)^(k+1)/k", (-2, 0, 1, 1, 0)),
 }
 
 
@@ -216,6 +250,8 @@ def test_derived_metadata_matches_the_recorded_table():
             f.alternating,
             tuple(map(str, f.constants)),
             str(f.recover_target),
+            f.lhs,
+            f.summand.key,
         )
         for fid in ALL_IDS
     }
@@ -287,7 +323,7 @@ def _exact_partial_sums(fid, top):
     u = f.summand
     s, num, den = -int(u.s), 0, 1
     assert s > 0 and not u.m
-    for k in range(f.summand_start, top + 1):
+    for k in range(f.domain_min, top + 1):
         y = u.scale * k + u.shift
         sg = 1 if u.parity is None else (-1) ** (k + u.parity)
         num, den = num * y**s + sg * den, den * y**s
@@ -512,7 +548,7 @@ def test_served_bits_do_not_depend_on_cache_state():
     catalog._rhs_memo.clear()
     catalog._bridge_memo.clear()
     cold = _served_bits()
-    assert len(catalog._rhs_memo[default_store()]) == 1
+    assert len(catalog._rhs_memo) == 2  # 4.1 and 11.1, whichever store served them
     assert len(catalog._bridge_memo) == 2  # 4.1 and 11.1 below their anchors
     assert _served_bits() == cold
 
@@ -537,7 +573,8 @@ def test_refusals_are_not_memoized(monkeypatch):
     # max_terms refuse again on repeat, with the same partial report
     calls = _count_rhs(monkeypatch)
     store = ConstantStore()
-    for ctx in (EvalContext(digits=901), EvalContext(digits=300, max_terms=40)):
+    contexts = (EvalContext(digits=901), EvalContext(digits=300, max_terms=40))
+    for ctx in contexts:
         reports = []
         for _ in range(2):
             with pytest.raises(NonConvergenceError) as exc:
@@ -545,30 +582,33 @@ def test_refusals_are_not_memoized(monkeypatch):
             reports.append((str(exc.value), _report_bits(exc.value.report)))
         assert reports[0] == reports[1]
     assert len(calls) == 4
-    assert not catalog._rhs_memo.get(store)
+    # keys start (family, variant, digits, guard, max_terms)
+    assert not [key for key in catalog._rhs_memo for ctx in contexts
+                if key[:5] == (1, 1, *ctx.key)]
 
 
 def test_memo_keys_on_context_and_store(monkeypatch):
     calls = _count_rhs(monkeypatch)
+    catalog._rhs_memo.clear()
     store = ConstantStore()
     served = [evaluate("2.1", 5, EvalContext(digits=30, max_terms=m), store=store)
               for m in (500, 400, 500, 400)]
     assert len(calls) == 2  # contexts differing only in max_terms share nothing
     assert _report_bits(served[2]) == _report_bits(served[0])
-    assert len(catalog._rhs_memo[store]) == 2
+    assert len(catalog._rhs_memo) == 2
     fresh = evaluate("2.1", 5, EvalContext(digits=30), store=ConstantStore())
-    assert len(calls) == 3  # a fresh store starts empty
+    assert len(calls) == 2  # a fresh store serving the same zeta(2) bits reuses it
     assert _report_bits(fresh) == _report_bits(served[0])
     # n at or past the anchor is summed there, never kept
     anchor = catalog._anchor(FormulaId(2, 1), 30, 13, 500)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
-    assert len(calls) == 5 and len(catalog._rhs_memo[store]) == 2
+    assert len(calls) == 4 and len(catalog._rhs_memo) == 2
     # once the store serves the head constant at more digits, the kept
     # right-hand side no longer applies
     store.get(zeta(2), 80)
     again = evaluate("2.1", 5, EvalContext(digits=30), store=store)
-    assert len(calls) == 6
+    assert len(calls) == 5
     warm = ConstantStore()
     warm.get(zeta(2), 80)
     assert _report_bits(again) == _report_bits(
@@ -576,13 +616,14 @@ def test_memo_keys_on_context_and_store(monkeypatch):
 
 
 def test_memo_stays_within_its_cap():
+    catalog._rhs_memo.clear()
     store = ConstantStore()
     for m in range(100, 1130):
         evaluate("1.1", 2, EvalContext(digits=20, max_terms=m), store=store)
-    memo = catalog._rhs_memo[store]
+    memo = catalog._rhs_memo
     assert len(memo) == 1024
-    # keys are (family, variant, anchor, digits, guard, max_terms, *constants)
-    assert {key[5] for key in memo} == set(range(106, 1130))  # oldest dropped
+    # keys are (family, variant, digits, guard, max_terms, *constants)
+    assert {key[4] for key in memo} == set(range(106, 1130))  # oldest dropped
 
 
 def test_repeated_evaluation_below_the_anchor_hashes_and_compares_no_mpf(monkeypatch):
