@@ -38,6 +38,7 @@ from mpmath.libmp import (
     from_rational,
     fzero,
     mpf_add,
+    mpf_cmp,
     mpf_div,
     mpf_log,
     mpf_mul,
@@ -368,47 +369,19 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     root_families = [
         # family, power, lead coef, const coef, (pi, zeta) powers, prefactor,
         # variant tuples: (inner args, extra head terms, part n_power)
-        (
-            4,
-            F(1, 2),
-            F(2, 3),
-            F(-1, 4),
-            (-1, F(3, 2)),
-            F(1),
-            [
-                ((1, -3, 0, 1, 1), ((F(1, 2), F(1, 2)),), F(1, 2)),
-                ((1, -1, 1, 2, 2), ((F(1, 2), F(1, 2)), (F(1, 24), F(-1, 2))), F(-1, 2)),
-                ((1, -5, -1, 0, 0), (), F(3, 2)),
-            ],
-        ),
-        (
-            5,
-            F(3, 2),
-            F(2, 5),
-            F(-3, 16),
-            (-2, F(5, 2)),
-            F(3, 2),
-            [
-                ((-1, -5, -1, 1, 1), ((F(1, 2), F(3, 2)),), F(3, 2)),
-                ((-1, -1, 1, 3, 3), ((F(1, 2), F(3, 2)), (F(1, 8), F(1, 2))), F(-1, 2)),
-                ((-1, -7, -2, 0, 0), (), F(5, 2)),
-            ],
-        ),
-        (
-            6,
-            F(5, 2),
-            F(2, 7),
-            F(15, 64),
-            (-3, F(7, 2)),
-            F(15, 4),
-            [
-                ((1, -7, -2, 1, 1), ((F(1, 2), F(5, 2)),), F(5, 2)),
-                ((1, -1, 1, 4, 4),
-                 ((F(1, 2), F(5, 2)), (F(5, 24), F(3, 2)), (F(-1, 384), F(-1, 2))),
-                 F(-1, 2)),
-                ((1, -9, -3, 0, 0), (), F(7, 2)),
-            ],
-        ),
+        (4, F(1, 2), F(2, 3), F(-1, 4), (-1, F(3, 2)), F(1), [
+            ((1, -3, 0, 1, 1), ((F(1, 2), F(1, 2)),), F(1, 2)),
+            ((1, -1, 1, 2, 2), ((F(1, 2), F(1, 2)), (F(1, 24), F(-1, 2))), F(-1, 2)),
+            ((1, -5, -1, 0, 0), (), F(3, 2))]),
+        (5, F(3, 2), F(2, 5), F(-3, 16), (-2, F(5, 2)), F(3, 2), [
+            ((-1, -5, -1, 1, 1), ((F(1, 2), F(3, 2)),), F(3, 2)),
+            ((-1, -1, 1, 3, 3), ((F(1, 2), F(3, 2)), (F(1, 8), F(1, 2))), F(-1, 2)),
+            ((-1, -7, -2, 0, 0), (), F(5, 2))]),
+        (6, F(5, 2), F(2, 7), F(15, 64), (-3, F(7, 2)), F(15, 4), [
+            ((1, -7, -2, 1, 1), ((F(1, 2), F(5, 2)),), F(5, 2)),
+            ((1, -1, 1, 4, 4), ((F(1, 2), F(5, 2)), (F(5, 24), F(3, 2)), (F(-1, 384), F(-1, 2))),
+             F(-1, 2)),
+            ((1, -9, -3, 0, 0), (), F(7, 2))]),
     ]
     for family, power, lead, ccoef, (pi_pow, zs), pref, variants in root_families:
         left = (family, f"sum_{{k=0}}^{{n}} k^({power})", Summand(power), 0)
@@ -435,12 +408,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
 
     # -- 10: log(n!) — convergent Stirling's formula --------------------------
     left = (10, "log(n!) = sum_{k=1}^{n} log(k)", _LOG_K, 1)
-    head = (
-        ht(1, 1, log_power=1),
-        ht(-1, 1),
-        ht(F(1, 2), constants=((LOG_2PI, 1),)),
-        ht(F(1, 2), log_power=1),
-    )
+    head = (ht(1, 1, log_power=1), ht(-1, 1), ht(F(1, 2), constants=((LOG_2PI, 1),)),
+            ht(F(1, 2), log_power=1))
     add(*left, head,
         (sp(inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1, shape=AT_X_PLUS_1),))
     add(*left, head + (ht(F(1, 12), -1),),
@@ -451,14 +420,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
 
     # -- 11: sum k*log(k) ------------------------------------------------------
     left = (11, "sum_{k=1}^{n} k*log(k)", Summand(1, 1), 1)
-    head = (
-        ht(F(1, 2), 2, log_power=1),
-        ht(F(-1, 4), 2),
-        ht(F(1, 2), 1, log_power=1),
-        ht(F(1, 12), log_power=1),
-        ht(F(1, 12)),
-        ht(-1, constants=((zeta_prime(-1), 1),)),
-    )
+    head = (ht(F(1, 2), 2, log_power=1), ht(F(-1, 4), 2), ht(F(1, 2), 1, log_power=1),
+            ht(F(1, 12), log_power=1), ht(F(1, 12)), ht(-1, constants=((zeta_prime(-1), 1),)))
     add(*left, head,
         (sp(inner(lambda l: -bernoulli(l + 2) / (l * (l + 1) * (l + 2))), 1,
             shape=AT_X_PLUS_1),))
@@ -466,54 +429,26 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         (sp(inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))), 1),))
 
     # -- 12, 13, 14: log-weighted sums (two series parts each) ----------------
-    add(
-        12, "sum_{k=1}^{n} log(k)/k", Summand(-1, 1), 1,
-        (
-            ht(F(1, 2), log_power=2),
-            ht(1, constants=((STIELTJES1, 1),)),
-            ht(F(1, 2), -1, log_power=1),
-        ),
-        (
-            sp(inner(_plain_log_inner), 1),
-            sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1,
-               log_power=1),
-        ),
-    )
-    add(
-        13, "sum_{k=1}^{n} log(k)/k^2", Summand(-2, 1), 1,
-        (
-            ht(-1, constants=((zeta_prime(2), 1),)),
-            ht(-1, -1, log_power=1),
-            ht(-1, -1),
-            ht(F(1, 2), -2, log_power=1),
-        ),
-        (
-            sp(inner(lambda l: F(-1) ** (l + 1) * _weighted_harmonic(l)
-                     * bernoulli(l + 1) / (l + 1)), 1, -1),
-            sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1),
-        ),
-    )
-    add(
-        14, "sum_{k=1}^{n} log(k)^2", Summand(0, 2), 1,
-        (
-            ht(1, 1, log_power=2),
-            ht(-2, 1, log_power=1),
-            ht(2, 1),
-            ht(F(1, 2), log_power=2),
-            ht(F(1, 6), -1, log_power=1),
-            ht(F(1, 2), constants=((GAMMA, 2),)),
-            ht(F(-1, 24), constants=((PI, 2),)),
-            ht(F(-1, 2), constants=((LOG2, 2),)),
-            ht(-1, constants=((LOG2, 1), (LOG_PI, 1))),
-            ht(F(-1, 2), constants=((LOG_PI, 2),)),
-            ht(1, constants=((STIELTJES1, 1),)),
-        ),
-        (
-            sp(inner(_plain_log2_inner), 2),
-            sp(inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))),
-               2, log_power=1),
-        ),
-    )
+    add(12, "sum_{k=1}^{n} log(k)/k", Summand(-1, 1), 1,
+        (ht(F(1, 2), log_power=2), ht(1, constants=((STIELTJES1, 1),)),
+         ht(F(1, 2), -1, log_power=1)),
+        (sp(inner(_plain_log_inner), 1),
+         sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1, log_power=1)))
+    add(13, "sum_{k=1}^{n} log(k)/k^2", Summand(-2, 1), 1,
+        (ht(-1, constants=((zeta_prime(2), 1),)), ht(-1, -1, log_power=1), ht(-1, -1),
+         ht(F(1, 2), -2, log_power=1)),
+        (sp(inner(lambda l: F(-1) ** (l + 1) * _weighted_harmonic(l)
+                  * bernoulli(l + 1) / (l + 1)), 1, -1),
+         sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1)))
+    add(14, "sum_{k=1}^{n} log(k)^2", Summand(0, 2), 1,
+        (ht(1, 1, log_power=2), ht(-2, 1, log_power=1), ht(2, 1), ht(F(1, 2), log_power=2),
+         ht(F(1, 6), -1, log_power=1), ht(F(1, 2), constants=((GAMMA, 2),)),
+         ht(F(-1, 24), constants=((PI, 2),)), ht(F(-1, 2), constants=((LOG2, 2),)),
+         ht(-1, constants=((LOG2, 1), (LOG_PI, 1))), ht(F(-1, 2), constants=((LOG_PI, 2),)),
+         ht(1, constants=((STIELTJES1, 1),))),
+        (sp(inner(_plain_log2_inner), 2),
+         sp(inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))), 2,
+            log_power=1)))
 
     # -- 15, 16: alternating sums (Boole side) ---------------------------------
     # a_l = (-1)^(l+1) E_l / 2^l: odd Euler numbers vanish, so the first
@@ -521,22 +456,15 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     # one transform checkpoint.
     leibniz_inner = inner(lambda l: F((-1) ** (l + 1) * euler_number(l), 2**l))
     head = (ht(F(1, 4), constants=((PI, 1),)),)
-    add(
-        15, "sum_{k=0}^{n} (-1)^k/(2k+1)", Summand(-1, parity=0, scale=2, shift=1), 0,
+    add(15, "sum_{k=0}^{n} (-1)^k/(2k+1)", Summand(-1, parity=0, scale=2, shift=1), 0,
         head + (ht(F(1, 4), -1, parity=0, base_offset=1),),
-        (sp(leibniz_inner, F(1, 4), x_offset=1, parity=1),),
-    )
-    add(
-        15, "sum_{k=1}^{n} (-1)^(k+1)/(2k-1)", Summand(-1, parity=1, scale=2, shift=-1), 1,
-        head + (ht(F(-1, 4), -1, parity=0),),
-        (sp(leibniz_inner, F(1, 4), parity=0),),
-    )
-    add(
-        16, "sum_{k=1}^{n} (-1)^(k+1)/k", Summand(-1, parity=1), 1,
+        (sp(leibniz_inner, F(1, 4), x_offset=1, parity=1),))
+    add(15, "sum_{k=1}^{n} (-1)^(k+1)/(2k-1)", Summand(-1, parity=1, scale=2, shift=-1), 1,
+        head + (ht(F(-1, 4), -1, parity=0),), (sp(leibniz_inner, F(1, 4), parity=0),))
+    add(16, "sum_{k=1}^{n} (-1)^(k+1)/k", Summand(-1, parity=1), 1,
         (ht(1, constants=((LOG2, 1),)), ht(F(-1, 2), -1, parity=0)),
         (sp(inner(lambda l: (-1) ** (l * (l + 3) // 2) * (2 ** (l + 1) - 1)
-                  * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),),
-    )
+                  * abs(bernoulli(l + 1)) / (l + 1)), 1, parity=0),))
 
     return cat
 
@@ -707,22 +635,17 @@ def _as_count(n, minimum: int) -> int:
     return n
 
 
-def _parity_factor(n: int, parity: int | None) -> int:
-    if parity is None:
-        return 1
-    return -1 if (n + parity) % 2 else 1
-
-
 def _headroom(f: Formula, anchor: int) -> int:
-    if f.top_power <= 0:
+    top = f.top_power  # compared and divided as integers: no Fraction arithmetic per call
+    if top.numerator <= 0:
         return 6
-    return math.ceil(float(f.top_power) * math.log10(anchor + 1)) + 6
+    return math.ceil(top.numerator / top.denominator * math.log10(anchor + 1)) + 6
 
 
-def _fetch_constants(
-    f: Formula, store, cdigits: int, exclude: ConstantId | None = None
-) -> dict[ConstantId, mpf]:
-    return {cid: store.get(cid, cdigits) for cid in f.constants if cid != exclude}
+def _fetch_constants(f: Formula, store, cdigits: int, exclude: ConstantId | None = None) -> list:
+    """The served values of the head constants in ``f.constants`` order, the
+    order a plan lowers them in, with None for ``exclude``."""
+    return [None if cid is exclude else store.get(cid, cdigits) for cid in f.constants]
 
 
 # Bits past the working precision in the fixed-point head and part scales of
@@ -730,65 +653,113 @@ def _fetch_constants(
 _RHS_GUARD = 64
 
 
-def _rhs(f: Formula, x: int, cvalues: dict[ConstantId, mpf], part_ctx: EvalContext,
-         prec: int, skip: HeadTerm | None = None):
-    """The right-hand side at x, at prec bits, with ``skip`` left out of the
-    head: (head, each series part scaled, their terms, their largest scaled
-    error estimate, the refusal of each part that refused).
+class _Plan:
+    """What the right-hand sides of a formula share at every x, for one
+    context, headroom, set of served head constants and head term ``skip``:
+    the working precision (``wd`` digits, ``prec`` bits), the unit 2^-w, the
+    parts' context, the error floor ``eps`` (a raw mpf) and each head term
+    and part scale lowered by :meth:`lower`. ``rhs`` keeps the right-hand
+    side served at the model anchor, once an evaluation below it keeps one.
+    """
+
+    __slots__ = ("skip", "wd", "prec", "w", "part_ctx", "eps", "head", "terms", "parts", "log",
+                 "rhs")
+
+    def __init__(self, f: Formula, ctx: EvalContext, hr: int, cvalues, skip: HeadTerm | None):
+        self.skip, self.wd, self.rhs = skip, ctx.digits + ctx.guard + hr, None
+        self.prec = dps_to_prec(self.wd)
+        self.w = self.prec + _RHS_GUARD
+        self.part_ctx = EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms)
+        self.eps = from_man_exp(*_eps(ctx.digits + ctx.guard - 2, self.prec))
+        served = dict(zip(f.constants, cvalues))
+        head = [self.lower(t, t.rational, t.base_offset, t.constants, served)
+                for t in f.head if t is not skip]
+        self.head = sum(t for t in head if type(t) is int)
+        self.terms = [t for t in head if type(t) is tuple]
+        self.parts = [(p.inner, p.x_offset, p.shape, self.lower(p, p.prefactor)) for p in f.series]
+        self.log = any(t[2] for t in self.terms + [s for *_, s in self.parts if type(s) is tuple])
+
+    def lower(self, t, r: Fraction, offset: int = 0, constants=(), served=None):
+        """r (x+offset)^n_power log(x)^log_power prod C^p (-1)^(x+parity) in
+        integers (see :func:`_fixed_term`), C^|p| in units 2^-(|p| w); when
+        it does not depend on x, its value in units 2^-w (summed into head)."""
+        w, a = self.w, t.n_power
+        powers = tuple((to_fixed(served[cid]._mpf_, w) ** abs(p), abs(p) * w, p > 0)
+                       for cid, p in constants)
+        term = (2 * a.numerator // a.denominator, offset, t.log_power, powers, r.numerator,
+                r.denominator, t.parity)
+        if term[0] or t.log_power or t.parity is not None:
+            return term
+        return _fixed_term(term, 0, 0, w)
+
+
+def _fixed_term(term: tuple, x: int, logx: int, w: int) -> int:
+    """A term (2 n_power, offset, log_power, (C^|p|, |p| w, p > 0) per
+    constant, numerator, denominator, parity) at x in units 2^-w, with log x
+    in those units: power, logs, constants and rational floored in turn."""
+    a, offset, m, powers, num, den, parity = term
+    v = _fixed_power(x + offset, a, w)
+    if m:
+        v = v * logx**m >> m * w
+    for c, shift, up in powers:
+        v = v * c >> shift if up else (v << shift) // c
+    v = v * num // den
+    return -v if parity is not None and (x + parity) % 2 else v
+
+
+def _rhs(plan: _Plan, x: int):
+    """The right-hand side at x under ``plan``, with its ``skip`` left out of
+    the head: (head, each series part scaled, their terms, their largest
+    scaled error estimate, the refusal of each part that refused); the head,
+    the scaled parts and the estimate are raw mpf tuples at plan.prec bits.
 
     The head and the part scales are computed in fixed point, in units 2^-w
     with w = prec + G for G = _RHS_GUARD. A term
     r (x+offset)^(a/2) log(x)^m prod C^p takes its power from
     :func:`_fixed_power`, log x from one :func:`_fixed_log`, each constant
-    from its served mpf through ``to_fixed``, each product and quotient
-    floored to units 2^-w, r as one integer quotient last and its parity as
-    a sign. Each inexact factor is under one unit low and each flooring
-    costs under one unit more, and an error in one factor moves the term by
-    that error times the other factors, so a term of F factors is off by
-    under U = (2F + 1) max(1, |r| Q) units, Q the largest product of all but
-    one of its factors (each taken as at least 1). Over the catalog's heads
-    up to x = 10^7, with or without the constant a recovery isolates (whose
-    anchors stay at most BRUTE_FORCE_CAP), the summed U is at most 2^51 times
-    |head| (3.x without zeta(3) at 10^7: a head of -5e-15 within 6 units),
-    so G = 64 keeps the fixed-point error under 2^-13 of an ulp of the head
-    at prec, and the head is rounded to prec once. A scaled part is the
-    exact product of the part's mpf value and its fixed-point scale, rounded
-    to prec once; its error estimate likewise.
+    from its served mpf through ``to_fixed`` (lowered with its power once,
+    in the plan), each product and quotient floored to units 2^-w, r as one
+    integer quotient last and its parity as a sign (a term free of x is
+    summed once, in the plan: the same floors). Each inexact factor is under
+    one unit low and each flooring costs under one unit more, and an error
+    in one factor moves the term by that error times the other factors, so
+    a term of F factors is off by under U = (2F + 1) max(1, |r| Q) units, Q
+    the largest product of all but one of its factors (each taken as at
+    least 1). Over the catalog's heads up to x = 10^7, with or without the
+    constant a recovery isolates (whose anchors stay at most
+    BRUTE_FORCE_CAP), the summed U is at most 2^51 times |head| (3.x without
+    zeta(3) at 10^7: a head of -5e-15 within 6 units), so G = 64 keeps the
+    fixed-point error under 2^-13 of an ulp of the head at prec, and the
+    head is rounded to prec once. A scaled part is the exact product of the
+    part's mpf value and its fixed-point scale, rounded to prec once; its
+    error estimate likewise.
     """
-    w = prec + _RHS_GUARD
-    logx = _fixed_log(x, w) if any(t.log_power for t in f.head + f.series) else None
-
-    def fixed(t, r: Fraction, offset: int = 0, constants=()) -> int:
-        # r (x+offset)^n_power log(x)^log_power prod C^p (-1)^(x+parity), units 2^-w
-        a = t.n_power
-        v = _fixed_power(x + offset, 2 * a.numerator // a.denominator, w)
-        if t.log_power:
-            v = v * logx**t.log_power >> t.log_power * w
-        for cid, p in constants:
-            c = to_fixed(cvalues[cid]._mpf_, w)
-            v = v * c**p >> p * w if p > 0 else (v << -p * w) // c**-p
-        return v * r.numerator // r.denominator * _parity_factor(x, t.parity)
-
-    head = sum(fixed(t, t.rational, t.base_offset, t.constants) for t in f.head if t is not skip)
-    scaled, terms, est, errors = [], 0, mpf(0), []
-    for part in f.series:
-        scale = fixed(part, part.prefactor)
+    w, prec = plan.w, plan.prec
+    logx = _fixed_log(x, w) if plan.log else 0
+    head = plan.head
+    for term in plan.terms:
+        head += _fixed_term(term, x, logx, w)
+    scaled, terms, est, errors = [], 0, fzero, []
+    for inner, offset, shape, scale in plan.parts:
+        if type(scale) is tuple:
+            scale = _fixed_term(scale, x, logx, w)
         try:
-            rep = eval_stirling_series(part.inner, x + part.x_offset, part.shape, part_ctx)
+            rep = eval_stirling_series(inner, x + offset, shape, plan.part_ctx)
         except NonConvergenceError as exc:
             rep = exc.report
             errors.append(exc)
-        scaled.append(_times_fixed(rep.value, scale, w, prec))
+        scaled.append(_times_fixed(rep.value._mpf_, scale, w, prec))
         terms += rep.terms_used
-        est = max(est, _times_fixed(rep.est_error, abs(scale), w, prec))
-    return mp.make_mpf(from_man_exp(head, -w, prec, round_nearest)), scaled, terms, est, errors
+        part_est = _times_fixed(rep.est_error._mpf_, abs(scale), w, prec)
+        if mpf_cmp(part_est, est) > 0:
+            est = part_est
+    return from_man_exp(head, -w, prec, round_nearest), scaled, terms, est, errors
 
 
-def _times_fixed(v: mpf, scale: int, w: int, prec: int) -> mpf:
-    """v times scale 2^-w, exactly, rounded to prec bits once."""
-    sign, man, exp, _ = v._mpf_
-    return mp.make_mpf(from_man_exp(-man * scale if sign else man * scale, exp - w, prec,
-                                    round_nearest))
+def _times_fixed(v: tuple, scale: int, w: int, prec: int) -> tuple:
+    """The raw mpf v times scale 2^-w, exactly, rounded to prec bits once."""
+    sign, man, exp, _ = v
+    return from_man_exp(-man * scale if sign else man * scale, exp - w, prec, round_nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -880,13 +851,12 @@ def _anchor(fid: FormulaId | None, digits: int, guard: int, max_terms: int) -> i
 # constant's reach.
 _DEGRADED_CONSTANT_DIGITS = 120
 
-# Served right-hand sides at model anchors, keyed on the formula, context and
-# the head constant values served (a store may later serve them at more
-# digits), which fix the anchor and so the whole right-hand side: stores
-# serving the same values share them. All are plain integers and mpf tuples,
-# so that a lookup runs no Python-level hash or comparison; the oldest goes
-# past the cap.
-_rhs_memo: dict[tuple, tuple] = {}
+# Plans, keyed on the formula, context, headroom, the index of the head term
+# left out (-1 for none) and the head constant values served (a store may
+# later serve them at more digits; stores serving the same values share
+# them), in plain integers and mpf tuples, so that a lookup runs no
+# Python-level hash or comparison; the oldest goes past the cap.
+_plans: dict[tuple, _Plan] = {}
 
 # Summed bridges below model anchors, keyed on the summand (formulas summing
 # the same terms share them), n, the anchor and the precision; the oldest goes
@@ -905,20 +875,36 @@ def _keep(memo: dict, key, value) -> None:
             del memo[next(iter(memo))]
 
 
+def _plan_for(f: Formula, ctx: EvalContext, hr: int, cvalues: list,
+              skip: HeadTerm | None = None) -> _Plan:
+    """The kept plan of ``f`` under ``ctx`` at headroom ``hr``, with the head
+    constants ``cvalues`` (see :func:`_fetch_constants`) and ``skip`` left
+    out of the head, built and kept on a miss."""
+    key = (*f.id.key, *ctx.key, hr, -1 if skip is None else f.head.index(skip),
+           *[None if v is None else v._mpf_ for v in cvalues])
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _Plan(f, ctx, hr, cvalues, skip)
+        _keep(_plans, key, plan)
+    return plan
+
+
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
     """Right-hand-side value of the formula at n: the partial sum it equals.
 
     The series is evaluated at the anchor max(n, a), where a is the cheapest
     anchor the cost model finds for the formula, digits and guard under the
     default 500-term budget (a smaller ``max_terms`` truncates the same run);
-    summand terms bridge the anchor back down to n. Below a, the right-hand
-    side at a is the same for every n: once served, it is kept per context
-    and head constant values, and the bridge from n is kept per summand and
-    precision, so a repeated call sums neither; at or past a nothing is kept
-    or looked up.
-    The head is summed in fixed point and rounded once (see :func:`_rhs`).
-    The report aggregates part term counts and carries the largest scaled
-    twice-first-omitted-term estimate across parts.
+    summand terms bridge the anchor back down to n. The head constants,
+    rationals and precisions are lowered to fixed point once per formula,
+    context, headroom and constant values, in a :class:`_Plan`, so a call
+    computes only what depends on its anchor. Below a, the right-hand side
+    at a is the same for every n: once served, it is kept with its plan, and
+    the bridge from n is kept per summand and precision, so a repeated call
+    sums neither. The head is summed in fixed point and rounded once (see
+    :func:`_rhs`; the error bound is the same from a new plan or a kept
+    one). The report aggregates part term counts and carries the largest
+    scaled twice-first-omitted-term estimate across parts.
     """
     f = describe(formula)
     ctx = ctx or EvalContext()
@@ -941,29 +927,25 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         ctx = EvalContext(min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), max_terms=ctx.max_terms)
     model = _anchor(f.id, ctx.digits, ctx.guard, DEFAULT_MAX_TERMS)
     anchor = max(n, model)
-    hr = _headroom(f, anchor)
-    wd = ctx.digits + ctx.guard + hr
-    prec = dps_to_prec(wd)
-    rhs = bridge = key = None
-    if n < model:  # kept below the model's anchor; at or past it, no bridge
-        if failure is None:  # and only with undegraded constants
-            key = (*f.id.key, *ctx.key, *[v._mpf_ for v in cvalues.values()])
-            rhs = _rhs_memo.get(key)
+    plan = _plan_for(f, ctx, _headroom(f, anchor), cvalues)
+    prec = plan.prec
+    kept = n < model and failure is None  # only below the anchor, undegraded
+    rhs = plan.rhs if kept else None
+    bridge = None
+    if n < model:  # at or past the model's anchor, no bridge
         bkey = (f.summand.key, n, anchor, prec)
         bridge = _bridge_memo.get(bkey)
         if bridge is None:
             bridge = _summand_sum(f, n, anchor, prec)
             _keep(_bridge_memo, bkey, bridge)
     if rhs is None:
-        rhs = _rhs(f, anchor, cvalues, EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms),
-                   prec)
-        if key is not None and not rhs[4]:  # a refusal is recomputed every time
-            _keep(_rhs_memo, key, rhs)
-    head, scaled, terms_used, part_est, errors = rhs
-    total = head._mpf_ if bridge is None else mpf_sub(head._mpf_, bridge._mpf_, prec,
-                                                       round_nearest)
+        rhs = _rhs(plan, anchor)
+        if kept and not rhs[4]:  # a refusal is recomputed every time
+            plan.rhs = rhs
+    head, scaled, terms_used, est, errors = rhs
+    total = head if bridge is None else mpf_sub(head, bridge._mpf_, prec, round_nearest)
     for part in scaled:
-        total = mpf_add(total, part._mpf_, prec, round_nearest)
+        total = mpf_add(total, part, prec, round_nearest)
     # The head constants are served to digits + guard places, and an error
     # of one unit in each moves the head by at most 6 units (14.1: five
     # constants, each with a weight below 2). The head, bridge and scaled
@@ -971,17 +953,18 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     # fixed-point sum off by under 2^-13 ulp, and added with one rounding per
     # part; the headroom keeps each of those ulps under
     # 10^-(digits + guard + 3). So 100 units in the constants' last place
-    # bound both, whatever the truncation estimate below.
-    est = from_man_exp(*_eps(ctx.digits + ctx.guard - 2, prec))
+    # (the plan's eps) bound both, whatever the truncation estimate below.
+    floor = plan.eps
     if failure is not None:
-        est = mpf_pow_int(from_int(10), 2 - _DEGRADED_CONSTANT_DIGITS, prec, round_nearest)
-    est = max(mp.make_mpf(est), part_est)
+        floor = mpf_pow_int(from_int(10), 2 - _DEGRADED_CONSTANT_DIGITS, prec, round_nearest)
+    if mpf_cmp(est, floor) <= 0:
+        est = floor
     failures = ([failure] if failure else []) + [str(e) for e in errors]
     report = EvaluationReport(
         value=mp.make_mpf(total),
         terms_used=terms_used,
-        est_error=est,
-        precision_used=wd,
+        est_error=mp.make_mpf(est),
+        precision_used=plan.wd,
         elapsed=time.perf_counter() - t0,
     )
     if failures:
@@ -1058,25 +1041,25 @@ def recover_details(
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
     max_terms = max(500, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
+    ctx = EvalContext(digits, guard, max_terms)
     anchor = _anchor(f.id, digits, guard, max_terms)
 
     def solve(current: int) -> RecoveryResult:
-        hr = _headroom(f, current)
-        part_ctx = EvalContext(digits=digits + hr, guard=guard, max_terms=max_terms)
-        prec = dps_to_prec(digits + guard + hr)
-        head, scaled, terms_used, _, errors = _rhs(f, current, cvalues, part_ctx, prec, term)
+        plan = _plan_for(f, ctx, _headroom(f, current), cvalues, term)
+        head, scaled, terms_used, _, errors = _rhs(plan, current)
         if errors:
             raise errors[0]
+        prec = plan.prec
         partial = _summand_sum(f, f.domain_min - 1, current, prec)._mpf_
         tail = fzero
         for part in scaled:
-            tail = mpf_add(tail, part._mpf_, prec, round_nearest)
-        residue = mpf_sub(mpf_sub(partial, head._mpf_, prec, round_nearest), tail, prec,
-                          round_nearest)
+            tail = mpf_add(tail, part, prec, round_nearest)
+        residue = mpf_sub(mpf_sub(partial, head, prec, round_nearest), tail, prec, round_nearest)
         coef = from_rational(*term.rational.as_integer_ratio(), prec, round_nearest)
         for cid, p in term.constants:
             if cid != target:
-                power = mpf_pow_int(cvalues[cid]._mpf_, p, prec, round_nearest)
+                c = cvalues[f.constants.index(cid)]._mpf_
+                power = mpf_pow_int(c, p, prec, round_nearest)
                 coef = mpf_mul(coef, power, prec, round_nearest)
         value = mp.make_mpf(mpf_div(residue, coef, prec, round_nearest))
         return RecoveryResult(target, value, current, digits, terms_used)

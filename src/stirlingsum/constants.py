@@ -132,7 +132,9 @@ RECOVERY_FORMULA: dict[ConstantId, str] = {
     STIELTJES1: "12.1",
 }
 
-_SERVABLE = ELEMENTARY_IDS | set(RECOVERY_FORMULA)
+# keys of the servable ids: the store looks ids up by key, so that a lookup
+# runs no Python-level hash or comparison
+_SERVABLE = frozenset(c.key for c in ELEMENTARY_IDS | set(RECOVERY_FORMULA))
 
 
 class ReferenceMismatchError(ArithmeticError):
@@ -257,9 +259,9 @@ class ConstantStore:
     def __init__(self, reference_path: str | os.PathLike | None = None):
         self._reference_path = reference_path
         self._references: dict[str, str] | None = None
-        self._cache: dict[ConstantId, tuple[int, mpf]] = {}
+        self._cache: dict[tuple, tuple[int, mpf]] = {}  # keyed on ConstantId.key
         self._meta = threading.Lock()
-        self._locks: dict[ConstantId, threading.Lock] = {}
+        self._locks: dict[tuple, threading.Lock] = {}
         self.compute_count = 0
 
     @property
@@ -278,7 +280,7 @@ class ConstantStore:
 
     def cached_digits(self, cid: ConstantId) -> int:
         """Digits available in cache for ``cid`` (0 when absent)."""
-        hit = self._cache.get(cid)
+        hit = self._cache.get(cid.key)
         return hit[0] if hit else 0
 
     def check_reach(self, cid: ConstantId, digits: int) -> None:
@@ -294,14 +296,14 @@ class ConstantStore:
     def get(self, cid: ConstantId, digits: int) -> mpf:
         if digits < 1:
             raise DomainError(f"need digits >= 1, got {digits}")
-        if cid not in _SERVABLE:
-            raise DomainError(f"constant {cid} is not servable")
-        hit = self._cache.get(cid)
+        hit = self._cache.get(cid.key)
         if hit is not None and hit[0] >= digits:
             return hit[1]
+        if cid.key not in _SERVABLE:  # only servable ids are ever cached
+            raise DomainError(f"constant {cid} is not servable")
         self.check_reach(cid, digits)
         with self._lock_for(cid):
-            hit = self._cache.get(cid)
+            hit = self._cache.get(cid.key)
             if hit is not None and hit[0] >= digits:
                 return hit[1]
             value = self._compute(cid, digits)
@@ -310,7 +312,7 @@ class ConstantStore:
 
     def _lock_for(self, cid: ConstantId) -> threading.Lock:
         with self._meta:
-            return self._locks.setdefault(cid, threading.Lock())
+            return self._locks.setdefault(cid.key, threading.Lock())
 
     def _admit(self, cid: ConstantId, digits: int, value: mpf) -> None:
         if not digits_agree(value, self.reference_digits(cid), digits):
@@ -318,9 +320,9 @@ class ConstantStore:
                 f"{cid} at {digits} digits disagrees with the embedded reference"
             )
         with self._meta:
-            best = self._cache.get(cid)
+            best = self._cache.get(cid.key)
             if best is None or best[0] < digits:
-                self._cache[cid] = (digits, value)
+                self._cache[cid.key] = (digits, value)
 
     def _compute(self, cid: ConstantId, digits: int) -> mpf:
         with self._meta:

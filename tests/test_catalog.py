@@ -469,8 +469,11 @@ def test_fixed_point_head_within_an_ulp(fid):
         with mp.workdps(digits + ctx.guard):
             cvalues = {cid: mpf(store.reference_digits(cid)) for cid in f.constants}
         for x in (f.domain_min + 1, 7, 200, 10**5, 10**7):
-            prec = dps_to_prec(digits + ctx.guard + catalog._headroom(f, x))
-            heads = [catalog._rhs(f, x, cvalues, ctx, prec, skip)[0] for skip in skips]
+            hr = catalog._headroom(f, x)
+            prec = dps_to_prec(digits + ctx.guard + hr)
+            values = [cvalues[cid] for cid in f.constants]
+            heads = [mp.make_mpf(catalog._rhs(catalog._Plan(f, ctx, hr, values, skip), x)[0])
+                     for skip in skips]
             with mp.workprec(prec + 64):
                 for head, skip in zip(heads, skips):
                     exact = _mpf_head(f, x, cvalues, skip)
@@ -540,15 +543,20 @@ def _served_bits():
             (rec.value._mpf_, rec.terms_used, rec.n0)]
 
 
+def _kept_rhs():
+    """The plans keeping a served right-hand side, by key."""
+    return {key: plan for key, plan in catalog._plans.items() if plan.rhs is not None}
+
+
 def test_served_bits_do_not_depend_on_cache_state():
     # the anchor is a function of the request alone: a cold process and a
     # warm one must serve the same bits
     transform._checkpoints.clear()
     catalog._anchor.cache_clear()
-    catalog._rhs_memo.clear()
+    catalog._plans.clear()
     catalog._bridge_memo.clear()
     cold = _served_bits()
-    assert len(catalog._rhs_memo) == 2  # 4.1 and 11.1, whichever store served them
+    assert len(_kept_rhs()) == 2  # 4.1 and 11.1, whichever store served them
     assert len(catalog._bridge_memo) == 2  # 4.1 and 11.1 below their anchors
     assert _served_bits() == cold
 
@@ -558,10 +566,10 @@ def _count_rhs(monkeypatch):
     leaves a head term out, is not counted)."""
     calls = []
 
-    def counted(f, x, cvalues, part_ctx, prec, skip=None):
-        if skip is None:
+    def counted(plan, x):
+        if plan.skip is None:
             calls.append(x)
-        return rhs(f, x, cvalues, part_ctx, prec, skip)
+        return rhs(plan, x)
 
     rhs = catalog._rhs
     monkeypatch.setattr(catalog, "_rhs", counted)
@@ -572,6 +580,7 @@ def test_refusals_are_not_memoized(monkeypatch):
     # a degraded evaluation (constants past reach) and one truncated by
     # max_terms refuse again on repeat, with the same partial report
     calls = _count_rhs(monkeypatch)
+    catalog._plans.clear()
     store = ConstantStore()
     contexts = (EvalContext(digits=901), EvalContext(digits=300, max_terms=40))
     for ctx in contexts:
@@ -582,20 +591,22 @@ def test_refusals_are_not_memoized(monkeypatch):
             reports.append((str(exc.value), _report_bits(exc.value.report)))
         assert reports[0] == reports[1]
     assert len(calls) == 4
-    # keys start (family, variant, digits, guard, max_terms)
-    assert not [key for key in catalog._rhs_memo for ctx in contexts
+    # keys start (family, variant, digits, guard, max_terms); the degraded
+    # evaluation plans at 120 digits
+    assert not [key for key in _kept_rhs() for ctx in contexts + (EvalContext(digits=120),)
                 if key[:5] == (1, 1, *ctx.key)]
+    assert not _kept_rhs()  # nor anything else: gamma's recoveries keep none either
 
 
 def test_memo_keys_on_context_and_store(monkeypatch):
     calls = _count_rhs(monkeypatch)
-    catalog._rhs_memo.clear()
+    catalog._plans.clear()
     store = ConstantStore()
     served = [evaluate("2.1", 5, EvalContext(digits=30, max_terms=m), store=store)
               for m in (500, 400, 500, 400)]
     assert len(calls) == 2  # contexts differing only in max_terms share nothing
     assert _report_bits(served[2]) == _report_bits(served[0])
-    assert len(catalog._rhs_memo) == 2
+    assert len(_kept_rhs()) == 2
     fresh = evaluate("2.1", 5, EvalContext(digits=30), store=ConstantStore())
     assert len(calls) == 2  # a fresh store serving the same zeta(2) bits reuses it
     assert _report_bits(fresh) == _report_bits(served[0])
@@ -603,7 +614,7 @@ def test_memo_keys_on_context_and_store(monkeypatch):
     anchor = catalog._anchor(FormulaId(2, 1), 30, 13, 500)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
-    assert len(calls) == 4 and len(catalog._rhs_memo) == 2
+    assert len(calls) == 4 and len(_kept_rhs()) == 2
     # once the store serves the head constant at more digits, the kept
     # right-hand side no longer applies
     store.get(zeta(2), 80)
@@ -616,34 +627,91 @@ def test_memo_keys_on_context_and_store(monkeypatch):
 
 
 def test_memo_stays_within_its_cap():
-    catalog._rhs_memo.clear()
+    catalog._plans.clear()
     store = ConstantStore()
     for m in range(100, 1130):
         evaluate("1.1", 2, EvalContext(digits=20, max_terms=m), store=store)
-    memo = catalog._rhs_memo
+    memo = catalog._plans
     assert len(memo) == 1024
-    # keys are (family, variant, digits, guard, max_terms, *constants)
-    assert {key[4] for key in memo} == set(range(106, 1130))  # oldest dropped
+    # keys are (family, variant, digits, guard, max_terms, headroom, skipped
+    # term, *constants); the oldest, gamma's recovery on the fresh store
+    # first, are dropped
+    assert {key[4] for key in memo} == set(range(106, 1130))
+
+
+def _check_repeats_hash_and_compare_nothing(fid, n, ctx, monkeypatch):
+    """Three repeats of a warm evaluation serve its bits and call no
+    ``__hash__`` or ``__eq__`` of mpf or ConstantId."""
+    first = _report_bits(evaluate(fid, n, ctx))
+    calls = []
+    for cls in (type(mpf(1)), ConstantId):
+        for name in ("__hash__", "__eq__"):
+            original = getattr(cls, name)
+
+            def counting(*args, _original=original, _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+    again = [_report_bits(evaluate(fid, n, ctx)) for _ in range(3)]
+    assert calls == []
+    assert again == [first] * 3
+
+
+def test_each_headroom_past_the_anchor_gets_its_own_plan():
+    # past its anchor the headroom grows with n, and the precision with it:
+    # warm calls at new n serve what calls from no kept plan serve
+    f, ctx = describe("14.1"), EvalContext(digits=30)
+    anchor = catalog._anchor(f.id, ctx.digits, ctx.guard, 500)
+    ns = (anchor, 10 * anchor, 10**6)
+    assert len({catalog._headroom(f, n) for n in ns}) == 3
+    warm = [evaluate("14.1", n, ctx) for n in ns]
+    assert [r.precision_used for r in warm] == [
+        ctx.digits + ctx.guard + catalog._headroom(f, n) for n in ns]
+    cold = []
+    for n in ns:
+        catalog._plans.clear()
+        cold.append(_report_bits(evaluate("14.1", n, ctx)))
+    assert [_report_bits(r) for r in warm] == cold
+
+
+@pytest.mark.parametrize("fid", ["12.1", "13.1", "14.1"])
+def test_estimate_of_a_two_part_formula_is_its_larger_part_estimate(fid):
+    # five terms refuse at the anchor, where each part's partial estimate,
+    # times its scale, sits far above the floor; the report carries the larger
+    f, ctx = describe(fid), EvalContext(digits=30, max_terms=5)
+    x = catalog._anchor(f.id, ctx.digits, ctx.guard, 500)
+    with pytest.raises(NonConvergenceError) as exc:
+        evaluate(fid, x, ctx)
+    hr = catalog._headroom(f, x)
+    part_ctx = EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms)
+    estimates = []
+    with mp.workdps(60):
+        for part in f.series:
+            with pytest.raises(NonConvergenceError) as part_exc:
+                catalog.eval_stirling_series(part.inner, x + part.x_offset, part.shape, part_ctx)
+            scale = (mpf(part.prefactor.numerator) / part.prefactor.denominator
+                     * mpf(x) ** (mpf(part.n_power.numerator) / part.n_power.denominator)
+                     * mp.log(x) ** part.log_power)
+            estimates.append(part_exc.value.report.est_error * abs(scale))
+        assert abs(estimates[0] - estimates[1]) > max(estimates) / 100
+        assert abs(exc.value.report.est_error - max(estimates)) <= max(estimates) * mpf(10) ** -30
 
 
 def test_repeated_evaluation_below_the_anchor_hashes_and_compares_no_mpf(monkeypatch):
-    # the memo keys hold plain integers and mpf tuples, never an mpf
+    # the plan keys hold plain integers and mpf tuples, never an mpf, and the
+    # store looks constants up by their plain keys
     ctx = EvalContext(digits=30)
     assert 3 < catalog._anchor(FormulaId(14, 1), ctx.digits, ctx.guard, 500)
-    first = _report_bits(evaluate("14.1", 3, ctx))
-    calls = []
-    cls = type(mpf(1))
-    for name in ("__hash__", "__eq__"):
-        original = getattr(cls, name)
+    _check_repeats_hash_and_compare_nothing("14.1", 3, ctx, monkeypatch)
 
-        def counting(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
 
-        monkeypatch.setattr(cls, name, counting)
-    again = [_report_bits(evaluate("14.1", 3, ctx)) for _ in range(3)]
-    assert calls == []
-    assert again == [first] * 3
+def test_repeated_evaluation_past_the_anchor_hashes_and_compares_no_mpf(monkeypatch):
+    # past its anchor, a warm evaluation finds its plan the same way and
+    # compares its estimates as mpf tuples
+    ctx = EvalContext(digits=30)
+    n = catalog._anchor(FormulaId(14, 1), ctx.digits, ctx.guard, 500) + 7
+    _check_repeats_hash_and_compare_nothing("14.1", n, ctx, monkeypatch)
 
 
 @settings(max_examples=150)
@@ -946,8 +1014,8 @@ def test_recovery_refuses_unreachable_depth_quickly():
 
 def _served_alike_by_racing_threads(requests, cache) -> bool:
     """Whether 8 threads at a 1-us switch interval, each serving the
-    (fid, n, digits) ``requests`` in its own order from an emptied ``cache``,
-    all get the bits of a single-threaded run."""
+    (fid, n, digits) ``requests`` in its own order from an emptied ``cache``
+    and no kept plans, all get the bits of a single-threaded run."""
 
     def serve(req):
         fid, n, digits = req
@@ -955,6 +1023,7 @@ def _served_alike_by_racing_threads(requests, cache) -> bool:
 
     expected = {req: serve(req) for req in requests}
     cache.clear()
+    catalog._plans.clear()
     got = [{} for _ in range(8)]
 
     def work(i):
@@ -976,11 +1045,14 @@ def _served_alike_by_racing_threads(requests, cache) -> bool:
 
 
 def test_memoized_right_hand_sides_under_threads():
-    # requests below their anchors, served by racing threads from an empty
-    # memo, get the bits of a single-threaded run
+    # requests below their anchors, and at or past them, served by racing
+    # threads building their plans from none, get the bits of a
+    # single-threaded run
     requests = [(fid, n, digits) for fid in ("4.1", "11.1", "13.1")
-                for n in (1, 2, 5, 10, 20) for digits in (20, 30, 50)]
-    assert _served_alike_by_racing_threads(requests, catalog._rhs_memo)
+                for n in (1, 2, 5, 10, 20, 500, 3000) for digits in (20, 30, 50)]
+    assert any(n >= catalog._anchor(FormulaId.parse(fid), digits, EvalContext(digits).guard, 500)
+               for fid, n, digits in requests)
+    assert _served_alike_by_racing_threads(requests, catalog._plans)
 
 
 # ---------------------------------------------------------------------------
