@@ -347,14 +347,15 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     # -- 1: harmonic numbers ------------------------------------------------
     left = (1, "sum_{k=1}^{n} 1/k", Summand(-1), 1)
     head = (ht(1, log_power=1), ht(1, constants=((GAMMA, 1),)))
-    add(*left, head + (ht(F(1, 2), -1),),
-        (sp(inner(lambda l: -bernoulli(l + 1) / (l + 1)), 1),))
+    harmonic_inner = inner(lambda l: -bernoulli(l + 1) / (l + 1))
+    add(*left, head + (ht(F(1, 2), -1),), (sp(harmonic_inner, 1),))
     add(*left, head, (sp(inner(lambda l: -bernoulli(l) / l), 1, shape=AT_X_PLUS_1),))
 
     # -- 2: partial sums of 1/k^2 -------------------------------------------
     left = (2, "sum_{k=1}^{n} 1/k^2", Summand(-2), 1)
     head = (ht(1, constants=((zeta(2), 1),)), ht(-1, -1))
-    add(*left, head + (ht(F(1, 2), -2),), (sp(inner(lambda l: -bernoulli(l + 1)), 1, -1),))
+    zeta2_inner = inner(lambda l: -bernoulli(l + 1))
+    add(*left, head + (ht(F(1, 2), -2),), (sp(zeta2_inner, 1, -1),))
     add(*left, head, (sp(inner(lambda l: -bernoulli(l)), 1),))
 
     # -- 3: partial sums of 1/k^3 -------------------------------------------
@@ -412,8 +413,8 @@ def _build_catalog() -> dict[FormulaId, Formula]:
             ht(F(1, 2), log_power=1))
     add(*left, head,
         (sp(inner(lambda l: bernoulli(l + 1) / (l * (l + 1))), 1, shape=AT_X_PLUS_1),))
-    add(*left, head + (ht(F(1, 12), -1),),
-        (sp(inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2))), 1),))
+    stirling_inner = inner(lambda l: bernoulli(l + 2) / ((l + 1) * (l + 2)))
+    add(*left, head + (ht(F(1, 12), -1),), (sp(stirling_inner, 1),))
     add(*left, head,
         (sp(inner(lambda l: F(0) if l == 1 else bernoulli(l) / (l * (l - 1))),
             1, 1, shape=AT_X_PLUS_1),))
@@ -429,17 +430,19 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         (sp(inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))), 1),))
 
     # -- 12, 13, 14: log-weighted sums (two series parts each) ----------------
+    # Each log part is the inner of 1.1, 2.1 or 10.2 (one checkpoint per pair):
+    # the printed (-1)^l is 1 wherever its B_(l+1) or B_(l+2) is nonzero.
     add(12, "sum_{k=1}^{n} log(k)/k", Summand(-1, 1), 1,
         (ht(F(1, 2), log_power=2), ht(1, constants=((STIELTJES1, 1),)),
          ht(F(1, 2), -1, log_power=1)),
         (sp(inner(_plain_log_inner), 1),
-         sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)), 1, log_power=1)))
+         sp(harmonic_inner, 1, log_power=1)))
     add(13, "sum_{k=1}^{n} log(k)/k^2", Summand(-2, 1), 1,
         (ht(-1, constants=((zeta_prime(2), 1),)), ht(-1, -1, log_power=1), ht(-1, -1),
          ht(F(1, 2), -2, log_power=1)),
         (sp(inner(lambda l: F(-1) ** (l + 1) * _weighted_harmonic(l)
                   * bernoulli(l + 1) / (l + 1)), 1, -1),
-         sp(inner(lambda l: F(-1) ** l * bernoulli(l + 1)), 1, -1, log_power=1)))
+         sp(zeta2_inner, 1, -1, log_power=1)))
     add(14, "sum_{k=1}^{n} log(k)^2", Summand(0, 2), 1,
         (ht(1, 1, log_power=2), ht(-2, 1, log_power=1), ht(2, 1), ht(F(1, 2), log_power=2),
          ht(F(1, 6), -1, log_power=1), ht(F(1, 2), constants=((GAMMA, 2),)),
@@ -447,8 +450,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
          ht(-1, constants=((LOG2, 1), (LOG_PI, 1))), ht(F(-1, 2), constants=((LOG_PI, 2),)),
          ht(1, constants=((STIELTJES1, 1),))),
         (sp(inner(_plain_log2_inner), 2),
-         sp(inner(lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))), 2,
-            log_power=1)))
+         sp(stirling_inner, 2, log_power=1)))
 
     # -- 15, 16: alternating sums (Boole side) ---------------------------------
     # a_l = (-1)^(l+1) E_l / 2^l: odd Euler numbers vanish, so the first

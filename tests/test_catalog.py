@@ -164,6 +164,21 @@ def test_leibniz_inner_coefficients():
     assert c.values[1] == F(1, 4)  # printed value 1/16 after the 1/4 prefactor
 
 
+def test_log_parts_share_the_inner_of_their_plain_formula():
+    # one instance, so one transform checkpoint, per pair; the printed
+    # (-1)^l factor changes nothing, since B_j = 0 for odd j >= 3
+    printed = {
+        "12.1": ("1.1", lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)),
+        "13.1": ("2.1", lambda l: F(-1) ** l * bernoulli(l + 1)),
+        "14.1": ("10.2", lambda l: F(-1) ** l * bernoulli(l + 2) / ((l + 1) * (l + 2))),
+    }
+    for log_formula, (plain, fn) in printed.items():
+        part = describe(log_formula).series[1]
+        assert part.log_power == 1
+        assert part.inner is describe(plain).series[0].inner
+        assert all(part.inner(l) == fn(l) for l in range(1, 80))
+
+
 def test_alternating_harmonic_inner_coefficients():
     a = describe("16.1").series[0].inner
     assert a(1) == F(1, 4)

@@ -343,14 +343,43 @@ print(json.dumps([stirlingsum.em_tail.__module__, stirlingsum.LogPowerTerm.__nam
 """
 
 
+def _fresh_child(script: str) -> list:
+    """The JSON lines ``script`` prints in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def test_cli_import_loads_nothing_a_request_never_uses():
     # in a fresh interpreter: what the command-line entry imports, and that
     # the summation-tail names are still served once asked for
-    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
-    loaded, served = (json.loads(line) for line in proc.stdout.splitlines())
+    loaded, served = _fresh_child(_COLD_IMPORT)
     assert loaded == []
     assert served == ["stirlingsum.asymptotics", "LogPowerTerm", "stirlingsum.asymptotics", [],
                       True]
+
+
+_SERVE_CONSTANTS = """
+import json
+import sys
+from fractions import Fraction
+from stirlingsum import catalog
+from stirlingsum.constants import GAMMA, ConstantStore, default_store, zeta
+catalog.evaluate("1.1", 40)
+store = ConstantStore()
+store.get(zeta(2), 30)  # recovered through 2.1, checked against its reference
+catalog.digamma_details(Fraction(7, 3), 30)
+print(json.dumps([default_store().cached_digits(GAMMA) > 0, store.compute_count,
+                  sorted({"hashlib", "_hashlib"} & set(sys.modules))]))
+"""
+
+
+def test_serving_constants_never_loads_openssl():
+    # a served head constant, a recovery from a fresh store and a digamma
+    # call: the reference digits are checked with CPython's built-in SHA-256,
+    # since hashlib would load OpenSSL, about 3.5 MiB of resident memory
+    [[fetched, computed, loaded]] = _fresh_child(_SERVE_CONSTANTS)
+    assert fetched and computed == 1
+    assert loaded == []

@@ -169,6 +169,20 @@ def test_tampered_reference_file_is_rejected(tmp_path):
         _ = store.references
 
 
+def test_reference_digest_matches_hashlib():
+    # the built-in SHA-256 the store checks with agrees with hashlib's
+    import hashlib
+    import importlib.resources as resources
+
+    from stirlingsum.constants import _sha256_hex
+
+    raw = resources.files("stirlingsum").joinpath("data/reference_digits.txt").read_bytes()
+    header, _, body = raw.partition(b"\n")
+    for data in (body, b"", raw):
+        assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
+    assert header.split()[2].decode("ascii") == _sha256_hex(body)
+
+
 def test_reference_path_env_override(tmp_path, monkeypatch):
     import importlib.resources as resources
 

@@ -8,9 +8,12 @@ temporary directory without ``__pycache__`` or ``.pyc`` files, so that every
 child compiles the package from source, and runs N fresh children with
 ``PYTHONDONTWRITEBYTECODE=1``:
 
-- N children of ``python -X importtime -c "import stirlingsum.cli"``; it
-  prints the median self and cumulative time of each ``stirlingsum`` module,
-  in import order, and names any of ``WATCHED`` that the import loaded;
+- N children of ``python -X importtime -c "import stirlingsum.cli"``, each
+  then fetching one head constant (pi, 30 digits), which reads and checks
+  the reference digits; it prints the median self and cumulative time of
+  each ``stirlingsum`` module, in import order, names any of ``WATCHED``
+  that the import loaded and any that the first fetch added, and the
+  median peak resident memory (``ru_maxrss``) of a child after both;
 - N children of ``python -m stirlingsum list --json``; it prints the median
   wall time of one, start to exit.
 
@@ -31,12 +34,19 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WATCHED = ("dataclasses", "inspect", "statistics")
+# hashlib loads OpenSSL's _hashlib, about 3.5 MiB of resident memory
+WATCHED = ("dataclasses", "inspect", "statistics", "hashlib", "_hashlib")
 _CHILD = (
-    "import json, sys\n"
+    "import json, resource, sys\n"
+    f"watched = set({WATCHED!r})\n"
     "before = set(sys.modules)\n"
     "import stirlingsum.cli\n"
-    f"print(json.dumps(sorted(set({WATCHED!r}) & (set(sys.modules) - before))))\n"
+    "imported = set(sys.modules)\n"
+    "from stirlingsum.constants import PI, get_constant\n"
+    "get_constant(PI, 30)\n"
+    "print(json.dumps([sorted(watched & (imported - before)),\n"
+    "                  sorted(watched & (set(sys.modules) - imported)),\n"
+    "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
 )
 
 
@@ -64,10 +74,15 @@ def main(argv=None) -> int:
         env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         times: dict[str, list[tuple[int, int]]] = {}
         loaded: set[str] = set()
+        fetched: set[str] = set()
+        peaks = []
         for _ in range(args.runs):
             proc = subprocess.run([sys.executable, "-X", "importtime", "-c", _CHILD], env=env,
                                   capture_output=True, text=True, timeout=120, check=True)
-            loaded.update(json.loads(proc.stdout))
+            by_import, by_fetch, peak_kib = json.loads(proc.stdout)
+            loaded.update(by_import)
+            fetched.update(by_fetch)
+            peaks.append(peak_kib / 1024)
             for name, pair in _importtime(proc.stderr).items():
                 if name.split(".")[0] == "stirlingsum":
                     times.setdefault(name, []).append(pair)
@@ -84,6 +99,9 @@ def main(argv=None) -> int:
         print(f"{name:<28}{own:>10.1f}{total:>15.1f}")
     print(f"loaded by import stirlingsum.cli: {', '.join(sorted(loaded)) or 'none'} "
           f"(of {', '.join(WATCHED)})")
+    print(f"added by the first constant fetch: {', '.join(sorted(fetched)) or 'none'}")
+    print(f"peak RSS of a child after import and one fetch: {statistics.median(peaks):.2f} MiB "
+          f"(median of {args.runs})")
     print(f"python -m stirlingsum list --json: {statistics.median(walls) * 1e3:.1f} ms wall "
           f"(median of {args.runs})")
     return 0
