@@ -804,16 +804,22 @@ def _term_us(path: str, wd: int) -> float:
     return max(c0 + (c1 - c0) * (wd - d0) / (d1 - d0), min(c0, c1))
 
 
+# Digits past the request at which digamma sums 1.1's series part, and past
+# digits + guard at which it works; see digamma_details for the 8.
+_DIGAMMA_SERIES_EXTRA, _DIGAMMA_WORK_EXTRA = 4, 8
+
+
 def _predicted(f: Formula | None, x: int, digits: int, guard: int):
     """(microseconds, terms per series part) predicted for serving at anchor x.
 
-    ``f`` None is digamma: 1.1's series part at digits + 4 and a shift of
-    1/(x+i) terms. The cost counts the series summation, the exact transform
-    to its depth at a fixed weight whatever is cached, and the bridge (or
-    partial sum, or shift) from the start of the summand up to x.
+    ``f`` None is digamma: 1.1's series part at digits + _DIGAMMA_SERIES_EXTRA
+    and a shift of 1/(x+i) terms. The cost counts the series summation, the
+    exact transform to its depth at a fixed weight whatever is cached, and the
+    bridge (or partial sum, or shift) from the start of the summand up to x.
     """
     if f is None:
-        parts, sdigits, wd, path, count = 1, digits + 4, digits + guard + 8, "reciprocal", x
+        parts, path, count = 1, "reciprocal", x
+        sdigits, wd = digits + _DIGAMMA_SERIES_EXTRA, digits + guard + _DIGAMMA_WORK_EXTRA
     else:
         hr = _headroom(f, x)
         parts, sdigits, wd = len(f.series), digits + hr, digits + guard + hr
@@ -823,7 +829,10 @@ def _predicted(f: Formula | None, x: int, digits: int, guard: int):
     return parts * series + count * _term_us(path, wd), terms
 
 
-@functools.lru_cache(maxsize=1024)
+_MEMO_CAP = 1024  # entries in each memo below, and in each lru cache of this module
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
 def _anchor(fid: FormulaId | None, digits: int, guard: int, max_terms: int) -> int:
     """The anchor x of least predicted cost whose predicted term count fits
     ``max_terms``; ``fid`` None is digamma.
@@ -864,7 +873,6 @@ _plans: dict[tuple, _Plan] = {}
 # the same terms share them), n, the anchor and the precision; the oldest goes
 # past the cap.
 _bridge_memo: dict[tuple, mpf] = {}
-_MEMO_CAP = 1024  # entries in each memo, as _anchor's cache
 _memo_lock = threading.Lock()  # taken by _keep alone; lookups are plain dict reads
 
 
@@ -1042,7 +1050,7 @@ def recover_details(
     guard = EvalContext(digits).guard
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
-    max_terms = max(500, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
+    max_terms = max(DEFAULT_MAX_TERMS, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
     ctx = EvalContext(digits, guard, max_terms)
     anchor = _anchor(f.id, digits, guard, max_terms)
 
@@ -1079,14 +1087,15 @@ def recover_details(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=_MEMO_CAP)
 def _digamma_plan(digits: int) -> tuple[EvalContext, int, int]:
     """(series context, anchor, prec) of a digamma call at ``digits``, a
     function of ``digits`` alone."""
     guard = EvalContext(digits).guard
-    max_terms = max(500, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
-    ctx = EvalContext(digits=digits + 4, guard=guard, max_terms=max_terms)
-    return ctx, _anchor(None, digits, guard, max_terms), dps_to_prec(digits + guard + 8)
+    max_terms = max(DEFAULT_MAX_TERMS, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
+    ctx = EvalContext(digits + _DIGAMMA_SERIES_EXTRA, guard, max_terms)
+    prec = dps_to_prec(digits + guard + _DIGAMMA_WORK_EXTRA)
+    return ctx, _anchor(None, digits, guard, max_terms), prec
 
 
 def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
@@ -1102,7 +1111,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
         psi(x) = log y - 1/(2y) + S(y) - sum_{i<shift} q/(p + i q),
 
     S the inverse-factorial series of 1.1's part, summed at y exactly. The
-    rest is summed in fixed point, in units 2^-w with w = prec + 64, as
+    rest is summed in fixed point, in units 2^-w with w = prec + 64 (_RHS_GUARD), as
     :func:`_rhs` sums its head: log y from :func:`_fixed_log`, which rounds
     y down to w + 8 bits (under 2^-(w+6) off in log y) and floors a log of
     w + 8 bits (under |log y| 2^-(w+7) more) to units, 1/(2y) = q/(2(p +
@@ -1127,7 +1136,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     shift = max(0, anchor - p // q)
     py = p + shift * q
     rep = eval_stirling_series(describe("1.1").series[0].inner, Fraction(py, q), AT_X, ctx)
-    w = prec + 64
+    w = prec + _RHS_GUARD
     total = _fixed_log(py, w, q) - (q << w) // (2 * py) + to_fixed(rep.value._mpf_, w)
     if shift:  # q/(p + i q) for i < shift, with no Python frame per term
         total -= sum(map((q << w).__floordiv__, range(p, py, q)))

@@ -71,6 +71,11 @@ def _parse_real(text: str) -> Fraction:
         raise DomainError(f"not a number: {text!r}") from None
 
 
+def _field_lines(record: dict, *hidden: str) -> list[str]:
+    """One ``key value`` line per field of ``record``, those ``hidden`` left out."""
+    return [f"{key} {value}" for key, value in record.items() if key not in hidden]
+
+
 def _print_record(args, record: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(record, separators=(",", ":")))
@@ -122,29 +127,20 @@ def cmd_coeffs(args) -> int:
 
 def cmd_eval(args) -> int:
     rep = catalog.evaluate(args.id, args.n, EvalContext(digits=args.digits))
-    value = format_decimal(rep.value, args.digits)
     record = {
         "id": str(catalog.FormulaId.parse(args.id)),
         "n": args.n,
         "digits": args.digits,
-        "value": value,
+        "value": format_decimal(rep.value, args.digits),
         "terms": rep.terms_used,
         "est_error": _magnitude(rep.est_error),
         "elapsed_ms": _ms(rep.elapsed),
     }
-    lines = [
-        f"value {value}",
-        f"terms {rep.terms_used}",
-        f"est_error {record['est_error']}",
-        f"elapsed_ms {record['elapsed_ms']}",
-    ]
     if args.compare:
         ref = catalog.brute_force(args.id, args.n, args.digits + 10)
-        diff = _distance(rep.value, ref, args.digits + 30)
         record["brute"] = format_decimal(ref, args.digits)
-        record["difference"] = _magnitude(diff)
-        lines += [f"brute {record['brute']}", f"difference {record['difference']}"]
-    _print_record(args, record, lines)
+        record["difference"] = _magnitude(_distance(rep.value, ref, args.digits + 30))
+    _print_record(args, record, _field_lines(record, "id", "n", "digits"))
     return 0
 
 
@@ -168,22 +164,15 @@ def cmd_digamma(args) -> int:
 
 def cmd_recover(args) -> int:
     res = catalog.recover_details(args.id, digits=args.digits, n0=args.n0)
-    value = format_decimal(res.value, args.digits)
     record = {
         "id": str(catalog.FormulaId.parse(args.id)),
         "constant": str(res.constant),
         "digits": args.digits,
-        "value": value,
+        "value": format_decimal(res.value, args.digits),
         "n0": res.n0,
         "terms": res.terms_used,
     }
-    lines = [
-        f"constant {res.constant}",
-        f"value {value}",
-        f"n0 {res.n0}",
-        f"terms {res.terms_used}",
-    ]
-    _print_record(args, record, lines)
+    _print_record(args, record, _field_lines(record, "id", "digits"))
     return 0
 
 
@@ -229,27 +218,27 @@ def cmd_bench(args) -> int:
 
     if args.repeat < 1:
         raise DomainError(f"need --repeat >= 1, got {args.repeat}")
-    runs: list[float] = []
     if args.target == "digamma":
         if args.x is None:
             raise DomainError("bench digamma needs --x")
         x = _parse_real(args.x)
-        catalog.digamma_details(x, args.digits)  # warm the number caches
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            _, terms, _ = catalog.digamma_details(x, args.digits)
-            runs.append(time.perf_counter() - t0)
         params = {"x": args.x}
+
+        def call() -> int:
+            return catalog.digamma_details(x, args.digits)[1]
     else:
         if args.id is None or args.n is None:
             raise DomainError("bench eval needs --id and -n")
-        catalog.evaluate(args.id, args.n, EvalContext(digits=args.digits))
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            rep = catalog.evaluate(args.id, args.n, EvalContext(digits=args.digits))
-            runs.append(time.perf_counter() - t0)
-        terms = rep.terms_used
         params = {"id": str(catalog.FormulaId.parse(args.id)), "n": args.n}
+
+        def call() -> int:
+            return catalog.evaluate(args.id, args.n, EvalContext(digits=args.digits)).terms_used
+    call()  # warm the number caches
+    runs: list[float] = []
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
+        terms = call()
+        runs.append(time.perf_counter() - t0)
     record = {
         "target": args.target,
         **params,
@@ -259,8 +248,7 @@ def cmd_bench(args) -> int:
         "min_ms": _ms(min(runs)),
         "terms": terms,
     }
-    lines = [f"{key} {value}" for key, value in record.items()]
-    _print_record(args, record, lines)
+    _print_record(args, record, _field_lines(record))
     return 0
 
 

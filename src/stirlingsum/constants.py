@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, round_nearest, to_str
 
 from .exactnum import DomainError, _Keyed
-from .transform import EvaluationReport, NonConvergenceError
+from .transform import EvaluationReport, NonConvergenceError, _as_ratio
 
 __all__ = [
     "ConstantId",
@@ -146,44 +146,35 @@ class ReferenceMismatchError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _exact_fraction(value) -> Fraction:
-    """The exact rational a finite binary float represents."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    sign, man, exp, _ = value._mpf_
-    if man == 0:
-        if value == 0:
-            return Fraction(0)
-        raise DomainError("cannot render a non-finite value")
-    frac = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -frac if sign else frac
+def _scaled(value, digits: int, rounded: bool = False) -> tuple[bool, int]:
+    """Whether ``value`` is negative, and |value|·10^digits as an integer:
+    truncated toward zero, or rounded half away from zero.  Exact: it reads
+    the binary value itself through ``_as_ratio``, not a reprint."""
+    if digits < 1:
+        raise DomainError(f"need digits >= 1, got {digits}")
+    if not isinstance(value, mpf) and hasattr(value, "_mpf_"):
+        # an mpmath constant such as mp.pi, read at the current precision
+        value = mp.make_mpf(value._mpf_)
+    p, q = _as_ratio(value)
+    num = abs(p) * 10**digits
+    return p < 0, (2 * num + q) // (2 * q) if rounded else num // q
+
+
+def _render(negative: bool, scaled: int, digits: int) -> str:
+    s = str(scaled).rjust(digits + 1, "0")
+    return f"{'-' if negative else ''}{s[:-digits]}.{s[-digits:]}"
 
 
 def truncate_decimal(value, digits: int) -> str:
     """Decimal string with exactly ``digits`` fractional digits, truncated
     toward zero.  Exact: works on the binary value itself, not a reprint."""
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
-    f = _exact_fraction(value)
-    scaled = abs(f.numerator) * 10**digits // f.denominator
-    s = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if f < 0 else ""
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+    return _render(*_scaled(value, digits), digits)
 
 
 def format_decimal(value, digits: int) -> str:
     """Decimal string with ``digits`` fractional digits, rounded half away
     from zero — the display form used by the command-line surface."""
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
-    f = _exact_fraction(value)
-    num = abs(f.numerator) * 10**digits
-    scaled = (2 * num + f.denominator) // (2 * f.denominator)
-    s = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if f < 0 else ""
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+    return _render(*_scaled(value, digits, rounded=True), digits)
 
 
 _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)")
@@ -201,13 +192,9 @@ def digits_agree(value, reference: str, digits: int) -> bool:
     the reference decimal string's sign, integer part, and digit prefix."""
     ref_sign, ref_int, ref_frac = _split_decimal(reference)
     use = min(digits, len(ref_frac))
-    v_sign, v_int, v_frac = _split_decimal(truncate_decimal(value, use))
-    if v_int != ref_int or v_frac != ref_frac[:use]:
-        return False
-    if v_sign != ref_sign:
-        # -0.000…0 and 0.000…0 agree; anything else with a sign flip does not
-        return v_int == "0" and set(v_frac) <= {"0"}
-    return True
+    negative, scaled = _scaled(value, use)
+    # -0.000…0 and 0.000…0 agree; anything else with a sign flip does not
+    return scaled == int(ref_int + ref_frac[:use]) and (negative == bool(ref_sign) or not scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +221,14 @@ def _sha256_hex(data: bytes) -> str:
 def _load_references(path: str | os.PathLike | None) -> dict[str, str]:
     if path is None:
         path = os.environ.get(REFERENCE_PATH_ENV)
+    where = path if path is not None else _REFERENCE_RESOURCE
     if path is not None:
-        with open(path, encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # missing, unreadable, or not ASCII
+            reason = getattr(exc, "strerror", None) or exc
+            raise DomainError(f"reference digits file: {where}: cannot read: {reason}") from None
     else:
         text = (
             resources.files("stirlingsum").joinpath(_REFERENCE_RESOURCE).read_text("ascii")
@@ -248,10 +240,15 @@ def _load_references(path: str | os.PathLike | None) -> dict[str, str]:
     if _sha256_hex(body.encode("ascii")) != fields[2]:
         raise DomainError("reference digits file: checksum mismatch")
     refs: dict[str, str] = {}
-    for line in body.splitlines():
-        name, digits_string = line.split()
-        _split_decimal(digits_string)  # validates the shape
-        refs[str(ConstantId.parse(name))] = digits_string
+    for number, line in enumerate(body.splitlines(), 2):  # the header is line 1
+        fields = line.split()
+        try:
+            if len(fields) != 2:
+                raise DomainError(f"need a name and its digits, got {len(fields)} fields")
+            _split_decimal(fields[1])  # validates the shape
+            refs[str(ConstantId.parse(fields[0]))] = fields[1]
+        except DomainError as exc:
+            raise DomainError(f"reference digits file: {where}: line {number}: {exc}") from None
     return refs
 
 

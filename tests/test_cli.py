@@ -306,6 +306,23 @@ def test_reference_mismatch_exits_1(capsys, monkeypatch, tmp_path):
     assert "pi" in err and "disagrees with the embedded reference" in err
 
 
+@pytest.mark.parametrize("blank", [True, False], ids=["blank-line", "no-file"])
+def test_bad_reference_file_exits_2(capsys, monkeypatch, tmp_path, blank):
+    # a checksummed file with a blank line, and a path that names no file
+    path = tmp_path / "refs.txt"
+    if blank:
+        data = resources.files("stirlingsum").joinpath("data/reference_digits.txt")
+        body = data.read_text("ascii").partition("\n")[2].replace("\n", "\n\n", 1)
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        path.write_text(f"checksum sha256 {digest}\n{body}", "ascii")
+    monkeypatch.setenv(constants.REFERENCE_PATH_ENV, str(path))
+    monkeypatch.setattr(constants, "_DEFAULT_STORE", constants.ConstantStore())
+    code, out, err = run(capsys, "eval", "1.1", "-n", "5", "-d", "20")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: reference digits file: {path}: ")
+    assert ("line 3" if blank else "cannot read") in err
+
+
 # ---------------------------------------------------------------------------
 # output conventions
 # ---------------------------------------------------------------------------

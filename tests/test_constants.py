@@ -1,11 +1,15 @@
 """Tests for constant identities, the reference store, and recovery."""
 
 import concurrent.futures
+import decimal
 import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from stirlingsum import catalog
 from stirlingsum.constants import (
@@ -120,6 +124,72 @@ def test_digits_agree_compares_truncated_prefixes():
         assert not digits_agree(-mp.pi, PI_50, 30)
 
 
+def _exact(value) -> F:
+    """The exact rational of ``value``, read apart from the package's code."""
+    if isinstance(value, (int, float, F)):
+        return F(value)
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _decimal_text(value: F, digits: int, rounding: str) -> str:
+    """``value`` at ``digits`` fractional digits by the ``decimal`` module.
+
+    The quotient is cut toward zero past ``digits + 1`` significant fractional
+    digits, then rounded: a cut below the last kept digit moves neither a
+    truncation nor a half-away-from-zero rounding."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(abs(value.numerator) // value.denominator)) + digits + 5
+        ctx.rounding = decimal.ROUND_DOWN
+        cut = decimal.Decimal(value.numerator) / value.denominator
+        return format(cut.quantize(decimal.Decimal(1).scaleb(-digits), rounding=rounding), "f")
+
+
+_TINY = mpf(2) ** -200
+_DECIMAL_VALUES = st.one_of(
+    st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+              st.integers(-(2**130), 2**130), st.integers(-260, 60)),
+    st.sampled_from([_TINY, -_TINY, mpf(0), mp.pi]),
+    st.fractions(),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300)
+@given(_DECIMAL_VALUES, st.integers(1, 60), st.integers(0, 5))
+def test_decimal_core_matches_the_decimal_module(value, digits, extra):
+    with mp.workprec(mp.prec + 40 * extra):  # mp.pi renders at the current precision
+        exact = _exact(value)
+        cut = truncate_decimal(value, digits)
+        assert cut == _decimal_text(exact, digits, decimal.ROUND_DOWN)
+        assert format_decimal(value, digits) == _decimal_text(exact, digits, decimal.ROUND_HALF_UP)
+        if -F(1, 10**digits) < exact < 0:
+            assert cut == "-0." + "0" * digits
+        # a reference with more digits than are compared, and one with fewer
+        longer = _decimal_text(exact, digits + extra, decimal.ROUND_DOWN)
+        assert digits_agree(value, longer, digits)
+        assert digits_agree(value, cut, digits + extra)
+        # a sign flip agrees only on a zero prefix
+        flipped = longer[1:] if longer.startswith("-") else "-" + longer
+        zero = set(cut.lstrip("-")) <= {"0", "."}
+        assert digits_agree(value, flipped, digits) == zero
+        # one compared digit moved never agrees
+        last = len(cut) - 1
+        moved = cut[:last] + str((int(cut[last]) + 1 + extra) % 10)
+        assert not digits_agree(value, moved + longer[last + 1:], digits)
+
+
+@pytest.mark.parametrize("bad", [mpf("inf"), mpf("-inf"), mpf("nan"),
+                                 float("inf"), float("-inf"), float("nan")])
+def test_decimal_core_refuses_non_finite_values(bad):
+    for render in (truncate_decimal, format_decimal):
+        with pytest.raises(DomainError):
+            render(bad, 5)
+    with pytest.raises(DomainError):
+        digits_agree(bad, PI_50, 5)
+
+
 # ---------------------------------------------------------------------------
 # Reference file
 # ---------------------------------------------------------------------------
@@ -166,6 +236,32 @@ def test_tampered_reference_file_is_rejected(tmp_path):
     bad.write_text(raw.replace("3.14159", "3.14158", 1), "ascii")
     store = ConstantStore(reference_path=bad)
     with pytest.raises(DomainError):
+        _ = store.references
+
+
+def _sealed(body: str) -> str:
+    """``body`` under a checksum header that matches it."""
+    import hashlib
+
+    return f"checksum sha256 {hashlib.sha256(body.encode('ascii')).hexdigest()}\n{body}"
+
+
+@pytest.mark.parametrize("edit, where", [
+    # checksummed, but a blank line, or a line without exactly two fields
+    (lambda body: body.replace("\n", "\n\n", 1), "line 3"),
+    (lambda body: body.replace(" ", " extra ", 1), "line 2"),
+    (lambda body: body + "pi\n", "line 17"),
+    (None, "cannot read"),  # a path that names no file
+], ids=["blank-line", "three-fields", "one-field", "no-file"])
+def test_malformed_reference_file_names_the_file_and_line(tmp_path, edit, where):
+    import importlib.resources as resources
+
+    raw = resources.files("stirlingsum").joinpath("data/reference_digits.txt").read_text("ascii")
+    path = tmp_path / "refs.txt"
+    if edit is not None:
+        path.write_text(_sealed(edit(raw.partition("\n")[2])), "ascii")
+    store = ConstantStore(reference_path=path)
+    with pytest.raises(DomainError, match=f"^reference digits file: .*refs.txt.*{where}"):
         _ = store.references
 
 

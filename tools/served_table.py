@@ -12,7 +12,9 @@ beside it, and every request of the serve-warm lists of SEEDS
 (``benchmark/workloads.py``). A served case keeps the bits of its value and
 est_error and its terms_used, a served digamma case its shift instead of an
 est_error, a recovery its n0; a refused one the same of its partial report.
-Run
+It also runs ``cli.main`` in process on each command of CLI_COMMANDS, in
+order, and keeps its stdout, stderr and exit code, with every
+``elapsed_ms`` value masked. Run
 it once per checkout, with that checkout's ``src`` on PYTHONPATH; one copy
 of this script can record both sides of a comparison.
 
@@ -20,21 +22,25 @@ of this script can record both sides of a comparison.
 case apart, how many moved (value, terms_used, est_error, shift or n0,
 served/refused, and an evaluation's brute-force check), the worst value move
 in units of 10^-digits, and each record's worst distance from brute force,
-``mpmath.digamma`` or the reference digits in the same units. It exits 1
-when a case is missing from either record, 0 otherwise.
+``mpmath.digamma`` or the reference digits in the same units; and how many
+CLI commands moved in stdout, stderr or exit code. It exits 1 when a case
+is missing from either record, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from mpmath import mp, mpf
 
-from stirlingsum import catalog
+from stirlingsum import catalog, cli
 from stirlingsum.constants import RECOVERY_FORMULA, ConstantStore
 from stirlingsum.transform import EvalContext, NonConvergenceError
 
@@ -44,6 +50,19 @@ X_GRID = ("1/3", "3/4", "5/2", "7", "200", "100000", "10000000000", "0.1", "1234
 DIGAMMA_DIGITS = (10, 30, 50, 100)
 RECOVERY_DIGITS = (20, 50, 100)
 SEEDS = range(41, 51)
+# text and --json forms, and refusals with exit codes 2 and 3; run in this
+# order in one process, so each command meets the caches the earlier filled
+CLI_COMMANDS = (
+    "list", "list --json", "coeffs 1.1 -k 8", "coeffs 1.1 -k 8 --json",
+    "eval 1.1 -n 10", "eval 1.1 -n 10 --compare", "eval 4.2 -n 7 -d 50 --compare --json",
+    "eval 12.1 -n 200 -d 20 --json", "eval 15.2 -n 1e6 -d 40", "eval 10.3 -n 3 -d 60 --compare",
+    "digamma 1/3", "digamma 12345.678 -d 50 --json", "digamma 7 -d 10",
+    "recover 1.1 -d 40", "recover 12.1 -d 30 --json", "recover 11.1 -d 20 --n0 10",
+    "verify --family 15", "verify --family 16 --json",
+    "recover 1.1 -d 1001", "recover 1.1 -d 1001 --json", "eval 1.1 -n 10 -d 950",
+    "eval 1.1 -n 10 -d 950 --json", "digamma 0", "eval 99.1 -n 5",
+)
+_ELAPSED = re.compile(r'(elapsed_ms"?[: ]"?)[0-9.]+')
 
 
 def _bits(v: mpf) -> list:
@@ -101,6 +120,15 @@ def _recover(cid, fid: str, digits: int) -> dict:
     return case
 
 
+def _cli(command: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(command.split())
+    return {"kind": "cli", "target": command, "n": None, "digits": None,
+            "stdout": _ELAPSED.sub(r"\1*", out.getvalue()), "stderr": err.getvalue(),
+            "exit": code}
+
+
 def record(out: str) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
     from workloads import serve_warm
@@ -124,6 +152,7 @@ def record(out: str) -> None:
             else:
                 case = _digamma(req.target, req.digits)
             cases.append({**case, "seed": seed})
+    cases.extend(map(_cli, CLI_COMMANDS))
     with open(out, "w", encoding="ascii") as fh:
         for case in cases:
             fh.write(json.dumps(case) + "\n")
@@ -179,6 +208,11 @@ def compare(a_path: str, b_path: str) -> int:
         for path, units in checks.items():
             print(f"{kind}: worst served distance from the check in {path}: "
                   f"{mp.nstr(units, 3)} units of 10^-digits")
+    keys = sorted((key for key in both if key[0] == "cli"), key=str)
+    moved = [key[1] for key in keys
+             if any(a[key][f] != b[key][f] for f in ("stdout", "stderr", "exit"))]
+    print(f"cli: {len(keys)} commands, moved: {len(moved)}"
+          + "".join(f"\ncli: moved: {command}" for command in moved))
     return 1 if missing else 0
 
 
