@@ -28,7 +28,6 @@ import math
 import threading
 import time
 from fractions import Fraction
-from importlib import resources
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -515,10 +514,8 @@ def golden_coefficients(formula, log_power: int = 0) -> tuple[Fraction, ...]:
     suffix = ".log" if log_power else ""
     name = f"{fid}{suffix}.txt"
     try:
-        text = (
-            resources.files("stirlingsum").joinpath(f"data/golden/{name}").read_text("ascii")
-        )
-    except FileNotFoundError:
+        text = _constants._package_data(f"golden/{name}")
+    except OSError:  # a zip loader raises a plain OSError for a missing member
         raise DomainError(f"no golden file for {fid} log_power={log_power}") from None
     values = []
     for i, line in enumerate(text.splitlines(), 1):

@@ -20,13 +20,14 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_int, mpf_abs, mpf_pow_int, mpf_sub, round_nearest
 
 from . import catalog
-from .constants import ReferenceMismatchError, format_decimal
+from .constants import ReferenceMismatchError, _decimal_digits, format_decimal
 from .exactnum import DomainError
 from .transform import EvalContext, NonConvergenceError
 
 
 def _rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    sign = "-" if q < 0 else ""
+    return f"{sign}{_decimal_digits(abs(q.numerator))}/{_decimal_digits(q.denominator)}"
 
 
 def _magnitude(x) -> str:

@@ -20,7 +20,6 @@ import os
 import re
 import threading
 from fractions import Fraction
-from importlib import resources
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, round_nearest, to_str
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 REFERENCE_PATH_ENV = "STIRLINGSUM_REFERENCE_DIGITS"
-_REFERENCE_RESOURCE = "data/reference_digits.txt"
+_REFERENCE_RESOURCE = "reference_digits.txt"
 
 _SIMPLE_TAGS = frozenset({"gamma", "stieltjes1", "pi", "log2", "log_pi", "log_2pi"})
 _PARAM_TAGS = frozenset({"zeta", "zeta_prime"})
@@ -160,8 +159,20 @@ def _scaled(value, digits: int, rounded: bool = False) -> tuple[bool, int]:
     return p < 0, (2 * num + q) // (2 * q) if rounded else num // q
 
 
+def _decimal_digits(n: int, width: int = 1) -> str:
+    """The decimal digits of ``n >= 0``, zero-padded to ``width``.  Past 2000
+    bits (602 digits, under the least int/str limit CPython accepts) it
+    splits ``n`` by divmod against a power of ten, so no ``str()`` meets the
+    limit and the process-wide setting stays as it is."""
+    if n.bit_length() <= 2000:
+        return str(n).rjust(width, "0")
+    low_width = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**low_width)
+    return _decimal_digits(high, width - low_width) + _decimal_digits(low, low_width)
+
+
 def _render(negative: bool, scaled: int, digits: int) -> str:
-    s = str(scaled).rjust(digits + 1, "0")
+    s = _decimal_digits(scaled, digits + 1)
     return f"{'-' if negative else ''}{s[:-digits]}.{s[-digits:]}"
 
 
@@ -193,8 +204,10 @@ def digits_agree(value, reference: str, digits: int) -> bool:
     ref_sign, ref_int, ref_frac = _split_decimal(reference)
     use = min(digits, len(ref_frac))
     negative, scaled = _scaled(value, use)
+    prefix = ref_int + ref_frac[:use]
     # -0.000…0 and 0.000…0 agree; anything else with a sign flip does not
-    return scaled == int(ref_int + ref_frac[:use]) and (negative == bool(ref_sign) or not scaled)
+    return (_decimal_digits(scaled, len(prefix)) == prefix
+            and (negative == bool(ref_sign) or not scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +231,26 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _package_data(name: str) -> str:
+    """ASCII text of ``data/<name>``, read by this module's own loader, so a
+    zip-imported package reads it too without ``importlib.resources``."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("ascii")
+
+
 def _load_references(path: str | os.PathLike | None) -> dict[str, str]:
     if path is None:
         path = os.environ.get(REFERENCE_PATH_ENV)
-    where = path if path is not None else _REFERENCE_RESOURCE
-    if path is not None:
-        try:
+    where = path if path is not None else f"data/{_REFERENCE_RESOURCE}"
+    try:
+        if path is None:
+            text = _package_data(_REFERENCE_RESOURCE)
+        else:
             with open(path, encoding="ascii") as fh:
                 text = fh.read()
-        except (OSError, ValueError) as exc:  # missing, unreadable, or not ASCII
-            reason = getattr(exc, "strerror", None) or exc
-            raise DomainError(f"reference digits file: {where}: cannot read: {reason}") from None
-    else:
-        text = (
-            resources.files("stirlingsum").joinpath(_REFERENCE_RESOURCE).read_text("ascii")
-        )
+    except (OSError, ValueError) as exc:  # missing, unreadable, or not ASCII
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"reference digits file: {where}: cannot read: {reason}") from None
     header, _, body = text.partition("\n")
     fields = header.split()
     if len(fields) != 3 or fields[0] != "checksum" or fields[1] != "sha256":

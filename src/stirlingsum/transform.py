@@ -39,8 +39,8 @@ import math
 import threading
 import time
 import weakref
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -296,10 +296,7 @@ def pochhammer(x, k: int):
     return acc
 
 
-CoefficientSource = Union[StirlingCoefficients, InnerCoefficients]
-
-
-def _coefficient_stream(c: CoefficientSource) -> Iterator[tuple[int, Fraction]]:
+def _coefficient_stream(c: StirlingCoefficients | InnerCoefficients) -> Iterator[tuple[int, Fraction]]:
     if isinstance(c, StirlingCoefficients):
         return iter(enumerate(c.values, start=1))
     return _transform_stream(c, None)
@@ -387,7 +384,7 @@ def _as_ratio(x) -> tuple[int, int]:
 
 
 def eval_stirling_series(
-    c: CoefficientSource,
+    c: StirlingCoefficients | InnerCoefficients,
     x,
     start_shift: str = AT_X,
     ctx: EvalContext | None = None,

@@ -305,6 +305,35 @@ def test_missing_golden_part_is_an_error():
         catalog.part_coefficients("1.1", 4, log_power=1)
 
 
+# (root, derived variant, steps): within a family, x/(x)_{k+1} = 1/(x)_k -
+# k/(x)_{k+1} reprints the root's tail one power of x lower, so a variant whose
+# tail exponent lies j below the root's has c_k = c'_{k+1} - k c'_k, j times over
+_DERIVED_VARIANTS = [
+    ("1.2", "1.1", 1), ("2.2", "2.1", 1), ("3.2", "3.1", 1), ("4.3", "4.1", 1),
+    ("4.3", "4.2", 2), ("5.3", "5.1", 1), ("5.3", "5.2", 3), ("6.3", "6.1", 1),
+    ("6.3", "6.2", 4), ("7.2", "7.1", 1), ("8.2", "8.1", 1), ("9.2", "9.1", 1),
+    ("10.3", "10.1", 1), ("10.3", "10.2", 2), ("11.1", "11.2", 1),
+]
+
+
+@pytest.mark.parametrize("root, derived, steps", _DERIVED_VARIANTS,
+                         ids=[f"{d}-from-{r}" for r, d, _ in _DERIVED_VARIANTS])
+def test_derived_variant_coefficients_come_from_the_family_root(root, derived, steps):
+    # the goldens pin 4-5 terms per part; this pins every derived stream to k = 200
+    def plain(fid):
+        [part] = [p for p in describe(fid).series if p.log_power == 0]
+        return part, part.n_power + (part.shape == AT_X_PLUS_1)  # the tail exponent
+
+    (root_part, root_exponent), (part, exponent) = plain(root), plain(derived)
+    assert root_exponent - exponent == steps
+    assert part.prefactor == root_part.prefactor
+    K = 200
+    c = catalog.coefficients(root, K + steps)
+    for _ in range(steps):
+        c = [c[i + 1] - (i + 1) * c[i] for i in range(len(c) - 1)]
+    assert tuple(c) == catalog.coefficients(derived, K)
+
+
 # ---------------------------------------------------------------------------
 # Brute force
 # ---------------------------------------------------------------------------

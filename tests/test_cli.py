@@ -6,7 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
+from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -152,6 +155,29 @@ def test_eval_unreachable_depth_reports_partial_and_exits_3(capsys):
     with mp.workdps(60):
         target = catalog.brute_force("1.1", 10, digits=40)
         assert abs(mpf(rec["partial_value"][:40]) - target) < mpf("1e-30")
+
+
+def test_eval_past_the_int_to_str_limit_exits_3_with_its_record(capsys):
+    # 4400 digits: the degraded partial value has more digits than CPython's
+    # str() of an int prints, and still renders, in text and in --json
+    code, out, err = run(capsys, "eval", "1.1", "-n", "10", "-d", "4400")
+    assert code == 3 and err == ""
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert lines["error"].startswith("non-convergence: 1.1 at n=10: head constants past")
+    code_j, records, err = run_json(capsys, "eval", "1.1", "-n", "10", "-d", "4400")
+    assert code_j == 3 and err == ""
+    [rec] = records
+    assert rec["error"] == "non-convergence"
+    assert rec["partial_value"] == lines["partial_value"]
+    assert len(rec["partial_value"].partition(".")[2]) == 4400
+    assert rec["partial_value"].startswith("2.928968253968253968253968253968")
+
+
+def test_rational_prints_numerators_past_the_int_to_str_limit():
+    # from k = 1551 a printed c_k of 1.1 has a numerator past 4300 digits
+    q = Fraction(-(10**5000 + 1), 3)
+    assert cli._rational(q) == "-1" + "0" * 4999 + "1/3"
+    assert cli._rational(Fraction(0)) == "0/1"
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +386,17 @@ print(json.dumps([stirlingsum.em_tail.__module__, stirlingsum.LogPowerTerm.__nam
 """
 
 
-def _fresh_child(script: str) -> list:
-    """The JSON lines ``script`` prints in a fresh interpreter on this package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+_PACKAGE = os.path.dirname(os.path.abspath(catalog.__file__))
+_SITE_PACKAGES = os.path.dirname(os.path.dirname(os.path.abspath(mpmath.__file__)))
+
+
+def _fresh_child(script: str, *flags: str, path: str | None = None) -> list:
+    """The JSON lines ``script`` prints in a fresh interpreter on this package,
+    or on the import path ``path``."""
+    if path is None:
+        path = os.pathsep.join(filter(None, [os.path.dirname(_PACKAGE),
+                                             os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
@@ -400,3 +432,57 @@ def test_serving_constants_never_loads_openssl():
     [[fetched, computed, loaded]] = _fresh_child(_SERVE_CONSTANTS)
     assert fetched and computed == 1
     assert loaded == []
+
+
+_PLAIN_START = """
+import json
+import sys
+import stirlingsum.cli
+from stirlingsum import catalog
+from stirlingsum.constants import PI, get_constant
+get_constant(PI, 30)
+catalog.golden_coefficients("1.1")
+machinery = {"importlib.resources", "pathlib", "zipfile", "tempfile", "shutil", "typing"}
+print(json.dumps(sorted(machinery & set(sys.modules))))
+"""
+
+
+def test_plain_start_loads_no_resource_machinery():
+    # under -S no site hook runs before the package, so what is loaded is what
+    # the package asks for: its data files are read by its own loader
+    path = os.pathsep.join([os.path.dirname(_PACKAGE), _SITE_PACKAGES])
+    assert _fresh_child(_PLAIN_START, "-S", path=path) == [[]]
+
+
+_ZIPPED = """
+import json
+import stirlingsum
+from stirlingsum import catalog
+from stirlingsum.constants import ConstantStore, zeta
+from stirlingsum.exactnum import DomainError
+store = ConstantStore()
+store.get(zeta(2), 30)  # recovered through 2.1, checked against the zipped reference
+try:
+    catalog.golden_coefficients("1.1", 1)
+    missing = None
+except DomainError as exc:
+    missing = str(exc)
+print(json.dumps([stirlingsum.__file__, store.compute_count,
+                  [str(c) for c in catalog.golden_coefficients("2.1")], missing]))
+"""
+
+
+def test_zip_imported_package_reads_its_data(tmp_path):
+    archive = tmp_path / "stirlingsum.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for root, dirs, files in os.walk(_PACKAGE):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                full = os.path.join(root, name)
+                zf.write(full, os.path.relpath(full, os.path.dirname(_PACKAGE)))
+    path = os.pathsep.join([str(archive), _SITE_PACKAGES])
+    [[where, computed, golden, missing]] = _fresh_child(_ZIPPED, path=path)
+    assert where.startswith(str(archive))
+    assert computed == 1
+    assert golden == [str(c) for c in catalog.golden_coefficients("2.1")]
+    assert missing == "no golden file for 1.1 log_power=1"

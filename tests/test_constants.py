@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import decimal
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_floor
 
-from stirlingsum import catalog
+from stirlingsum import catalog, constants
 from stirlingsum.constants import (
     ELEMENTARY_IDS,
     GAMMA,
@@ -122,6 +123,27 @@ def test_digits_agree_compares_truncated_prefixes():
         assert digits_agree(mp.pi + mpf("1e-35"), PI_50, 30)
         assert not digits_agree(mp.pi + mpf("1e-10"), PI_50, 30)
         assert not digits_agree(-mp.pi, PI_50, 30)
+
+
+def test_decimal_digits_pass_the_int_to_str_limit():
+    # CPython refuses str() of an int past 4300 digits; the chunked
+    # conversion prints every digit and leaves that limit as it is
+    limit = sys.get_int_max_str_digits()
+    n = 10**5000 + 123456789
+    expected = "1" + "0" * 4991 + "123456789"
+    assert constants._decimal_digits(n) == expected
+    assert constants._decimal_digits(n, 6000) == "0" * 999 + expected
+    odd = 3**20000 // 7  # 9542 digits, no run of more than 3 zeros to hide a lost chunk
+    assert constants._decimal_digits(odd) == str(decimal.Decimal(odd))
+    assert constants._decimal_digits(0) == "0" and constants._decimal_digits(7, 3) == "007"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_digits_agree_reads_references_past_the_int_to_str_limit():
+    third = mp.make_mpf(from_rational(1, 3, 17000, round_floor))  # about 5100 digits
+    assert digits_agree(third, "0." + "3" * 5000, 5000)
+    assert not digits_agree(third, "0." + "3" * 4999 + "4", 5000)
+    assert truncate_decimal(third, 4400) == "0." + "3" * 4400
 
 
 def _exact(value) -> F:
@@ -277,6 +299,16 @@ def test_reference_digest_matches_hashlib():
     for data in (body, b"", raw):
         assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
     assert header.split()[2].decode("ascii") == _sha256_hex(body)
+
+
+def test_missing_packaged_reference_file_names_it(monkeypatch):
+    # the packaged file is read by the package's loader, and a failed read
+    # takes the same path as an unreadable file named by the caller
+    monkeypatch.setattr(constants, "_REFERENCE_RESOURCE", "no_such_digits.txt")
+    monkeypatch.delenv(constants.REFERENCE_PATH_ENV, raising=False)
+    with pytest.raises(DomainError, match="^reference digits file: data/no_such_digits.txt: "
+                                          "cannot read: "):
+        _ = ConstantStore().references
 
 
 def test_reference_path_env_override(tmp_path, monkeypatch):

@@ -5,17 +5,25 @@
 
 Copies ``src`` (by default the one beside this script's directory) to a
 temporary directory without ``__pycache__`` or ``.pyc`` files, so that every
-child compiles the package from source, and runs N fresh children with
-``PYTHONDONTWRITEBYTECODE=1``:
+child compiles the package from source, and runs fresh children with
+``PYTHONDONTWRITEBYTECODE=1`` in two starts, alternating, N of each:
 
-- N children of ``python -X importtime -c "import stirlingsum.cli"``, each
-  then fetching one head constant (pi, 30 digits), which reads and checks
-  the reference digits; it prints the median self and cumulative time of
-  each ``stirlingsum`` module, in import order, names any of ``WATCHED``
-  that the import loaded and any that the first fetch added, and the
-  median peak resident memory (``ru_maxrss``) of a child after both;
-- N children of ``python -m stirlingsum list --json``; it prints the median
-  wall time of one, start to exit.
+- ``site``: as the interpreter starts by default, with its ``site`` hooks
+  (a ``.pth`` file may import modules before any package code runs);
+- ``-S``: no ``site`` hooks, with ``site-packages`` put on PYTHONPATH by
+  hand, so only what the package and mpmath ask for is loaded.
+
+For each start:
+
+- ``python -X importtime -c "import stirlingsum.cli"``, then one head
+  constant fetched (pi, 30 digits, which reads and checks the reference
+  digits) and one golden file read; it prints the median self and
+  cumulative time of each ``stirlingsum`` module, in import order, names any
+  of ``WATCHED`` that the import loaded and any that the fetch and read
+  added, and the median count of loaded modules and peak resident memory
+  (``ru_maxrss``) of a child after both;
+- ``python -m stirlingsum list --json``; it prints the median wall time of
+  one, start to exit.
 
 Medians of fresh children still follow the machine's speed, so compare two
 trees with alternating runs of this script, not with one run of each.
@@ -30,22 +38,29 @@ import shutil
 import statistics
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-# hashlib loads OpenSSL's _hashlib, about 3.5 MiB of resident memory
-WATCHED = ("dataclasses", "inspect", "statistics", "hashlib", "_hashlib")
+# hashlib loads OpenSSL's _hashlib, about 3.5 MiB of resident memory; the
+# package reads its data files without importlib.resources and its zip and
+# path machinery, and annotates without typing
+WATCHED = ("dataclasses", "inspect", "statistics", "hashlib", "_hashlib",
+           "importlib.resources", "pathlib", "zipfile", "typing")
+STARTS = (("site", ()), ("-S", ("-S",)))
 _CHILD = (
     "import json, resource, sys\n"
     f"watched = set({WATCHED!r})\n"
     "before = set(sys.modules)\n"
     "import stirlingsum.cli\n"
     "imported = set(sys.modules)\n"
+    "from stirlingsum import catalog\n"
     "from stirlingsum.constants import PI, get_constant\n"
     "get_constant(PI, 30)\n"
+    "catalog.golden_coefficients('1.1')\n"
     "print(json.dumps([sorted(watched & (imported - before)),\n"
-    "                  sorted(watched & (set(sys.modules) - imported)),\n"
+    "                  sorted(watched & (set(sys.modules) - imported)), len(sys.modules),\n"
     "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
 )
 
@@ -71,39 +86,52 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(args.src, src, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-        times: dict[str, list[tuple[int, int]]] = {}
-        loaded: set[str] = set()
-        fetched: set[str] = set()
-        peaks = []
+        paths = {"site": src,
+                 "-S": os.pathsep.join([src, sysconfig.get_paths()["purelib"]])}
+        times: dict[str, dict[str, list[tuple[int, int]]]] = {name: {} for name, _ in STARTS}
+        loaded = {name: set() for name, _ in STARTS}
+        fetched = {name: set() for name, _ in STARTS}
+        counts: dict[str, list[int]] = {name: [] for name, _ in STARTS}
+        peaks: dict[str, list[float]] = {name: [] for name, _ in STARTS}
+        walls: dict[str, list[float]] = {name: [] for name, _ in STARTS}
         for _ in range(args.runs):
-            proc = subprocess.run([sys.executable, "-X", "importtime", "-c", _CHILD], env=env,
-                                  capture_output=True, text=True, timeout=120, check=True)
-            by_import, by_fetch, peak_kib = json.loads(proc.stdout)
-            loaded.update(by_import)
-            fetched.update(by_fetch)
-            peaks.append(peak_kib / 1024)
-            for name, pair in _importtime(proc.stderr).items():
-                if name.split(".")[0] == "stirlingsum":
-                    times.setdefault(name, []).append(pair)
-        walls = []
-        for _ in range(args.runs):
-            t0 = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "stirlingsum", "list", "--json"], env=env,
-                           capture_output=True, timeout=120, check=True)
-            walls.append(time.perf_counter() - t0)
-    print(f"{'module':<28}{'self ms':>10}{'cumulative ms':>15}   (medians of {args.runs})")
-    for name, pairs in times.items():
-        own = statistics.median(p[0] for p in pairs) / 1e3
-        total = statistics.median(p[1] for p in pairs) / 1e3
-        print(f"{name:<28}{own:>10.1f}{total:>15.1f}")
-    print(f"loaded by import stirlingsum.cli: {', '.join(sorted(loaded)) or 'none'} "
-          f"(of {', '.join(WATCHED)})")
-    print(f"added by the first constant fetch: {', '.join(sorted(fetched)) or 'none'}")
-    print(f"peak RSS of a child after import and one fetch: {statistics.median(peaks):.2f} MiB "
-          f"(median of {args.runs})")
-    print(f"python -m stirlingsum list --json: {statistics.median(walls) * 1e3:.1f} ms wall "
-          f"(median of {args.runs})")
+            for name, flags in STARTS:
+                env = dict(os.environ, PYTHONPATH=paths[name], PYTHONDONTWRITEBYTECODE="1")
+                proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-c", _CHILD],
+                                      env=env, capture_output=True, text=True, timeout=120,
+                                      check=True)
+                by_import, by_fetch, count, peak_kib = json.loads(proc.stdout)
+                loaded[name].update(by_import)
+                fetched[name].update(by_fetch)
+                counts[name].append(count)
+                peaks[name].append(peak_kib / 1024)
+                for module, pair in _importtime(proc.stderr).items():
+                    if module.split(".")[0] == "stirlingsum":
+                        times[name].setdefault(module, []).append(pair)
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, *flags, "-m", "stirlingsum", "list", "--json"],
+                               env=env, capture_output=True, timeout=120, check=True)
+                walls[name].append(time.perf_counter() - t0)
+    header = "".join(f"{name + ' self':>16}{'cumulative':>12}" for name, _ in STARTS)
+    print(f"{'module':<28}{header}   (ms, medians of {args.runs})")
+    for module in times["site"]:
+        row = ""
+        for name, _ in STARTS:
+            pairs = times[name].get(module, [(0, 0)])
+            row += (f"{statistics.median(p[0] for p in pairs) / 1e3:>16.1f}"
+                    f"{statistics.median(p[1] for p in pairs) / 1e3:>12.1f}")
+        print(f"{module:<28}{row}")
+    print(f"watched: {', '.join(WATCHED)}")
+    for name, _ in STARTS:
+        print(f"[{name}] loaded by import stirlingsum.cli: "
+              f"{', '.join(sorted(loaded[name])) or 'none'}")
+        print(f"[{name}] added by the first constant fetch and golden read: "
+              f"{', '.join(sorted(fetched[name])) or 'none'}")
+        print(f"[{name}] a child after import, fetch and read: "
+              f"{statistics.median(counts[name]):.0f} modules, peak RSS "
+              f"{statistics.median(peaks[name]):.2f} MiB (medians of {args.runs})")
+        print(f"[{name}] python -m stirlingsum list --json: "
+              f"{statistics.median(walls[name]) * 1e3:.1f} ms wall (median of {args.runs})")
     return 0
 
 

@@ -3,20 +3,34 @@
 
     python tools/served_table.py record OUT
     python tools/served_table.py compare A B
+    python tools/served_table.py pin OUT
+    python tools/served_table.py check PINNED
 
-``record`` writes one JSON line per case: evaluations of all 32 formulas at
-n in N_GRID and digits in DIGIT_GRID with brute force beside each, digamma
-at X_GRID and DIGAMMA_DIGITS, each constant of ``RECOVERY_FORMULA``
-recovered at RECOVERY_DIGITS from a fresh store with its reference digits
-beside it, and every request of the serve-warm lists of SEEDS
+``record`` writes one JSON line per case. First the fixed grids:
+evaluations of all 32 formulas at n in N_GRID and digits in DIGIT_GRID with
+brute force beside each, digamma at X_GRID and DIGAMMA_DIGITS, each constant
+of ``RECOVERY_FORMULA`` recovered at RECOVERY_DIGITS from a fresh store with
+its reference digits beside it, and ``cli.main`` run in process on each
+command of CLI_COMMANDS. Then every request of the serve-warm lists of SEEDS
 (``benchmark/workloads.py``). A served case keeps the bits of its value and
 est_error and its terms_used, a served digamma case its shift instead of an
 est_error, a recovery its n0; a refused one the same of its partial report.
-It also runs ``cli.main`` in process on each command of CLI_COMMANDS, in
-order, and keeps its stdout, stderr and exit code, with every
-``elapsed_ms`` value masked. Run
-it once per checkout, with that checkout's ``src`` on PYTHONPATH; one copy
-of this script can record both sides of a comparison.
+A command keeps its stdout, stderr and exit code, with every ``elapsed_ms``
+value masked; one that raises keeps exit 1 and the exception's last line.
+Cases run in this order in one process, so each meets the caches the
+earlier filled. Run it once per checkout, with that checkout's ``src`` on
+PYTHONPATH; one copy of this script can record both sides of a comparison.
+
+``pin`` records the fixed grids alone and writes a short hash of each case,
+under a first line naming the Python and mpmath versions and the mpmath
+backend it ran on; ``tests/served_bits.jsonl`` is made with
+
+    PYTHONPATH=src python tools/served_table.py pin tests/served_bits.jsonl
+
+A change that moves served bits on purpose re-pins in the same change.
+``check`` records the fixed grids again, names every case whose hash moved,
+and exits 1 when any moved or is missing from either side. Run it in a fresh
+process: what a store keeps depends on every request before it.
 
 ``compare`` matches the cases of two records and prints, for each kind of
 case apart, how many moved (value, terms_used, est_error, shift or n0,
@@ -31,13 +45,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import platform
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 from mpmath import mp, mpf
 
 from stirlingsum import catalog, cli
@@ -61,6 +78,7 @@ CLI_COMMANDS = (
     "verify --family 15", "verify --family 16 --json",
     "recover 1.1 -d 1001", "recover 1.1 -d 1001 --json", "eval 1.1 -n 10 -d 950",
     "eval 1.1 -n 10 -d 950 --json", "digamma 0", "eval 99.1 -n 5",
+    "eval 1.1 -n 10 -d 4400", "eval 1.1 -n 10 -d 4400 --json",
 )
 _ELAPSED = re.compile(r'(elapsed_ms"?[: ]"?)[0-9.]+')
 
@@ -123,28 +141,37 @@ def _recover(cid, fid: str, digits: int) -> dict:
 def _cli(command: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(command.split())
+        try:
+            code = cli.main(command.split())
+        except Exception as exc:  # a crash: ``python -m stirlingsum`` exits 1 with a traceback
+            err.write(f"{type(exc).__name__}: {exc}\n")
+            code = 1
     return {"kind": "cli", "target": command, "n": None, "digits": None,
             "stdout": _ELAPSED.sub(r"\1*", out.getvalue()), "stderr": err.getvalue(),
             "exit": code}
+
+
+def _fixed_cases():
+    """The cases of the fixed grids, in the order they run."""
+    for fid in map(str, catalog.formula_ids()):
+        f = catalog.describe(fid)
+        for n in sorted({f.domain_min, *(n for n in N_GRID if n >= f.domain_min)}):
+            for digits in DIGIT_GRID:
+                yield _evaluate(fid, n, digits, brute=True)
+    for x in X_GRID:
+        for digits in DIGAMMA_DIGITS:
+            yield _digamma(x, digits)
+    for cid, fid in RECOVERY_FORMULA.items():
+        for digits in RECOVERY_DIGITS:
+            yield _recover(cid, fid, digits)
+    yield from map(_cli, CLI_COMMANDS)
 
 
 def record(out: str) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
     from workloads import serve_warm
 
-    cases = []
-    for fid in map(str, catalog.formula_ids()):
-        f = catalog.describe(fid)
-        for n in sorted({f.domain_min, *(n for n in N_GRID if n >= f.domain_min)}):
-            for digits in DIGIT_GRID:
-                cases.append(_evaluate(fid, n, digits, brute=True))
-    for x in X_GRID:
-        for digits in DIGAMMA_DIGITS:
-            cases.append(_digamma(x, digits))
-    for cid, fid in RECOVERY_FORMULA.items():
-        for digits in RECOVERY_DIGITS:
-            cases.append(_recover(cid, fid, digits))
+    cases = list(_fixed_cases())
     for seed in SEEDS:
         for req in serve_warm(seed):
             if req.kind == "evaluate":
@@ -152,11 +179,45 @@ def record(out: str) -> None:
             else:
                 case = _digamma(req.target, req.digits)
             cases.append({**case, "seed": seed})
-    cases.extend(map(_cli, CLI_COMMANDS))
     with open(out, "w", encoding="ascii") as fh:
         for case in cases:
             fh.write(json.dumps(case) + "\n")
     print(f"{len(cases)} cases written to {out}")
+
+
+def _environment() -> dict:
+    return {"python": platform.python_version(), "mpmath": mpmath.__version__,
+            "backend": mpmath.libmp.BACKEND}
+
+
+def _pins() -> dict:
+    """{case key: short hash of the case} over the fixed grids."""
+    return {_key(case): hashlib.sha256(json.dumps(case, sort_keys=True).encode()).hexdigest()[:12]
+            for case in _fixed_cases()}
+
+
+def pin(out: str) -> None:
+    pins = _pins()
+    with open(out, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(_environment()) + "\n")
+        for key, digest in pins.items():
+            fh.write(json.dumps([*key[:4], digest]) + "\n")
+    print(f"{len(pins)} cases pinned in {out}")
+
+
+def check(path: str) -> int:
+    with open(path, encoding="ascii") as fh:
+        made_with = json.loads(fh.readline())
+        pinned = {(*row[:4], None): row[4] for row in map(json.loads, fh)}
+    pins = _pins()
+    moved = [key for key in pinned.keys() & pins.keys() if pinned[key] != pins[key]]
+    missing = pinned.keys() ^ pins.keys()
+    print(f"{len(pins)} cases, {len(moved)} moved, {len(missing)} in one side only"
+          + "".join(f"\nmoved: {key[:4]}" for key in sorted(moved, key=str))
+          + "".join(f"\nin one side only: {key[:4]}" for key in sorted(missing, key=str)))
+    if made_with != _environment():
+        print(f"pinned on {made_with}, checked on {_environment()}")
+    return 1 if moved or missing else 0
 
 
 def _key(case: dict) -> tuple:
@@ -224,10 +285,19 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare two recorded tables")
     p.add_argument("a")
     p.add_argument("b")
+    p = sub.add_parser("pin", help="write a short hash per case of the fixed grids")
+    p.add_argument("out")
+    p = sub.add_parser("check", help="compare the fixed grids with their pinned hashes")
+    p.add_argument("pinned")
     args = parser.parse_args(argv)
     if args.command == "record":
         record(args.out)
         return 0
+    if args.command == "pin":
+        pin(args.out)
+        return 0
+    if args.command == "check":
+        return check(args.pinned)
     return compare(args.a, args.b)
 
 
