@@ -33,7 +33,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec,
     from_int,
-    from_man_exp,
     from_rational,
     fzero,
     mpf_add,
@@ -81,6 +80,7 @@ from .transform import (
     NonConvergenceError,
     _as_ratio,
     _eps,
+    _rounded,
     eval_stirling_series,
     required_terms_estimate,
     weniger_transform,
@@ -607,7 +607,7 @@ def _summand_sum(f: Formula, lo: int, hi: int, prec: int) -> mpf:
         if m:
             t = t * _fixed_log(y, w) ** m >> m * w
         total += sg * t
-    return mp.make_mpf(from_man_exp(total, -w, prec, round_nearest))
+    return mp.make_mpf(_rounded(total, -w, prec))
 
 
 def brute_force(formula, n: int, digits: int = 30) -> mpf:
@@ -669,7 +669,7 @@ class _Plan:
         self.prec = dps_to_prec(self.wd)
         self.w = self.prec + _RHS_GUARD
         self.part_ctx = EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms)
-        self.eps = from_man_exp(*_eps(ctx.digits + ctx.guard - 2, self.prec))
+        self.eps = _rounded(*_eps(ctx.digits + ctx.guard - 2, self.prec), self.prec)
         served = dict(zip(f.constants, cvalues))
         head = [self.lower(t, t.rational, t.base_offset, t.constants, served)
                 for t in f.head if t is not skip]
@@ -752,13 +752,13 @@ def _rhs(plan: _Plan, x: int):
         part_est = _times_fixed(rep.est_error._mpf_, abs(scale), w, prec)
         if mpf_cmp(part_est, est) > 0:
             est = part_est
-    return from_man_exp(head, -w, prec, round_nearest), scaled, terms, est, errors
+    return _rounded(head, -w, prec), scaled, terms, est, errors
 
 
 def _times_fixed(v: tuple, scale: int, w: int, prec: int) -> tuple:
     """The raw mpf v times scale 2^-w, exactly, rounded to prec bits once."""
     sign, man, exp, _ = v
-    return from_man_exp(-man * scale if sign else man * scale, exp - w, prec, round_nearest)
+    return _rounded(-man * scale if sign else man * scale, exp - w, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,7 +1137,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     total = _fixed_log(py, w, q) - (q << w) // (2 * py) + to_fixed(rep.value._mpf_, w)
     if shift:  # q/(p + i q) for i < shift, with no Python frame per term
         total -= sum(map((q << w).__floordiv__, range(p, py, q)))
-    return mp.make_mpf(from_man_exp(total, -w, prec, round_nearest)), rep.terms_used, shift
+    return mp.make_mpf(_rounded(total, -w, prec)), rep.terms_used, shift
 
 
 def digamma(x, digits: int = 30) -> mpf:

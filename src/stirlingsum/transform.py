@@ -47,7 +47,6 @@ from mpmath.libmp import (
     dps_to_prec,
     from_float,
     from_int,
-    from_man_exp,
     from_rational,
     fzero,
     mpf_pow,
@@ -366,10 +365,29 @@ def _eps(digits: float, wp: int) -> tuple[int, int]:
     return man, exp
 
 
+def _rounded(man: int, exp: int, prec: int) -> tuple:
+    """from_man_exp(man, exp, prec, round_nearest), the raw mpf man * 2^exp
+    rounded half to even, with int.bit_length for mpmath's Python bitcount."""
+    if not man:
+        return fzero
+    sign, man = (1, -man) if man < 0 else (0, man)
+    if (n := man.bit_length() - prec) > 0:
+        t = man >> (n - 1)  # prec bits and the half bit; up past half, or at a tie when odd
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+    if z := (man & -man).bit_length() - 1:  # trailing zeros; none keeps exp's object, as in mpmath
+        man, exp = man >> z, exp + z
+    return sign, man, exp, man.bit_length()
+
+
 def _as_ratio(x) -> tuple[int, int]:
-    """x exactly as p/q in lowest terms (q > 0): an mpf as man*2^exp, anything
-    else through Fraction (int, Fraction, float, decimal string). An infinite
-    or nan x raises DomainError."""
+    """x exactly as p/q in lowest terms (q > 0): an int or Fraction as its pair,
+    an mpf as man*2^exp, anything else (bool, subclasses, float, decimal
+    string) through Fraction. An infinite or nan x raises DomainError."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x._numerator, x._denominator
     if isinstance(x, mpf):
         sign, man, exp, _ = x._mpf_
         if not man and exp:  # zero is (0, 0, 0, 0); inf and nan carry man 0, exp not 0
@@ -396,7 +414,7 @@ def eval_stirling_series(
     consumes: the values of a :class:`StirlingCoefficients`, or for an
     :class:`InnerCoefficients` its kept transform prefix followed by the
     terms computed past it (see :func:`_transform_stream`). Each c_k is read
-    with one ``as_integer_ratio()``. The sum runs in Python integers and
+    from its Fraction slots, no call. The sum runs in Python integers and
     reads no global mpmath state. x is taken exactly as p/q; 1/D_k is carried
     as a W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length()
     + 8 for the working precision wp, and moves on to k+1 with one multiply
@@ -450,11 +468,11 @@ def eval_stirling_series(
         s = W - n.bit_length() + d.bit_length()
         m = (n << s if s >= 0 else n >> -s) // d
         e -= s
-        num, den = ck.as_integer_ratio()
+        num, den = ck._numerator, ck._denominator  # Fraction's slots: no call per term
         if (stopped := small_run >= STOP_RULE) or terms_used >= run_limit:
             if num:  # first omitted term, either way, at W-bit precision
                 t, te = _mantissa(num * m, den, W)
-                next_term = from_man_exp(2 * abs(t), e + te, wp, round_nearest)
+                next_term = _rounded(2 * abs(t), e + te, wp)
             break
         terms_used += 1
         if not num:
@@ -474,7 +492,7 @@ def eval_stirling_series(
     else:  # finite coefficient list exhausted: series ends exactly
         stopped = True
     report = EvaluationReport(
-        value=mp.make_mpf(from_man_exp(total, unit, wp, round_nearest)),
+        value=mp.make_mpf(_rounded(total, unit, wp)),
         terms_used=terms_used,
         est_error=mp.make_mpf(next_term),
         precision_used=ctx.working_digits,

@@ -1,11 +1,13 @@
 import math
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from stirlingsum import catalog, transform
 from stirlingsum.exactnum import DomainError, bernoulli, gregory_number, stirling_row
@@ -680,6 +682,91 @@ def test_patched_coefficient_stream_sees_every_consumed_coefficient(monkeypatch)
     seen.clear()
     _, terms, _ = catalog.digamma_details(F(1, 3), 30)
     assert len(seen) == terms + 1
+
+
+@st.composite
+def _man_exp_prec(draw):
+    """(man, exp, prec): prec in 1..3 or 53..2000; man zero, any length up to
+    past 2 prec + 64 bits, all ones, or an exact tie at prec bits with kept
+    bits of either parity; either sign."""
+    prec = draw(st.one_of(st.integers(1, 3), st.integers(53, 2000)))
+    kind = draw(st.sampled_from(["zero", "any", "ones", "tie"]))
+    if kind == "zero":
+        man = 0
+    elif kind == "any":
+        man = draw(st.integers(1, (1 << draw(st.integers(1, 2 * prec + 64))) - 1))
+    elif kind == "ones":  # longer than prec, rounds up to a power of two
+        man = (1 << draw(st.integers(1, 2 * prec + 64))) - 1
+    else:  # kept bits, then a one followed by zeros: exactly half an ulp
+        kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        below = draw(st.integers(1, 300))
+        man = (kept << below) | (1 << (below - 1))
+    man = -man if draw(st.booleans()) else man
+    return man, draw(st.integers(-5000, 5000)), prec
+
+
+@settings(max_examples=500, deadline=None)
+@given(_man_exp_prec())
+@example((0, 0, 53))
+@example((0, 17, 1))
+@example((-5, 3, 2))
+@example((0b101, 0, 2))  # a tie that keeps an even 0b10
+@example((0b111, 0, 2))  # a tie that rounds an odd 0b11 up to a power of two
+@example((-0b1011, -4, 3))  # a tie below an odd 0b101, negative
+@example(((1 << 60) - 1, -60, 53))  # all ones past prec: rounds up to 2^0
+@example(((1 << 2000) - 1, 0, 2000))  # all ones at exactly prec bits: kept
+@example((3 << 40, -7, 53))  # shorter than prec, trailing zeros stripped
+def test_rounded_matches_from_man_exp(case):
+    man, exp, prec = case
+    ours, theirs = transform._rounded(man, exp, prec), from_man_exp(man, exp, prec, round_nearest)
+    assert ours == theirs
+    assert tuple(map(type, ours)) == tuple(map(type, theirs))  # an int sign, never a bool
+
+
+def test_warm_series_makes_no_python_call_per_coefficient():
+    # a warm call reads its whole run from the kept prefix; the Python
+    # frames it opens must not grow with terms_used (a frame per c_k, such
+    # as Fraction.as_integer_ratio, would add one per term)
+    part = catalog.describe("1.1").series[0].inner
+    inner = InnerCoefficients(fn=lambda l: part.fn(l))  # a checkpoint of its own
+    ctx = EvalContext(digits=30)
+    for x in (20, 60):
+        eval_stirling_series(inner, x, AT_X, ctx)
+
+    def calls(x):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            rep = eval_stirling_series(inner, x, AT_X, ctx)
+        finally:
+            sys.setprofile(None)
+        return count, rep.terms_used
+
+    (near, near_terms), (far, far_terms) = calls(20), calls(60)
+    assert near_terms > 5 * far_terms  # 435 terms against 66
+    assert near == far
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+@pytest.mark.parametrize("x", [0, 7, -7, 10**40, -(10**40), True, False, _Int(0), _Int(-12),
+                               F(0), F(-3, 6), F(10**30, 7), _Fraction(0), _Fraction(-5, 15)])
+def test_as_ratio_fast_paths_agree_with_fraction(x):
+    r = F(x)
+    ratio = transform._as_ratio(x)
+    assert ratio == (r.numerator, r.denominator)
+    assert tuple(map(type, ratio)) == (int, int)
 
 
 # terms_used of the mpf summation loop (the oracle above) on the series calls

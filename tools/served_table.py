@@ -38,7 +38,8 @@ served/refused, and an evaluation's brute-force check), the worst value move
 in units of 10^-digits, and each record's worst distance from brute force,
 ``mpmath.digamma`` or the reference digits in the same units; and how many
 CLI commands moved in stdout, stderr or exit code. It exits 1 when a case
-is missing from either record, 0 otherwise.
+is missing from either record, 0 otherwise. It reads the two records alone
+and imports nothing from the package, so it needs no ``src`` on PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ from pathlib import Path
 
 import mpmath
 from mpmath import mp, mpf
-
-from stirlingsum import catalog, cli
-from stirlingsum.constants import RECOVERY_FORMULA, ConstantStore
-from stirlingsum.transform import EvalContext, NonConvergenceError
 
 N_GRID = (1, 2, 7, 30, 59, 100, 150, 199, 200, 201, 1000)  # and each domain_min
 DIGIT_GRID = (10, 20, 30, 50, 100)
@@ -81,6 +78,15 @@ CLI_COMMANDS = (
     "eval 1.1 -n 10 -d 4400", "eval 1.1 -n 10 -d 4400 --json",
 )
 _ELAPSED = re.compile(r'(elapsed_ms"?[: ]"?)[0-9.]+')
+
+
+def _import_package() -> None:
+    """Bind the package names the recording cases use; ``compare`` reads two
+    records alone, so it runs with no ``src`` on PYTHONPATH."""
+    global catalog, cli, RECOVERY_FORMULA, ConstantStore, EvalContext, NonConvergenceError
+    from stirlingsum import catalog, cli
+    from stirlingsum.constants import RECOVERY_FORMULA, ConstantStore
+    from stirlingsum.transform import EvalContext, NonConvergenceError
 
 
 def _bits(v: mpf) -> list:
@@ -168,6 +174,7 @@ def _fixed_cases():
 
 
 def record(out: str) -> None:
+    _import_package()
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
     from workloads import serve_warm
 
@@ -197,6 +204,7 @@ def _pins() -> dict:
 
 
 def pin(out: str) -> None:
+    _import_package()
     pins = _pins()
     with open(out, "w", encoding="ascii") as fh:
         fh.write(json.dumps(_environment()) + "\n")
@@ -206,6 +214,7 @@ def pin(out: str) -> None:
 
 
 def check(path: str) -> int:
+    _import_package()
     with open(path, encoding="ascii") as fh:
         made_with = json.loads(fh.readline())
         pinned = {(*row[:4], None): row[4] for row in map(json.loads, fh)}
