@@ -79,7 +79,6 @@ from .transform import (
     InnerCoefficients,
     NonConvergenceError,
     _as_ratio,
-    _eps,
     _rounded,
     eval_stirling_series,
     required_terms_estimate,
@@ -669,7 +668,7 @@ class _Plan:
         self.prec = dps_to_prec(self.wd)
         self.w = self.prec + _RHS_GUARD
         self.part_ctx = EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms)
-        self.eps = _rounded(*_eps(ctx.digits + ctx.guard - 2, self.prec), self.prec)
+        self.eps = mpf_pow_int(from_int(10), 2 - ctx.digits - ctx.guard, self.prec, round_nearest)
         served = dict(zip(f.constants, cvalues))
         head = [self.lower(t, t.rational, t.base_offset, t.constants, served)
                 for t in f.head if t is not skip]
@@ -1132,7 +1131,8 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
         p, q = _as_ratio(mp.make_mpf(from_rational(p, q, prec, round_nearest)))
     shift = max(0, anchor - p // q)
     py = p + shift * q
-    rep = eval_stirling_series(describe("1.1").series[0].inner, Fraction(py, q), AT_X, ctx)
+    y = py if q == 1 else Fraction(py, q)
+    rep = eval_stirling_series(describe("1.1").series[0].inner, y, AT_X, ctx)
     w = prec + _RHS_GUARD
     total = _fixed_log(py, w, q) - (q << w) // (2 * py) + to_fixed(rep.value._mpf_, w)
     if shift:  # q/(p + i q) for i < shift, with no Python frame per term

@@ -226,15 +226,14 @@ def _transform_stream(
     per coefficient; only the coefficients past it come from the generator
     :func:`_extend_stream`, chained on behind.
     """
-    # A checkpoint's lists are never changed once stored, so its coefficients
-    # are read in place and copied only to be extended.
-    with _checkpoint_lock:
-        cp = _checkpoints.get(a)
+    # No lock: a dict read is atomic under the GIL, and a checkpoint's lists
+    # never change once stored, so they are read in place, copied to extend.
+    cp = _checkpoints.get(a)
     kept = cp.coeffs if cp else []
+    if K is None:
+        return itertools.chain(enumerate(kept, start=1), _extend_stream(a, K, cp))
     prefix = itertools.islice(enumerate(kept, start=1), K)
-    if K is not None and K <= len(kept):
-        return prefix
-    return itertools.chain(prefix, _extend_stream(a, K, cp))
+    return prefix if K <= len(kept) else itertools.chain(prefix, _extend_stream(a, K, cp))
 
 
 def _extend_stream(
@@ -332,17 +331,38 @@ def required_terms_estimate(x: float, digits: float) -> int:
     return int(hi) + 1
 
 
+def _cutoff(budget: int) -> int:
+    """The refusal cutoff: 2 budget + 300 for small budgets, where the model
+    is crudest, 1.35 budget + 300 for the costly large ones."""
+    return 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
+
+
+def _fits(x: float, digits: float, budget: int) -> bool:
+    """Whether the model proves the estimate at x within the cutoff with no
+    bisection. The estimate lands at most max(1, 1e-3 k) past where the
+    model crosses 10^-digits, so one term below it at m, with
+    m + max(1, 1e-3 m) < cutoff, is proof. The model falls in x."""
+    return x > 0 and _log_term((_cutoff(budget) - 2) / 1.002, x) <= -digits * math.log(10)
+
+
 def _beyond_budget(x: float, digits: float, budget: int) -> int | None:
-    """The estimate at x if it passes the refusal cutoff: 2 budget + 300 for
-    small budgets, where the model is crudest, 1.35 budget + 300 for the
-    costly large ones. The estimate lands at most max(1, 1e-3 k) past where
-    the model crosses 10^-digits, so one term below it at m, with
-    m + max(1, 1e-3 m) < cutoff, proves the fit without the bisection."""
-    cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
-    if x > 0 and _log_term((cutoff - 2) / 1.002, x) <= -digits * math.log(10):
+    """The estimate at x if it passes the refusal cutoff."""
+    if _fits(x, digits, budget):
         return None
     predicted = required_terms_estimate(x, digits)
-    return predicted if predicted > cutoff else None
+    return predicted if predicted > _cutoff(budget) else None
+
+
+@functools.lru_cache(maxsize=256)
+def _series_setup(digits: int, guard: int, budget: int) -> tuple[int, int, int, int, float]:
+    """(wp, W, eps_man, eps_shift, x_fit) under ctx.key; see eval_stirling_series.
+    x_fit is the least float at which :func:`_fits` holds, or 1e15: a call at
+    or past it skips :func:`_beyond_budget`."""
+    wp, sdigits, lo, hi = dps_to_prec(digits + guard), digits + guard / 2, 0.0, 1e15
+    _, eps_man, eps_exp, _ = mpf_pow(from_int(10), from_float(-sdigits), wp, round_nearest)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (lo, mid) if _fits(mid, sdigits, budget) else (mid, hi)
+    return wp, wp + budget.bit_length() + 8, eps_man, -eps_exp, hi
 
 
 def _x_text(xf: float, p: int, q: int) -> str:
@@ -355,14 +375,6 @@ def _mantissa(n: int, d: int, bits: int) -> tuple[int, int]:
     once) and m of ``bits`` or bits+1 bits."""
     s = bits - n.bit_length() + d.bit_length()
     return (n << s if s >= 0 else n >> -s) // d, -s
-
-
-@functools.lru_cache(maxsize=256)
-def _eps(digits: float, wp: int) -> tuple[int, int]:
-    """(man, exp) of 10^-digits rounded to wp bits: mpf(10) ** -digits at
-    that precision, cached since each series call needs one."""
-    _, man, exp, _ = mpf_pow(from_int(10), from_float(-digits), wp, round_nearest)
-    return man, exp
 
 
 def _rounded(man: int, exp: int, prec: int) -> tuple:
@@ -412,13 +424,15 @@ def eval_stirling_series(
     The (k, c_k) come from the module global ``_coefficient_stream``, looked
     up at call time so that a wrapper set in its place sees every c_k a call
     consumes: the values of a :class:`StirlingCoefficients`, or for an
-    :class:`InnerCoefficients` its kept transform prefix followed by the
-    terms computed past it (see :func:`_transform_stream`). Each c_k is read
-    from its Fraction slots, no call. The sum runs in Python integers and
-    reads no global mpmath state. x is taken exactly as p/q; 1/D_k is carried
-    as a W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length()
-    + 8 for the working precision wp, and moves on to k+1 with one multiply
-    by q and one division by p + k*q. Each term c_k/D_k is the exact floor of
+    :class:`InnerCoefficients` its kept transform prefix, read with no lock
+    (a dict read is atomic under the GIL, and a kept list never changes),
+    then the terms computed past it. wp, W, eps and the least x needing no
+    refusal check are set up once per ``ctx.key`` (:func:`_series_setup`).
+    The sum runs in Python integers from each c_k's Fraction slots and reads
+    no global mpmath state. x is taken exactly as p/q; 1/D_k is carried as a
+    W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length() + 8
+    for the working precision wp, and moves on to k+1 with one multiply by q
+    and one division by p + k*q. Each term c_k/D_k is the exact floor of
     c_k.numerator * mantissa / c_k.denominator in units 2^-(wp + 64) of the
     first nonzero term, added to an integer accumulator. The truncations stay
     below k*2^-(W-1) relative per term plus one unit per term, far inside the
@@ -437,12 +451,13 @@ def eval_stirling_series(
     if p <= 0:
         raise DomainError(f"series requires x > 0, got {x}")
     xf = p / q if p.bit_length() - q.bit_length() < 1000 else math.inf  # no overflow
+    wp, W, eps_man, eps_shift, x_fit = _series_setup(*ctx.key)
     # When the decay model puts the stop point far beyond the term budget,
     # compute only a short genuine prefix for the partial report instead
     # of grinding out the whole doomed budget.
     run_limit = ctx.max_terms
     hopeless = None
-    if isinstance(c, InnerCoefficients) and xf < 1e15:
+    if xf < x_fit and isinstance(c, InnerCoefficients):
         predicted = _beyond_budget(xf, ctx.digits + ctx.guard / 2, ctx.max_terms)
         if predicted:
             run_limit = min(ctx.max_terms, 64)
@@ -450,35 +465,32 @@ def eval_stirling_series(
                 f"roughly {predicted} terms needed at x={_x_text(xf, p, q)} for "
                 f"{ctx.digits} digits, beyond the {ctx.max_terms}-term budget"
             )
-    wp = dps_to_prec(ctx.working_digits)
-    W = wp + ctx.max_terms.bit_length() + 8
-    eps_man, eps_exp = _eps(ctx.digits + ctx.guard / 2, wp)
-    eps_shift = -eps_exp  # eps < 1, so a left shift
     # 1/D_k = m * 2^e; D_0 = x for at_x, 1 for at_x_plus_1
     m, e = _mantissa(q, p, W) if start_shift == AT_X else (1 << W, -W)
     total = 0  # accumulator, units 2^unit once the first nonzero term fixes it
     unit = 0
     small_run = 0
-    terms_used = 0
-    stopped = False
+    stop_rule = STOP_RULE
+    d = p  # the divisor p + k*q of step k
+    k = 0  # the terms used: k - 1 at a break, k at the end of a finite list
     next_term = fzero
     # _mantissa's arithmetic is inlined twice below: this loop is the kernel
     for k, ck in _coefficient_stream(c):
-        n, d = m * q, p + k * q
+        n, d = m * q, d + q
         s = W - n.bit_length() + d.bit_length()
         m = (n << s if s >= 0 else n >> -s) // d
         e -= s
-        num, den = ck._numerator, ck._denominator  # Fraction's slots: no call per term
-        if (stopped := small_run >= STOP_RULE) or terms_used >= run_limit:
+        num = ck._numerator  # Fraction's slots: no call per term
+        if (stopped := small_run >= stop_rule) or k > run_limit:
+            terms_used = k - 1
             if num:  # first omitted term, either way, at W-bit precision
-                t, te = _mantissa(num * m, den, W)
+                t, te = _mantissa(num * m, ck._denominator, W)
                 next_term = _rounded(2 * abs(t), e + te, wp)
             break
-        terms_used += 1
         if not num:
             small_run += 1
             continue
-        t = num * m
+        t, den = num * m, ck._denominator
         if not total:  # a zero sum takes any unit; fix it from this term
             unit = e + t.bit_length() - den.bit_length() - wp - 64
         s = e - unit
@@ -490,7 +502,7 @@ def eval_stirling_series(
         else:
             small_run = 0
     else:  # finite coefficient list exhausted: series ends exactly
-        stopped = True
+        stopped, terms_used = True, k
     report = EvaluationReport(
         value=mp.make_mpf(_rounded(total, unit, wp)),
         terms_used=terms_used,

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 from fractions import Fraction as F
 
@@ -818,3 +819,150 @@ def test_digamma_stops_where_recorded(x, digits, terms):
     value = catalog.digamma_details(x, digits)[0]
     with mp.workdps(digits + 20):
         assert abs(value - mp.digamma(xv)) <= mpf(10) ** -digits / 2
+
+
+# ---------------------------------------------------------------------------
+# Per-context set-up and the checkpoint read without a lock
+# ---------------------------------------------------------------------------
+
+
+class _PastRunLimit(Exception):
+    """Raised by a stream asked for a term past k = 65."""
+
+
+def _growing_stream(x: float):
+    """(k, c_k) for k <= 65 with c_k at least D_k = x(x+1)..(x+k), so that no
+    term is small and a run ends only at its run limit, then _PastRunLimit."""
+    def stream(c):
+        ck = base = math.ceil(x)
+        for k in range(1, 66):
+            ck *= base + k
+            yield k, F(ck)
+        raise _PastRunLimit
+
+    return stream
+
+
+def _outcome(x, ctx):
+    """How a run of non-small terms ends at x: ("past 65",) when its run limit
+    is past 65 terms, else the refusal's message and partial report bits."""
+    try:
+        eval_stirling_series(UNIT, x, AT_X, ctx)
+    except _PastRunLimit:
+        return ("past 65",)
+    except NonConvergenceError as exc:
+        return str(exc), _report_bits(exc.report)
+    raise AssertionError("a run of non-small terms was served")
+
+
+@st.composite
+def _near_the_fit_bound(draw):
+    """(x, ctx): digits 1-2000, a budget on either side of 1000, and x at the
+    cached bound, the floats beside it, within 1e-3 of it, anywhere below
+    it, at 1e-300 or past 1e15."""
+    digits = draw(st.integers(1, 2000))
+    budget = draw(st.one_of(st.integers(1, 1000), st.integers(1001, 3000)))
+    ctx = EvalContext(digits=digits, max_terms=budget)
+    x_fit = transform._series_setup(*ctx.key)[-1]
+    x = draw(st.one_of(
+        st.sampled_from([x_fit, math.nextafter(x_fit, 0), math.nextafter(x_fit, math.inf),
+                         1e-300, 1e15, math.nextafter(1e15, 0), 3e17]),
+        st.floats(-1e-3, 1e-3).map(lambda r: x_fit * (1 + r)),
+        st.floats(1e-6, 1).map(lambda r: x_fit * r),
+    ))
+    return x, ctx
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_the_fit_bound())
+@example((1e-300, EvalContext(digits=30)))
+@example((1e-300, EvalContext(digits=2000, max_terms=3000)))
+def test_cached_fit_bound_agrees_with_beyond_budget(case):
+    # the refusal, the run limit and the message at x are those of a run
+    # that asks _beyond_budget wherever x < 1e15, as before the bound
+    x, ctx = case
+    setup = transform._series_setup(*ctx.key)
+    x_fit = setup[-1]
+    assert 0 < x_fit <= 1e15
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_coefficient_stream", _growing_stream(x))
+        got = _outcome(x, ctx)
+        patch.setattr(transform, "_series_setup", lambda *key: (*setup[:-1], 1e15))
+        assert got == _outcome(x, ctx)
+    # and the model's proof of the fit holds from the bound on, and the
+    # bound is tight: the proof fails at the float below
+    for y in (x, math.nextafter(x_fit, 0)):
+        if y < 1e15:
+            assert transform._fits(y, ctx.digits + ctx.guard / 2, ctx.max_terms) == (y >= x_fit), y
+
+
+def test_checkpoint_reads_without_lock_under_threads():
+    # 8 threads read and extend one fresh inner's checkpoint at mixed
+    # depths, while it grows under them; each gets the bits of a
+    # single-threaded run
+    part = catalog.describe("9.1").series[0].inner
+    runs = [(x, digits) for x in (20, 45, 200) for digits in (20, 40, 60)]
+    depths = [30, 90, 150, 240]
+
+    def fresh():  # an instance of its own, so a checkpoint of its own
+        return InnerCoefficients(fn=lambda l: part.fn(l))
+
+    def serve(inner, i):
+        out = {}
+        for x, digits in runs[i:] + runs[:i]:
+            rep, served = _run(inner, x, AT_X, EvalContext(digits=digits))
+            out[x, digits] = _report_bits(rep), served
+        for K in depths[i % 4:] + depths[:i % 4]:
+            out[K] = weniger_transform(inner, K).values
+        return out
+
+    expected = serve(fresh(), 0)
+    shared = fresh()
+    got = [None] * 8
+
+    def work(i):
+        got[i] = serve(shared, i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g == expected for g in got)
+
+
+def test_second_series_call_on_a_context_skips_its_setup():
+    # the working precision, the stop threshold and the refusal check are
+    # set up once per context: a second call under a context already seen,
+    # at an x past the refusal check's bound, makes none of those calls
+    inner = catalog.describe("1.1").series[0].inner
+    ctx = EvalContext(digits=37, guard=17, max_terms=433)  # a key no other test uses
+    x = 300
+    transform._series_setup.cache_clear()
+
+    def counted():
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_name)
+            elif event == "c_call":
+                names.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            eval_stirling_series(inner, x, AT_X, ctx)
+        finally:
+            sys.setprofile(None)
+        return [n for n in names if n in ("dps_to_prec", "_log_term", "lgamma")]
+
+    first, second = counted(), counted()
+    assert {"dps_to_prec", "_log_term", "lgamma"} <= set(first)
+    assert x >= transform._series_setup(*ctx.key)[-1]
+    assert second == []
