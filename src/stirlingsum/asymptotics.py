@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import DomainError, _Frozen, _Keyed, bernoulli
+from .exactnum import DomainError, _Frozen, _Keyed, _as_count, bernoulli
 
 __all__ = ["LogPowerTerm", "EMTail", "differentiate", "em_tail"]
 
@@ -31,11 +31,7 @@ class LogPowerTerm(_Keyed):
         coef, s = Fraction(coef), Fraction(s)
         if m < 0:
             raise DomainError(f"log power must be >= 0, got {m}")
-        set_ = object.__setattr__
-        set_(self, "coef", coef)
-        set_(self, "s", s)
-        set_(self, "m", m)
-        set_(self, "key", (coef, s, m))
+        self._fill(coef, s, m, (coef, s, m))
 
 
 def _merge(terms) -> tuple[LogPowerTerm, ...]:
@@ -76,7 +72,7 @@ class EMTail(_Frozen):
     __slots__ = ("groups",)
 
     def __init__(self, groups: dict[int, tuple[tuple[Fraction, Fraction], ...]]):
-        object.__setattr__(self, "groups", groups)
+        self._fill(groups)
 
     def coef(self, j: int, exponent) -> Fraction:
         exponent = Fraction(exponent)
@@ -93,8 +89,7 @@ class EMTail(_Frozen):
 
 def em_tail(f, L: int) -> EMTail:
     """(1/2) f + sum_{k=2}^{L+1} (B_k/k!) f^(k-1), exactly, grouped by log power."""
-    if L < 1:
-        raise DomainError(f"need L >= 1, got {L}")
+    _as_count(L, 1, "L")
     terms: list[LogPowerTerm] = [
         LogPowerTerm(t.coef / 2, t.s, t.m) for t in f if t.coef
     ]

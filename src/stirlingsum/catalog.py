@@ -64,6 +64,7 @@ from .exactnum import (
     DomainError,
     _Frozen,
     _Keyed,
+    _as_count,
     bernoulli,
     double_factorial_ext,
     euler_number,
@@ -129,9 +130,7 @@ class FormulaId(_Keyed):
             raise DomainError(f"unknown formula family {family}")
         if not 1 <= variant <= count:
             raise DomainError(f"family {family} has variants 1..{count}, got {variant}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "key", (family, variant))
+        self._fill(family, variant, (family, variant))
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -168,15 +167,9 @@ class HeadTerm(_Frozen):
     def __init__(self, rational: Fraction, n_power: Fraction = F(0), log_power: int = 0,
                  constants: tuple[tuple[ConstantId, int], ...] = (),
                  parity: int | None = None, base_offset: int = 0):
-        set_ = object.__setattr__
-        set_(self, "rational", F(rational))
-        set_(self, "n_power", F(n_power))
         if log_power < 0:
             raise DomainError("log_power must be >= 0")
-        set_(self, "log_power", log_power)
-        set_(self, "constants", constants)
-        set_(self, "parity", parity)
-        set_(self, "base_offset", base_offset)
+        self._fill(F(rational), F(n_power), log_power, constants, parity, base_offset)
 
 
 class SeriesPart(_Frozen):
@@ -191,14 +184,7 @@ class SeriesPart(_Frozen):
     def __init__(self, inner: InnerCoefficients, prefactor: Fraction, n_power: Fraction = F(0),
                  log_power: int = 0, shape: str = AT_X, x_offset: int = 0,
                  parity: int | None = None):
-        set_ = object.__setattr__
-        set_(self, "inner", inner)
-        set_(self, "prefactor", F(prefactor))
-        set_(self, "n_power", F(n_power))
-        set_(self, "log_power", log_power)
-        set_(self, "shape", shape)
-        set_(self, "x_offset", x_offset)
-        set_(self, "parity", parity)
+        self._fill(inner, F(prefactor), F(n_power), log_power, shape, x_offset, parity)
 
 
 class Summand(_Keyed):
@@ -217,13 +203,7 @@ class Summand(_Keyed):
         s = F(s)
         if (2 * s).denominator != 1:
             raise DomainError(f"summand power must be a multiple of 1/2, got {s}")
-        set_ = object.__setattr__
-        set_(self, "s", s)
-        set_(self, "m", m)
-        set_(self, "parity", parity)
-        set_(self, "scale", scale)
-        set_(self, "shift", shift)
-        set_(self, "key", (int(2 * s), m, parity, scale, shift))
+        self._fill(s, m, parity, scale, shift, (int(2 * s), m, parity, scale, shift))
 
 
 _LOG_K = Summand(0, 1)
@@ -244,37 +224,23 @@ class Formula(_Frozen):
 
     def __init__(self, id: FormulaId, lhs: str, summand: Summand, domain_min: int,
                  head: tuple[HeadTerm, ...], series: tuple[SeriesPart, ...]):
-        set_ = object.__setattr__
-        set_(self, "id", id)
-        set_(self, "lhs", lhs)
-        set_(self, "summand", summand)
-        set_(self, "domain_min", domain_min)
-        set_(self, "head", head)
-        set_(self, "series", series)
-        set_(self, "alternating", summand.parity is not None)
-        set_(self, "constants", tuple(dict.fromkeys(c for t in head for c, _ in t.constants)))
-        set_(self, "recover_target", next(c for c in self.constants if _isolates(self, c)))
-        set_(self, "top_power", max(t.n_power for t in head + series))
+        constants = tuple(dict.fromkeys(c for t in head for c, _ in t.constants))
+        target = next(c for c in constants if _isolating_term(head, c))
+        self._fill(id, lhs, summand, domain_min, head, series, summand.parity is not None,
+                   constants, target, max(t.n_power for t in head + series))
 
 
-def _isolating_term(f: Formula, target: ConstantId) -> HeadTerm:
-    """The one head term holding ``target``, linearly and with no n factor."""
-    hits = [t for t in f.head if any(c == target for c, _ in t.constants)]
+def _isolating_term(head: tuple[HeadTerm, ...], target: ConstantId) -> HeadTerm | None:
+    """The one head term holding ``target``, linearly and with no n factor,
+    or None when no such term isolates it."""
+    hits = [t for t in head if any(c == target for c, _ in t.constants)]
     if len(hits) != 1:
-        raise DomainError(f"{target} does not appear in exactly one head term of {f.id}")
+        return None
     term = hits[0]
     power = next(p for c, p in term.constants if c == target)
     if power != 1 or term.n_power or term.log_power or term.parity is not None:
-        raise DomainError(f"{target} cannot be isolated linearly in {f.id}")
+        return None
     return term
-
-
-def _isolates(f: Formula, target: ConstantId) -> bool:
-    try:
-        _isolating_term(f, target)
-    except DomainError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +459,7 @@ def coefficients(formula, K: int) -> tuple[Fraction, ...]:
 
 
 def part_coefficients(formula, K: int, log_power: int = 0) -> tuple[Fraction, ...]:
-    f = describe(formula)
-    if K < 1:
-        raise DomainError(f"need K >= 1, got {K}")
-    part = _series_part(f, log_power)
+    part = _series_part(describe(formula), log_power)
     return tuple(part.prefactor * v for v in weniger_transform(part.inner, K).values)
 
 
@@ -528,9 +491,7 @@ def golden_coefficients(formula, log_power: int = 0) -> tuple[Fraction, ...]:
 def series_term_magnitudes(formula, n: int, K: int, log_power: int = 0) -> list[Fraction]:
     """Exact |c_k| / D_k(n + x_offset) for k = 1..K (part scale excluded)."""
     part = _series_part(describe(formula), log_power)
-    x = n + part.x_offset
-    if x < 1:
-        raise DomainError(f"need n + offset >= 1, got {x}")
+    x = _as_count(n, 1 - part.x_offset) + part.x_offset
     c = weniger_transform(part.inner, K)
     denom = x if part.shape == AT_X else 1
     out = []
@@ -615,22 +576,13 @@ def brute_force(formula, n: int, digits: int = 30) -> mpf:
     n = _as_count(n, f.domain_min)
     if n > BRUTE_FORCE_CAP:
         raise DomainError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
+    _as_count(digits, 1, "digits")
     return _summand_sum(f, f.domain_min - 1, n, dps_to_prec(digits + 10))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-
-def _as_count(n, minimum: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n < minimum:
-        raise DomainError(f"need n >= {minimum}, got {n}")
-    return n
 
 
 def _headroom(f: Formula, anchor: int) -> int:
@@ -990,13 +942,8 @@ class RecoveryResult(_Keyed):
     __slots__ = ("constant", "value", "n0", "digits", "terms_used")
 
     def __init__(self, constant: ConstantId, value: mpf, n0: int, digits: int, terms_used: int):
-        set_ = object.__setattr__
-        set_(self, "constant", constant)
-        set_(self, "value", value)
-        set_(self, "n0", n0)
-        set_(self, "digits", digits)
-        set_(self, "terms_used", terms_used)
-        set_(self, "key", (constant, value, n0, digits, terms_used))
+        key = (constant, value, n0, digits, terms_used)
+        self._fill(*key, key)
 
 
 def _recovery_target(f: Formula, store) -> ConstantId:
@@ -1035,14 +982,15 @@ def recover_details(
     nothing could check them.
     """
     f = describe(formula)
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
-    if n0 is not None and n0 < 2:
-        raise DomainError(f"need n0 >= 2, got {n0}")
+    _as_count(digits, 1, "digits")
+    if n0 is not None:
+        _as_count(n0, 2, "n0")
     store = store or _constants.default_store()
     target = _recovery_target(f, store)
     store.check_reach(target, digits)
-    term = _isolating_term(f, target)
+    term = _isolating_term(f.head, target)
+    if term is None:
+        raise DomainError(f"{target} cannot be isolated linearly in {f.id}")
     guard = EvalContext(digits).guard
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
@@ -1120,9 +1068,7 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     value is rounded to prec once. With x exact and q short, every divisor
     of the shift sum, and of the series' steps, is p + i q, one or two limbs.
     """
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
-    ctx, anchor, prec = _digamma_plan(digits)
+    ctx, anchor, prec = _digamma_plan(_as_count(digits, 1, "digits"))
     p, q = _as_ratio(x)
     if p <= 0:
         xv = mp.make_mpf(from_rational(p, q, prec, round_nearest))
@@ -1181,6 +1127,7 @@ def em_variant_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fraction]
     head comes from the integral of the summand and the constant.
     """
     f = _with_summation_tail(formula)
+    _as_count(L, 0, "L")
     out: dict[tuple[int, Fraction], Fraction] = {}
     for part in f.series:
         sigma = 1 if part.shape == AT_X_PLUS_1 else 0
@@ -1201,6 +1148,6 @@ def em_reference_map(formula, L: int = 20) -> dict[tuple[int, Fraction], Fractio
     from .asymptotics import LogPowerTerm, em_tail  # imported on use: only here
 
     f = _with_summation_tail(formula)
-    cutoff = _em_cutoff(f, L)
+    cutoff = _em_cutoff(f, _as_count(L, 0, "L"))
     tail = em_tail([LogPowerTerm(1, f.summand.s, f.summand.m)], L + 8)
     return {(j, e): c for (j, e), c in tail.as_dict().items() if e >= cutoff}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, round_nearest, to_str
 
-from .exactnum import DomainError, _Keyed
+from .exactnum import DomainError, _Keyed, _as_count
 from .transform import EvaluationReport, NonConvergenceError, _as_ratio
 
 __all__ = [
@@ -74,9 +74,7 @@ class ConstantId(_Keyed):
             s = Fraction(s)
         else:
             raise DomainError(f"unknown constant tag {tag!r}")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "key", (tag,) if s is None else (tag, *s.as_integer_ratio()))
+        self._fill(tag, s, (tag,) if s is None else (tag, *s.as_integer_ratio()))
 
     def __str__(self) -> str:
         if self.s is None:
@@ -149,8 +147,7 @@ def _scaled(value, digits: int, rounded: bool = False) -> tuple[bool, int]:
     """Whether ``value`` is negative, and |value|·10^digits as an integer:
     truncated toward zero, or rounded half away from zero.  Exact: it reads
     the binary value itself through ``_as_ratio``, not a reprint."""
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
+    _as_count(digits, 1, "digits")
     if not isinstance(value, mpf) and hasattr(value, "_mpf_"):
         # an mpmath constant such as mp.pi, read at the current precision
         value = mp.make_mpf(value._mpf_)
@@ -323,8 +320,7 @@ class ConstantStore:
             )
 
     def get(self, cid: ConstantId, digits: int) -> mpf:
-        if digits < 1:
-            raise DomainError(f"need digits >= 1, got {digits}")
+        _as_count(digits, 1, "digits")
         hit = self._cache.get(cid.key)
         if hit is not None and hit[0] >= digits:
             return hit[1]
@@ -386,8 +382,7 @@ def get_constant(cid: ConstantId, digits: int) -> mpf:
 
 def elementary(op: str, digits: int, x=None) -> mpf:
     """``pi``, or ``log`` of an int, float, decimal string or mpf, at digits + 10 digits."""
-    if digits < 1:
-        raise DomainError(f"need digits >= 1, got {digits}")
+    _as_count(digits, 1, "digits")
     prec = dps_to_prec(digits + 10)
     if op == "pi":
         return mp.make_mpf(mpf_pi(prec, round_nearest))

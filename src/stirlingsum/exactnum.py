@@ -38,23 +38,37 @@ class DomainError(ValueError):
 
 
 class _Frozen:
-    """Base of the package's immutable value classes. Each sets its slots
-    once, in ``__init__``, through ``object.__setattr__``; assigning a field
-    later raises ``AttributeError``. ``copy`` and ``pickle`` restore the
-    slots the same way."""
+    """Base of the package's immutable value classes. Each writes its slots
+    once, in ``__init__``, through :meth:`_fill`; assigning a field later
+    raises ``AttributeError``. ``copy`` and ``pickle`` restore the slots
+    through :meth:`_fill` too."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # The slots in the order _fill writes them: the class's own first,
+        # then each base's along the MRO (so _Keyed's ``key`` comes last).
+        super().__init_subclass__(**kwargs)
+        slots = [(c, name) for c in cls.__mro__ for name in vars(c).get("__slots__", ())
+                 if name != "__weakref__"]
+        cls._fields = tuple(name for _, name in slots)
+        cls._setters = tuple(vars(c)[name].__set__ for c, name in slots)
+
+    def _fill(self, *values):
+        """Write ``values`` to the slots in ``_fields`` order, one value for
+        each slot, through the slots' own member descriptors."""
+        for set_, value in zip(self._setters, values):
+            set_(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __setstate__(self, state):
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        self._fill(*map(state[1].__getitem__, self._fields))
 
 
 class _Keyed(_Frozen):
-    """A value class whose identity is ``key``, set once in ``__init__``:
+    """A value class whose identity is ``key``, filled last in ``__init__``:
     instances of one class with equal keys are equal and hash alike, and
     instances of different classes never compare equal."""
 
@@ -67,6 +81,18 @@ class _Keyed(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self.key)
+
+
+def _as_count(value, minimum: int, name: str = "n") -> int:
+    """``value`` itself when it is an int (not a bool) of at least
+    ``minimum``; otherwise DomainError. The one check of every count the
+    public API takes: n, n0, digits, guard, max_terms, k, K and L."""
+    # a plain int passes on the class test alone, at half the isinstance tests' cost
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

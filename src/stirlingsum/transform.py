@@ -53,7 +53,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exactnum import DomainError, _Frozen, _Keyed
+from .exactnum import DomainError, _Frozen, _Keyed, _as_count
 
 __all__ = [
     "InnerCoefficients",
@@ -85,8 +85,7 @@ class InnerCoefficients(_Keyed):
     __slots__ = ("fn", "__weakref__")
 
     def __init__(self, fn: Callable[[int], Fraction]):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "key", fn)
+        self._fill(fn, fn)
 
     def __call__(self, l: int) -> Fraction:
         return Fraction(self.fn(l))
@@ -99,8 +98,7 @@ class StirlingCoefficients(_Keyed):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[Fraction, ...]):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "key", values)
+        self._fill(values, values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -129,19 +127,12 @@ class EvalContext(_Keyed):
 
     def __init__(self, digits: int = 30, guard: int | None = None,
                  max_terms: int = DEFAULT_MAX_TERMS):
+        _as_count(digits, 1, "digits")
         if guard is None:
             guard = 10 + math.ceil(digits / 10)
-        if digits < 1:
-            raise DomainError(f"digits must be >= 1, got {digits}")
-        if guard < 10:
-            raise DomainError(f"guard must be >= 10, got {guard}")
-        if max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-        set_ = object.__setattr__
-        set_(self, "digits", digits)
-        set_(self, "guard", guard)
-        set_(self, "max_terms", max_terms)
-        set_(self, "key", (digits, guard, max_terms))
+        _as_count(guard, 10, "guard")
+        _as_count(max_terms, 1, "max_terms")
+        self._fill(digits, guard, max_terms, (digits, guard, max_terms))
 
     @property
     def working_digits(self) -> int:
@@ -149,18 +140,15 @@ class EvalContext(_Keyed):
 
 
 class EvaluationReport(_Frozen):
-    """Result of a series (or formula) evaluation."""
+    """Result of a series (or formula) evaluation. ``est_error`` is twice
+    the first omitted term, ``precision_used`` the working precision in
+    decimal digits and ``elapsed`` in seconds."""
 
     __slots__ = ("value", "terms_used", "est_error", "precision_used", "elapsed")
 
     def __init__(self, value: mpf, terms_used: int, est_error: mpf,
                  precision_used: int, elapsed: float):
-        set_ = object.__setattr__
-        set_(self, "value", value)
-        set_(self, "terms_used", terms_used)
-        set_(self, "est_error", est_error)  # 2 x |first omitted term|
-        set_(self, "precision_used", precision_used)  # working precision, decimal digits
-        set_(self, "elapsed", elapsed)  # seconds
+        self._fill(value, terms_used, est_error, precision_used, elapsed)
 
 
 class ConsistencyReport(_Frozen):
@@ -169,9 +157,7 @@ class ConsistencyReport(_Frozen):
     __slots__ = ("factorial_sum", "inverse_power_sum", "difference")
 
     def __init__(self, factorial_sum: mpf, inverse_power_sum: mpf, difference: mpf):
-        object.__setattr__(self, "factorial_sum", factorial_sum)
-        object.__setattr__(self, "inverse_power_sum", inverse_power_sum)
-        object.__setattr__(self, "difference", difference)
+        self._fill(factorial_sum, inverse_power_sum, difference)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -188,8 +174,7 @@ class NonConvergenceError(ArithmeticError):
 
 def weniger_transform(a: InnerCoefficients, K: int) -> StirlingCoefficients:
     """Exact c_1..c_K for the inverse-power coefficients ``a``."""
-    if K < 1:
-        raise DomainError(f"need K >= 1, got {K}")
+    _as_count(K, 1, "K")
     return StirlingCoefficients(tuple(c for _, c in _transform_stream(a, K)))
 
 
@@ -281,8 +266,7 @@ def _extend_stream(
 
 def pochhammer(x, k: int):
     """Rising factorial x(x+1)...(x+k-1); exact for int/Fraction x, mpf otherwise."""
-    if k < 0:
-        raise DomainError(f"need k >= 0, got {k}")
+    _as_count(k, 0, "k")
     if isinstance(x, (int, Fraction)):
         acc = Fraction(1)
         for i in range(k):
@@ -530,8 +514,8 @@ def verify_transform_consistency(
     by property tests as an end-to-end check of the transformation. Both sums
     and their difference are exact at x = p/q, each rounded to digits + 10 once.
     """
-    if K < 1:
-        raise DomainError(f"need K >= 1, got {K}")
+    _as_count(K, 1, "K")
+    _as_count(digits, 1, "digits")
     xq = Fraction(*_as_ratio(x))
     denom, fact_sum = xq, Fraction(0)
     for k, ck in _transform_stream(a, K):

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import inspect
 import math
 import pathlib
 import pickle
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
-from stirlingsum import asymptotics, catalog, transform
+from stirlingsum import asymptotics, catalog, constants, exactnum, transform
 from stirlingsum.catalog import FormulaId, brute_force, describe, evaluate
 from stirlingsum.constants import (
     GAMMA,
@@ -80,7 +81,10 @@ def test_value_classes_refuse_assignment():
         (asymptotics.LogPowerTerm(1, 2, 0), "m"),
         (asymptotics.em_tail([asymptotics.LogPowerTerm(1, -1, 0)], 2), "groups"),
     ]
+    # every value class the package defines is here, so none skips _Frozen._fill
+    assert {type(obj) for obj, _ in instances} == _value_classes()
     for obj, name in instances:
+        assert all(hasattr(obj, field) for field in obj._fields)  # _fill wrote every slot
         before = getattr(obj, name)
         with pytest.raises(AttributeError):
             setattr(obj, name, before)
@@ -99,6 +103,88 @@ def test_value_classes_refuse_assignment():
         with pytest.raises(AttributeError):
             obj.key = obj.key
     assert _report_bits(pickle.loads(pickle.dumps(rep))) == _report_bits(rep)
+
+
+def _value_classes() -> set[type]:
+    """Every class under exactnum._Frozen that the package defines, but _Keyed."""
+    found, todo = set(), [exactnum._Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("stirlingsum.") and sub is not exactnum._Keyed:
+                found.add(sub)
+    return found
+
+
+# The value classes' constructors, part of the public API: parameter names,
+# kinds and defaults, annotations left out.
+VALUE_CLASS_SIGNATURES = {
+    catalog.FormulaId: "(family, variant=1)",
+    catalog.HeadTerm: "(rational, n_power=Fraction(0, 1), log_power=0, constants=(), parity=None, "
+                      "base_offset=0)",
+    catalog.SeriesPart: "(inner, prefactor, n_power=Fraction(0, 1), log_power=0, shape='at_x', "
+                        "x_offset=0, parity=None)",
+    catalog.Summand: "(s, m=0, parity=None, scale=1, shift=0)",
+    catalog.Formula: "(id, lhs, summand, domain_min, head, series)",
+    catalog.RecoveryResult: "(constant, value, n0, digits, terms_used)",
+    transform.InnerCoefficients: "(fn)",
+    transform.StirlingCoefficients: "(values)",
+    transform.EvalContext: "(digits=30, guard=None, max_terms=500)",
+    transform.EvaluationReport: "(value, terms_used, est_error, precision_used, elapsed)",
+    transform.ConsistencyReport: "(factorial_sum, inverse_power_sum, difference)",
+    constants.ConstantId: "(tag, s=None)",
+    asymptotics.LogPowerTerm: "(coef, s, m)",
+    asymptotics.EMTail: "(groups)",
+}
+
+
+def test_value_class_signatures_are_pinned():
+    assert set(VALUE_CLASS_SIGNATURES) == _value_classes()
+    empty = inspect.Parameter.empty
+    for cls, expected in VALUE_CLASS_SIGNATURES.items():
+        sig = inspect.signature(cls)
+        params = [p.replace(annotation=empty) for p in sig.parameters.values()]
+        bare = sig.replace(parameters=params, return_annotation=empty)
+        assert str(bare) == expected, cls.__name__
+
+
+# Every count argument of the public API, each called with one bad value.
+COUNT_ARGUMENTS = {
+    "EvalContext.digits": lambda v: EvalContext(digits=v),
+    "EvalContext.guard": lambda v: EvalContext(guard=v),
+    "EvalContext.max_terms": lambda v: EvalContext(max_terms=v),
+    "evaluate.n": lambda v: evaluate("1.1", v),
+    "brute_force.n": lambda v: brute_force("1.1", v),
+    "brute_force.digits": lambda v: brute_force("1.1", 10, v),
+    "digamma.digits": lambda v: catalog.digamma(3, v),
+    "digamma_details.digits": lambda v: catalog.digamma_details(3, v),
+    "recover_details.digits": lambda v: catalog.recover_details("2.1", digits=v,
+                                                                store=ConstantStore()),
+    "recover_details.n0": lambda v: catalog.recover_details("2.1", n0=v, store=ConstantStore()),
+    "ConstantStore.get.digits": lambda v: ConstantStore().get(GAMMA, v),
+    "elementary.digits": lambda v: elementary("pi", v),
+    "format_decimal.digits": lambda v: constants.format_decimal(mpf(1), v),
+    "coefficients.K": lambda v: catalog.coefficients("1.1", v),
+    "series_term_magnitudes.n": lambda v: catalog.series_term_magnitudes("1.1", v, 3),
+    "series_term_magnitudes.K": lambda v: catalog.series_term_magnitudes("1.1", 10, v),
+    "pochhammer.k": lambda v: transform.pochhammer(2, v),
+    "weniger_transform.K": lambda v: transform.weniger_transform(
+        describe("1.1").series[0].inner, v),
+    "verify_transform_consistency.K": lambda v: transform.verify_transform_consistency(
+        describe("1.1").series[0].inner, 20, v),
+    "em_variant_map.L": lambda v: catalog.em_variant_map("1.1", v),
+    "em_reference_map.L": lambda v: catalog.em_reference_map("1.1", v),
+    "em_tail.L": lambda v: asymptotics.em_tail([asymptotics.LogPowerTerm(1, -1, 0)], v),
+}
+
+
+@pytest.mark.parametrize("bad", [30.5, True, "30"], ids=repr)
+@pytest.mark.parametrize("call", list(COUNT_ARGUMENTS.values()), ids=list(COUNT_ARGUMENTS))
+def test_count_arguments_must_be_plain_ints(call, bad):
+    # a float, a bool or a string refuses up front, never half-way through
+    # the arithmetic with a TypeError, nor served as if it were an int
+    with pytest.raises(DomainError, match="must be an integer, got "):
+        call(bad)
 
 
 def test_equal_keys_of_different_classes_stay_apart():
@@ -507,7 +593,7 @@ def test_fixed_point_head_within_an_ulp(fid):
     # finer, with and without the head term a recovery leaves out
     f = describe(fid)
     store = default_store()
-    skips = (None, catalog._isolating_term(f, f.recover_target))
+    skips = (None, catalog._isolating_term(f.head, f.recover_target))
     for digits in (10, 30, 100, 300):
         ctx = EvalContext(digits=digits, max_terms=1)  # the series parts refuse at once
         with mp.workdps(digits + ctx.guard):
@@ -968,6 +1054,21 @@ def test_identity_is_defined_once_in_keyed():
         found += [(path.name, owner.get(id(node)), node.name) for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")]
     assert found == [("exactnum.py", "_Keyed", "__eq__"), ("exactnum.py", "_Keyed", "__hash__")]
+
+
+def test_slots_are_written_only_by_frozen_fill():
+    # exactnum._Frozen._fill is the one writer of a value's slots: no
+    # object.__setattr__, setattr() or descriptor __set__ anywhere else
+    src = pathlib.Path(catalog.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in ast.walk(cls)}
+        found += [(path.name, owner.get(id(node)), ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__set__")
+                  or isinstance(node, ast.Name) and node.id == "setattr"]
+    assert found == [("exactnum.py", "_Frozen", "vars(c)[name].__set__")]
 
 
 def test_digamma_past_every_reachable_anchor_refuses_promptly():
