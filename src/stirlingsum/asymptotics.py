@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import DomainError, _Frozen, _Keyed, _as_count, bernoulli
+from .exactnum import _Frozen, _Keyed, _as_count, bernoulli
 
 __all__ = ["LogPowerTerm", "EMTail", "differentiate", "em_tail"]
 
@@ -29,8 +29,7 @@ class LogPowerTerm(_Keyed):
 
     def __init__(self, coef: Fraction, s: Fraction, m: int):
         coef, s = Fraction(coef), Fraction(s)
-        if m < 0:
-            raise DomainError(f"log power must be >= 0, got {m}")
+        _as_count(m, 0, "log power")
         self._fill(coef, s, m, (coef, s, m))
 
 

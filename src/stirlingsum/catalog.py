@@ -167,8 +167,7 @@ class HeadTerm(_Frozen):
     def __init__(self, rational: Fraction, n_power: Fraction = F(0), log_power: int = 0,
                  constants: tuple[tuple[ConstantId, int], ...] = (),
                  parity: int | None = None, base_offset: int = 0):
-        if log_power < 0:
-            raise DomainError("log_power must be >= 0")
+        _as_count(log_power, 0, "log_power")
         self._fill(F(rational), F(n_power), log_power, constants, parity, base_offset)
 
 
@@ -184,6 +183,7 @@ class SeriesPart(_Frozen):
     def __init__(self, inner: InnerCoefficients, prefactor: Fraction, n_power: Fraction = F(0),
                  log_power: int = 0, shape: str = AT_X, x_offset: int = 0,
                  parity: int | None = None):
+        _as_count(log_power, 0, "log_power")
         self._fill(inner, F(prefactor), F(n_power), log_power, shape, x_offset, parity)
 
 
@@ -201,6 +201,7 @@ class Summand(_Keyed):
     def __init__(self, s: Fraction, m: int = 0, parity: int | None = None, scale: int = 1,
                  shift: int = 0):
         s = F(s)
+        _as_count(m, 0, "m")
         if (2 * s).denominator != 1:
             raise DomainError(f"summand power must be a multiple of 1/2, got {s}")
         self._fill(s, m, parity, scale, shift, (int(2 * s), m, parity, scale, shift))
@@ -464,6 +465,7 @@ def part_coefficients(formula, K: int, log_power: int = 0) -> tuple[Fraction, ..
 
 
 def _series_part(f: Formula, log_power: int) -> SeriesPart:
+    _as_count(log_power, 0, "log_power")
     for part in f.series:
         if part.log_power == log_power:
             return part
@@ -473,9 +475,10 @@ def _series_part(f: Formula, log_power: int) -> SeriesPart:
 def golden_coefficients(formula, log_power: int = 0) -> tuple[Fraction, ...]:
     """The printed coefficients recorded in the golden data files."""
     fid = FormulaId.parse(formula)
-    suffix = ".log" if log_power else ""
-    name = f"{fid}{suffix}.txt"
+    name = f"{fid}{'.log' if _as_count(log_power, 0, 'log_power') else ''}.txt"
     try:
+        if log_power > 1:  # golden files record plain and log^1 parts only
+            raise OSError(name)
         text = _constants._package_data(f"golden/{name}")
     except OSError:  # a zip loader raises a plain OSError for a missing member
         raise DomainError(f"no golden file for {fid} log_power={log_power}") from None
@@ -542,10 +545,9 @@ def _fixed_log(p: int, w: int, q: int = 1) -> int:
     return to_fixed(mpf_log(y, w + 8, round_floor), w)
 
 
-def _summand_sum(f: Formula, lo: int, hi: int, prec: int) -> mpf:
-    """The summand of ``f`` summed over k = lo+1..hi, rounded to prec bits,
-    on the path :func:`_summand_path` names."""
-    u = f.summand
+def _summand_sum(u: Summand, lo: int, hi: int, prec: int) -> mpf:
+    """The summand ``u`` summed over k = lo+1..hi, rounded to prec bits, on
+    the path :func:`_summand_path` names."""
     if hi <= lo:
         return mpf(0)
     ys = range(u.scale * (lo + 1) + u.shift, u.scale * hi + u.shift + 1, u.scale)
@@ -577,7 +579,7 @@ def brute_force(formula, n: int, digits: int = 30) -> mpf:
     if n > BRUTE_FORCE_CAP:
         raise DomainError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     _as_count(digits, 1, "digits")
-    return _summand_sum(f, f.domain_min - 1, n, dps_to_prec(digits + 10))
+    return _summand_sum(f.summand, f.domain_min - 1, n, dps_to_prec(digits + 10))
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +594,11 @@ def _headroom(f: Formula, anchor: int) -> int:
     return math.ceil(top.numerator / top.denominator * math.log10(anchor + 1)) + 6
 
 
-def _fetch_constants(f: Formula, store, cdigits: int, exclude: ConstantId | None = None) -> list:
-    """The served values of the head constants in ``f.constants`` order, the
-    order a plan lowers them in, with None for ``exclude``."""
-    return [None if cid is exclude else store.get(cid, cdigits) for cid in f.constants]
+def _fetch_constants(f: Formula, store, cdigits: int, exclude: ConstantId | None = None):
+    """The served head constants as raw mpf tuples in ``f.constants`` order,
+    the order a plan lowers them in, with None for ``exclude``."""
+    return tuple([None if cid is exclude else store.get(cid, cdigits)._mpf_
+                  for cid in f.constants])
 
 
 # Bits past the working precision in the fixed-point head and part scales of
@@ -605,25 +608,27 @@ _RHS_GUARD = 64
 
 class _Plan:
     """What the right-hand sides of a formula share at every x, for one
-    context, headroom, set of served head constants and head term ``skip``:
-    the working precision (``wd`` digits, ``prec`` bits), the unit 2^-w, the
-    parts' context, the error floor ``eps`` (a raw mpf) and each head term
-    and part scale lowered by :meth:`lower`. ``rhs`` keeps the right-hand
-    side served at the model anchor, once an evaluation below it keeps one.
+    context key, headroom, set of served head constants and index ``skip``
+    of the head term left out (-1 for none): the working precision (``wd``
+    digits, ``prec`` bits), the unit 2^-w, the parts' context, the error
+    floor ``eps`` (a raw mpf) and each head term and part scale lowered by
+    :meth:`lower`. ``rhs`` keeps the right-hand side served at the model
+    anchor, once an evaluation below it keeps one.
     """
 
     __slots__ = ("skip", "wd", "prec", "w", "part_ctx", "eps", "head", "terms", "parts", "log",
                  "rhs")
 
-    def __init__(self, f: Formula, ctx: EvalContext, hr: int, cvalues, skip: HeadTerm | None):
-        self.skip, self.wd, self.rhs = skip, ctx.digits + ctx.guard + hr, None
+    def __init__(self, f: Formula, ctx_key: tuple, hr: int, cvalues: tuple, skip: int):
+        digits, guard, max_terms = ctx_key
+        self.skip, self.wd, self.rhs = skip, digits + guard + hr, None
         self.prec = dps_to_prec(self.wd)
         self.w = self.prec + _RHS_GUARD
-        self.part_ctx = EvalContext(ctx.digits + hr, ctx.guard, ctx.max_terms)
-        self.eps = mpf_pow_int(from_int(10), 2 - ctx.digits - ctx.guard, self.prec, round_nearest)
+        self.part_ctx = EvalContext(digits + hr, guard, max_terms)
+        self.eps = mpf_pow_int(from_int(10), 2 - digits - guard, self.prec, round_nearest)
         served = dict(zip(f.constants, cvalues))
         head = [self.lower(t, t.rational, t.base_offset, t.constants, served)
-                for t in f.head if t is not skip]
+                for i, t in enumerate(f.head) if i != skip]
         self.head = sum(t for t in head if type(t) is int)
         self.terms = [t for t in head if type(t) is tuple]
         self.parts = [(p.inner, p.x_offset, p.shape, self.lower(p, p.prefactor)) for p in f.series]
@@ -634,7 +639,7 @@ class _Plan:
         integers (see :func:`_fixed_term`), C^|p| in units 2^-(|p| w); when
         it does not depend on x, its value in units 2^-w (summed into head)."""
         w, a = self.w, t.n_power
-        powers = tuple((to_fixed(served[cid]._mpf_, w) ** abs(p), abs(p) * w, p > 0)
+        powers = tuple((to_fixed(served[cid], w) ** abs(p), abs(p) * w, p > 0)
                        for cid, p in constants)
         term = (2 * a.numerator // a.denominator, offset, t.log_power, powers, r.numerator,
                 r.denominator, t.parity)
@@ -777,7 +782,7 @@ def _predicted(f: Formula | None, x: int, digits: int, guard: int):
     return parts * series + count * _term_us(path, wd), terms
 
 
-_MEMO_CAP = 1024  # entries in each memo below, and in each lru cache of this module
+_MEMO_CAP = 1024  # entries in each lru cache of this module
 
 
 @functools.lru_cache(maxsize=_MEMO_CAP)
@@ -810,41 +815,23 @@ def _anchor(fid: FormulaId | None, digits: int, guard: int, max_terms: int) -> i
 # constant's reach.
 _DEGRADED_CONSTANT_DIGITS = 120
 
-# Plans, keyed on the formula, context, headroom, the index of the head term
-# left out (-1 for none) and the head constant values served (a store may
-# later serve them at more digits; stores serving the same values share
-# them), in plain integers and mpf tuples, so that a lookup runs no
-# Python-level hash or comparison; the oldest goes past the cap.
-_plans: dict[tuple, _Plan] = {}
+# Plans, keyed on the formula (hashed by identity) and plain values, so that
+# a lookup runs no Python-level hash; the served constants are part of the
+# key, so stores serving the same constant bits share a plan.
+_plan = functools.lru_cache(maxsize=_MEMO_CAP)(_Plan)
 
-# Summed bridges below model anchors, keyed on the summand (formulas summing
-# the same terms share them), n, the anchor and the precision; the oldest goes
-# past the cap.
-_bridge_memo: dict[tuple, mpf] = {}
-_memo_lock = threading.Lock()  # taken by _keep alone; lookups are plain dict reads
+# Bridges below model anchors, keyed on the summand (formulas summing the
+# same terms share them, hashed through its key), n, the anchor and the
+# precision.
+_bridge = functools.lru_cache(maxsize=_MEMO_CAP)(_summand_sum)
 
 
-def _keep(memo: dict, key, value) -> None:
-    """Keep ``value`` under ``key``, dropping the oldest entry past the cap,
-    one thread at a time: racing ones must not evict the same entry."""
-    with _memo_lock:
-        memo[key] = value
-        if len(memo) > _MEMO_CAP:
-            del memo[next(iter(memo))]
-
-
-def _plan_for(f: Formula, ctx: EvalContext, hr: int, cvalues: list,
+def _plan_for(f: Formula, ctx: EvalContext, hr: int, cvalues: tuple,
               skip: HeadTerm | None = None) -> _Plan:
     """The kept plan of ``f`` under ``ctx`` at headroom ``hr``, with the head
     constants ``cvalues`` (see :func:`_fetch_constants`) and ``skip`` left
-    out of the head, built and kept on a miss."""
-    key = (*f.id.key, *ctx.key, hr, -1 if skip is None else f.head.index(skip),
-           *[None if v is None else v._mpf_ for v in cvalues])
-    plan = _plans.get(key)
-    if plan is None:
-        plan = _Plan(f, ctx, hr, cvalues, skip)
-        _keep(_plans, key, plan)
-    return plan
+    out of the head."""
+    return _plan(f, ctx.key, hr, cvalues, -1 if skip is None else f.head.index(skip))
 
 
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
@@ -889,13 +876,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     prec = plan.prec
     kept = n < model and failure is None  # only below the anchor, undegraded
     rhs = plan.rhs if kept else None
-    bridge = None
-    if n < model:  # at or past the model's anchor, no bridge
-        bkey = (f.summand.key, n, anchor, prec)
-        bridge = _bridge_memo.get(bkey)
-        if bridge is None:
-            bridge = _summand_sum(f, n, anchor, prec)
-            _keep(_bridge_memo, bkey, bridge)
+    bridge = _bridge(f.summand, n, anchor, prec) if n < model else None  # none past it
     if rhs is None:
         rhs = _rhs(plan, anchor)
         if kept and not rhs[4]:  # a refusal is recomputed every time
@@ -1004,7 +985,7 @@ def recover_details(
         if errors:
             raise errors[0]
         prec = plan.prec
-        partial = _summand_sum(f, f.domain_min - 1, current, prec)._mpf_
+        partial = _summand_sum(f.summand, f.domain_min - 1, current, prec)._mpf_
         tail = fzero
         for part in scaled:
             tail = mpf_add(tail, part, prec, round_nearest)
@@ -1012,7 +993,7 @@ def recover_details(
         coef = from_rational(*term.rational.as_integer_ratio(), prec, round_nearest)
         for cid, p in term.constants:
             if cid != target:
-                c = cvalues[f.constants.index(cid)]._mpf_
+                c = cvalues[f.constants.index(cid)]
                 power = mpf_pow_int(c, p, prec, round_nearest)
                 coef = mpf_mul(coef, power, prec, round_nearest)
         value = mp.make_mpf(mpf_div(residue, coef, prec, round_nearest))

@@ -313,7 +313,7 @@ class ConstantStore:
         """Refuse ``digits`` past the reference string of ``cid``: no
         independent check could cover them."""
         reach = len(_split_decimal(self.reference_digits(cid))[2])
-        if digits > reach:
+        if _as_count(digits, 1, "digits") > reach:
             raise NonConvergenceError(
                 f"{cid} at {digits} digits: past its {reach}-digit reference",
                 EvaluationReport(mpf("nan"), 0, mpf("inf"), digits, 0.0),

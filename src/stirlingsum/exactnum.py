@@ -86,7 +86,8 @@ class _Keyed(_Frozen):
 def _as_count(value, minimum: int, name: str = "n") -> int:
     """``value`` itself when it is an int (not a bool) of at least
     ``minimum``; otherwise DomainError. The one check of every count the
-    public API takes: n, n0, digits, guard, max_terms, k, K and L."""
+    public API takes: n, n0, digits, guard, max_terms, k, K, L, the exact
+    number functions' indices and every log power."""
     # a plain int passes on the class test alone, at half the isinstance tests' cost
     if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -119,8 +120,7 @@ def _next_row(row: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def stirling_row(k: int) -> tuple[int, ...]:
     """Row ``k`` of the signed Stirling triangle: entry ``l`` is S_k^(1)(l)."""
-    if k < 0:
-        raise DomainError(f"row index must be >= 0, got {k}")
+    _as_count(k, 0, "k")
     with _row_lock:
         while len(_row_cache) <= min(k, _ROW_CACHE_LIMIT):
             kk = len(_row_cache) - 1
@@ -141,9 +141,8 @@ def stirling_first(k: int, l: int) -> int:
     These are the connection coefficients between rising factorials and plain
     powers: x(x+1)...(x+k-1) = (-1)^k * sum_l (-1)^l S_k^(1)(l) x^l.
     """
-    if k < 0 or l < 0:
-        raise DomainError(f"indices must be >= 0, got ({k}, {l})")
-    if l > k:
+    _as_count(k, 0, "k")
+    if _as_count(l, 0, "l") > k:
         raise DomainError(f"column {l} exceeds row {k}")
     return stirling_row(k)[l]
 
@@ -191,9 +190,7 @@ def bernoulli(k: int) -> Fraction:
     Even indices come from the tangent numbers,
     B_2m = (-1)^(m+1) 2m Z_{2m-1} / (2^2m (2^2m - 1)).
     """
-    if k < 0:
-        raise DomainError(f"index must be >= 0, got {k}")
-    if k == 0:
+    if _as_count(k, 0, "k") == 0:
         return Fraction(1)
     if k == 1:
         return Fraction(-1, 2)
@@ -212,9 +209,7 @@ def bernoulli(k: int) -> Fraction:
 
 def euler_number(k: int) -> int:
     """E_k with E_0 = 1; odd indices vanish, E_2 = -1, E_4 = 5, ..."""
-    if k < 0:
-        raise DomainError(f"index must be >= 0, got {k}")
-    if k % 2:
+    if _as_count(k, 0, "k") % 2:
         return 0
     sign = -1 if (k // 2) % 2 else 1
     return sign * _zigzag(k)
@@ -222,9 +217,7 @@ def euler_number(k: int) -> int:
 
 def tangent_number(k: int) -> Fraction:
     """T_k = 2^(2k) (2^(2k) - 1) |B_2k| / (2k); a positive integer for k >= 1."""
-    if k < 1:
-        raise DomainError(f"tangent numbers start at index 1, got {k}")
-    p = 1 << (2 * k)
+    p = 1 << 2 * _as_count(k, 1, "k")
     return Fraction(p * (p - 1)) * abs(bernoulli(2 * k)) / (2 * k)
 
 
@@ -234,9 +227,7 @@ def gregory_number(k: int) -> Fraction:
     Equivalently the integral over [0, 1] of the degree-k falling factorial
     divided by k!; these are the coefficients of z/log(1+z).
     """
-    if k < 0:
-        raise DomainError(f"index must be >= 0, got {k}")
-    row = stirling_row(k)
+    row = stirling_row(_as_count(k, 0, "k"))
     acc = sum(Fraction(row[l], l + 1) for l in range(k + 1))
     return acc / math.factorial(k)
 
@@ -245,9 +236,7 @@ def stirling_a(k: int) -> Fraction:
     """The k-th coefficient of the convergent factorial-series form of
     Stirling's n! approximation: a_1 = 1/12, a_2 = 1/12, a_3 = 59/360, ...
     """
-    if k < 1:
-        raise DomainError(f"sequence starts at index 1, got {k}")
-    row = stirling_row(k)
+    row = stirling_row(_as_count(k, 1, "k"))
     acc = sum(
         (-1) ** l * Fraction(l, (l + 1) * (l + 2)) * row[l]
         for l in range(1, k + 1)
@@ -267,7 +256,7 @@ def double_factorial_ext(m: int) -> Fraction:
     (m+2)!! = (m+2) * m!!. Each (2j-1)!! is kept once computed, so a call
     multiplies only the factors past the largest one asked for so far.
     """
-    if m % 2 == 0:
+    if _as_count(m, -math.inf, "m") % 2 == 0:
         raise DomainError(f"argument must be odd, got {m}")
     j = (m + 1) // 2 if m >= -1 else (-m - 1) // 2
     with _odd_double_factorial_lock:

@@ -265,7 +265,11 @@ def _extend_stream(
 
 
 def pochhammer(x, k: int):
-    """Rising factorial x(x+1)...(x+k-1); exact for int/Fraction x, mpf otherwise."""
+    """Rising factorial x(x+1)...(x+k-1); exact for int/Fraction x, mpf otherwise.
+
+    The mpf product is the one computation in the package that reads
+    mpmath's process-wide precision: with that set to 20 bits, it has a
+    20-bit mantissa."""
     _as_count(k, 0, "k")
     if isinstance(x, (int, Fraction)):
         acc = Fraction(1)
@@ -330,9 +334,8 @@ def _fits(x: float, digits: float, budget: int) -> bool:
 
 
 def _beyond_budget(x: float, digits: float, budget: int) -> int | None:
-    """The estimate at x if it passes the refusal cutoff."""
-    if _fits(x, digits, budget):
-        return None
+    """The estimate at x if it passes the refusal cutoff; asked only below
+    x_fit, where :func:`_fits` fails."""
     predicted = required_terms_estimate(x, digits)
     return predicted if predicted > _cutoff(budget) else None
 

@@ -175,6 +175,25 @@ COUNT_ARGUMENTS = {
     "em_variant_map.L": lambda v: catalog.em_variant_map("1.1", v),
     "em_reference_map.L": lambda v: catalog.em_reference_map("1.1", v),
     "em_tail.L": lambda v: asymptotics.em_tail([asymptotics.LogPowerTerm(1, -1, 0)], v),
+    "stirling_row.k": lambda v: exactnum.stirling_row(v),
+    "stirling_first.k": lambda v: stirling_first(v, 1),
+    "stirling_first.l": lambda v: stirling_first(3, v),
+    "bernoulli.k": lambda v: bernoulli(v),
+    "euler_number.k": lambda v: exactnum.euler_number(v),
+    "tangent_number.k": lambda v: exactnum.tangent_number(v),
+    "gregory_number.k": lambda v: exactnum.gregory_number(v),
+    "stirling_a.k": lambda v: exactnum.stirling_a(v),
+    "double_factorial_ext.m": lambda v: exactnum.double_factorial_ext(v),
+    "HeadTerm.log_power": lambda v: catalog.HeadTerm(1, log_power=v),
+    "SeriesPart.log_power": lambda v: catalog.SeriesPart(
+        describe("1.1").series[0].inner, 1, log_power=v),
+    "Summand.m": lambda v: catalog.Summand(-1, v),
+    "LogPowerTerm.m": lambda v: asymptotics.LogPowerTerm(1, -1, v),
+    "part_coefficients.log_power": lambda v: catalog.part_coefficients("12.1", 3, v),
+    "golden_coefficients.log_power": lambda v: catalog.golden_coefficients("12.1", v),
+    "series_term_magnitudes.log_power": lambda v: catalog.series_term_magnitudes(
+        "12.1", 10, 3, v),
+    "ConstantStore.check_reach.digits": lambda v: ConstantStore().check_reach(GAMMA, v),
 }
 
 
@@ -198,7 +217,7 @@ def test_construction_checks_still_fire():
     cases = [
         (lambda: FormulaId(17), "unknown formula family 17"),
         (lambda: FormulaId(12, 2), "family 12 has variants 1..1, got 2"),
-        (lambda: catalog.HeadTerm(1, log_power=-1), "log_power must be >= 0"),
+        (lambda: catalog.HeadTerm(1, log_power=-1), "log_power must be >= 0, got -1"),
         (lambda: catalog.Summand(F(1, 3)), "summand power must be a multiple of 1/2, got 1/3"),
         (lambda: EvalContext(digits=0), "digits must be >= 1, got 0"),
         (lambda: EvalContext(digits=10, guard=9), "guard must be >= 10, got 9"),
@@ -389,6 +408,11 @@ def test_missing_golden_part_is_an_error():
         catalog.golden_coefficients("1.1", log_power=1)
     with pytest.raises(DomainError):
         catalog.part_coefficients("1.1", 4, log_power=1)
+    # 12.1's log part has a golden file; a log^2 part has none, as it has no series part
+    with pytest.raises(DomainError, match=r"^no golden file for 12\.1 log_power=2$"):
+        catalog.golden_coefficients("12.1", log_power=2)
+    with pytest.raises(DomainError, match="has no series part with log power 2"):
+        catalog.part_coefficients("12.1", 3, log_power=2)
 
 
 # (root, derived variant, steps): within a family, x/(x)_{k+1} = 1/(x)_k -
@@ -601,8 +625,8 @@ def test_fixed_point_head_within_an_ulp(fid):
         for x in (f.domain_min + 1, 7, 200, 10**5, 10**7):
             hr = catalog._headroom(f, x)
             prec = dps_to_prec(digits + ctx.guard + hr)
-            values = [cvalues[cid] for cid in f.constants]
-            heads = [mp.make_mpf(catalog._rhs(catalog._Plan(f, ctx, hr, values, skip), x)[0])
+            values = tuple(cvalues[cid]._mpf_ for cid in f.constants)
+            heads = [mp.make_mpf(catalog._rhs(catalog._plan_for(f, ctx, hr, values, skip), x)[0])
                      for skip in skips]
             with mp.workprec(prec + 64):
                 for head, skip in zip(heads, skips):
@@ -673,32 +697,16 @@ def _served_bits():
             (rec.value._mpf_, rec.terms_used, rec.n0)]
 
 
-def _kept_rhs():
-    """The plans keeping a served right-hand side, by key."""
-    return {key: plan for key, plan in catalog._plans.items() if plan.rhs is not None}
-
-
-def test_served_bits_do_not_depend_on_cache_state():
-    # the anchor is a function of the request alone: a cold process and a
-    # warm one must serve the same bits
-    transform._checkpoints.clear()
-    catalog._anchor.cache_clear()
-    catalog._plans.clear()
-    catalog._bridge_memo.clear()
-    cold = _served_bits()
-    assert len(_kept_rhs()) == 2  # 4.1 and 11.1, whichever store served them
-    assert len(catalog._bridge_memo) == 2  # 4.1 and 11.1 below their anchors
-    assert _served_bits() == cold
-
-
-def _count_rhs(monkeypatch):
-    """Anchors at which evaluate computes a right-hand side (recovery, which
-    leaves a head term out, is not counted)."""
+def _count_rhs(monkeypatch, recoveries=None):
+    """The plans under which evaluate computes a right-hand side; those of
+    recoveries, which leave a head term out, go to ``recoveries``."""
     calls = []
 
     def counted(plan, x):
-        if plan.skip is None:
-            calls.append(x)
+        if plan.skip == -1:
+            calls.append(plan)
+        elif recoveries is not None:
+            recoveries.append(plan)
         return rhs(plan, x)
 
     rhs = catalog._rhs
@@ -706,11 +714,28 @@ def _count_rhs(monkeypatch):
     return calls
 
 
+def test_served_bits_do_not_depend_on_cache_state(monkeypatch):
+    # the anchor is a function of the request alone: a cold process and a
+    # warm one must serve the same bits
+    transform._checkpoints.clear()
+    catalog._anchor.cache_clear()
+    catalog._plan.cache_clear()
+    catalog._bridge.cache_clear()
+    calls = _count_rhs(monkeypatch)
+    cold = _served_bits()
+    assert len(calls) == 2 and all(plan.rhs for plan in calls)  # 4.1 and 11.1 kept theirs
+    assert catalog._bridge.cache_info().currsize == 2  # 4.1 and 11.1 below their anchors
+    assert _served_bits() == cold
+    # the warm run computes none, though 4.1 asks a new store again
+    assert len(calls) == 2 and catalog._bridge.cache_info().hits == 2
+
+
 def test_refusals_are_not_memoized(monkeypatch):
     # a degraded evaluation (constants past reach) and one truncated by
     # max_terms refuse again on repeat, with the same partial report
-    calls = _count_rhs(monkeypatch)
-    catalog._plans.clear()
+    recoveries = []
+    calls = _count_rhs(monkeypatch, recoveries)
+    catalog._plan.cache_clear()
     store = ConstantStore()
     contexts = (EvalContext(digits=901), EvalContext(digits=300, max_terms=40))
     for ctx in contexts:
@@ -721,30 +746,28 @@ def test_refusals_are_not_memoized(monkeypatch):
             reports.append((str(exc.value), _report_bits(exc.value.report)))
         assert reports[0] == reports[1]
     assert len(calls) == 4
-    # keys start (family, variant, digits, guard, max_terms); the degraded
-    # evaluation plans at 120 digits
-    assert not [key for key in _kept_rhs() for ctx in contexts + (EvalContext(digits=120),)
-                if key[:5] == (1, 1, *ctx.key)]
-    assert not _kept_rhs()  # nor anything else: gamma's recoveries keep none either
+    assert recoveries  # gamma's, for the degraded evaluation's head
+    assert not [plan for plan in calls + recoveries if plan.rhs]  # no plan keeps one
 
 
 def test_memo_keys_on_context_and_store(monkeypatch):
     calls = _count_rhs(monkeypatch)
-    catalog._plans.clear()
+    catalog._plan.cache_clear()
     store = ConstantStore()
     served = [evaluate("2.1", 5, EvalContext(digits=30, max_terms=m), store=store)
               for m in (500, 400, 500, 400)]
     assert len(calls) == 2  # contexts differing only in max_terms share nothing
+    assert [plan.part_ctx.max_terms for plan in calls] == [500, 400]
     assert _report_bits(served[2]) == _report_bits(served[0])
-    assert len(_kept_rhs()) == 2
+    assert all(plan.rhs for plan in calls)
     fresh = evaluate("2.1", 5, EvalContext(digits=30), store=ConstantStore())
     assert len(calls) == 2  # a fresh store serving the same zeta(2) bits reuses it
     assert _report_bits(fresh) == _report_bits(served[0])
     # n at or past the anchor is summed there, never kept
-    anchor = catalog._anchor(FormulaId(2, 1), 30, 13, 500)
+    anchor, kept = catalog._anchor(FormulaId(2, 1), 30, 13, 500), calls[0].rhs
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
     evaluate("2.1", anchor + 1, EvalContext(digits=30), store=store)
-    assert len(calls) == 4 and len(_kept_rhs()) == 2
+    assert len(calls) == 4 and all(plan.rhs is None or plan.rhs is kept for plan in calls[2:])
     # once the store serves the head constant at more digits, the kept
     # right-hand side no longer applies
     store.get(zeta(2), 80)
@@ -757,16 +780,19 @@ def test_memo_keys_on_context_and_store(monkeypatch):
 
 
 def test_memo_stays_within_its_cap():
-    catalog._plans.clear()
+    catalog._plan.cache_clear()
     store = ConstantStore()
     for m in range(100, 1130):
         evaluate("1.1", 2, EvalContext(digits=20, max_terms=m), store=store)
-    memo = catalog._plans
-    assert len(memo) == 1024
-    # keys are (family, variant, digits, guard, max_terms, headroom, skipped
-    # term, *constants); the oldest, gamma's recovery on the fresh store
-    # first, are dropped
-    assert {key[4] for key in memo} == set(range(106, 1130))
+    info = catalog._plan.cache_info()
+    # one plan per context, and gamma's recovery on the fresh store first
+    assert (info.misses, info.currsize) == (1031, 1024)
+    # the least recently used, that recovery's and those of max_terms 100
+    # to 105, are dropped: 106 is kept, 105 planned again
+    for m in (106, 105):
+        evaluate("1.1", 2, EvalContext(digits=20, max_terms=m), store=store)
+    info = catalog._plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1032, 1024)
 
 
 def _check_repeats_hash_and_compare_nothing(fid, n, ctx, monkeypatch):
@@ -800,7 +826,7 @@ def test_each_headroom_past_the_anchor_gets_its_own_plan():
         ctx.digits + ctx.guard + catalog._headroom(f, n) for n in ns]
     cold = []
     for n in ns:
-        catalog._plans.clear()
+        catalog._plan.cache_clear()
         cold.append(_report_bits(evaluate("14.1", n, ctx)))
     assert [_report_bits(r) for r in warm] == cold
 
@@ -956,7 +982,7 @@ def _served_with_fresh_caches(evals=(("4.1", 5, 30),), brutes=(("4.1", 5, 30),),
                               recoveries=(), logs=(), psi=((F(2, 7), 37),)):
     """The bits of evaluations (fresh store, no kept bridges), brute force,
     recoveries (a fresh store each), elementary pi and log, and digamma."""
-    catalog._bridge_memo.clear()
+    catalog._bridge.cache_clear()
     store = ConstantStore()
     out = [_report_bits(evaluate(fid, n, EvalContext(digits=d), store=store))
            for fid, n, d in evals]
@@ -1167,8 +1193,8 @@ def _served_alike_by_racing_threads(requests, cache) -> bool:
         return _report_bits(evaluate(fid, n, EvalContext(digits=digits)))
 
     expected = {req: serve(req) for req in requests}
-    cache.clear()
-    catalog._plans.clear()
+    cache.cache_clear()
+    catalog._plan.cache_clear()
     got = [{} for _ in range(8)]
 
     def work(i):
@@ -1197,7 +1223,7 @@ def test_memoized_right_hand_sides_under_threads():
                 for n in (1, 2, 5, 10, 20, 500, 3000) for digits in (20, 30, 50)]
     assert any(n >= catalog._anchor(FormulaId.parse(fid), digits, EvalContext(digits).guard, 500)
                for fid, n, digits in requests)
-    assert _served_alike_by_racing_threads(requests, catalog._plans)
+    assert _served_alike_by_racing_threads(requests, catalog._plan)
 
 
 # ---------------------------------------------------------------------------
@@ -1214,16 +1240,19 @@ def _check_bridge(fid, n, ctx, clear=True):
     anchor = catalog._anchor(f.id, ctx.digits, ctx.guard, 500)
     assert f.domain_min <= n < anchor
     with pytest.MonkeyPatch.context() as patch:  # the bridge summed directly
-        patch.setattr(catalog, "_bridge_memo", {})
+        patch.setattr(catalog, "_bridge", catalog._summand_sum)
         expected = _report_bits(evaluate(fid, n, ctx))
     if clear:
-        catalog._bridge_memo.clear()
+        catalog._bridge.cache_clear()
     assert _report_bits(evaluate(fid, n, ctx)) == expected
     assert _report_bits(evaluate(fid, n, ctx)) == expected  # bridge kept
     if clear:
+        info = catalog._bridge.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         prec = dps_to_prec(ctx.digits + ctx.guard + catalog._headroom(f, anchor))
-        direct = catalog._summand_sum(f, n, anchor, prec)
-        assert [v._mpf_ for v in catalog._bridge_memo.values()] == [direct._mpf_]
+        direct = catalog._summand_sum(f.summand, n, anchor, prec)
+        assert catalog._bridge(f.summand, n, anchor, prec)._mpf_ == direct._mpf_
+        assert catalog._bridge.cache_info().hits == 2
 
 
 @settings(max_examples=300)
@@ -1244,63 +1273,71 @@ def test_kept_bridges_match_direct_sums_at_both_ends(fid):
         _check_bridge(fid, f.domain_min, ctx, clear=False)
 
 
+def _kept_bridges():
+    return catalog._bridge.cache_info().currsize
+
+
 def test_formulas_with_one_summand_share_a_bridge():
-    catalog._bridge_memo.clear()
+    catalog._bridge.cache_clear()
     ctx = EvalContext(digits=30)
     for fid in ("1.1", "1.2"):
         evaluate(fid, 5, ctx)
-    assert len(catalog._bridge_memo) == 1
+    assert _kept_bridges() == 1
     for fid in ("4.1", "4.2", "4.3"):
         evaluate(fid, 5, ctx)
-    assert len(catalog._bridge_memo) == 2
+    assert _kept_bridges() == 2
     # 16.1 sums 1.1's terms with signs, at the same anchor and precision
     assert catalog._anchor(FormulaId(16, 1), 30, ctx.guard, 500) == catalog._anchor(
         FormulaId(1, 1), 30, ctx.guard, 500)
     _check_bridge("16.1", 5, ctx, clear=False)
-    assert len(catalog._bridge_memo) == 3
+    assert _kept_bridges() == 3
     evaluate("1.1", 10**4, ctx)  # past the anchor: no bridge to keep
-    assert len(catalog._bridge_memo) == 3
+    assert _kept_bridges() == 3
     # one precision, two anchors: two bridges
     first, second = EvalContext(digits=20, guard=40), EvalContext(digits=50, guard=10)
     assert catalog._anchor(FormulaId(1, 1), 20, 40, 500) != catalog._anchor(
         FormulaId(1, 1), 50, 10, 500)
     _check_bridge("1.1", 5, first)
     _check_bridge("1.1", 5, second, clear=False)
-    assert len(catalog._bridge_memo) == 2
+    assert _kept_bridges() == 2
 
 
-def test_kept_bridges_stay_within_their_cap(monkeypatch):
-    monkeypatch.setattr(catalog, "_MEMO_CAP", 3)
-    catalog._bridge_memo.clear()
-    served = {}
-    for digits in range(20, 30):
-        served[digits] = _report_bits(evaluate("2.1", 2, EvalContext(digits=digits)))
-    assert len(catalog._bridge_memo) == 3
-    # the newest kept: one precision per digits (2.1's headroom is 6)
-    assert [key[-1] for key in catalog._bridge_memo] == [
-        dps_to_prec(d + EvalContext(digits=d).guard + 6) for d in (27, 28, 29)]
-    catalog._bridge_memo.clear()
-    assert _report_bits(evaluate("2.1", 2, EvalContext(digits=20))) == served[20]
+def test_kept_bridges_stay_within_their_cap():
+    # an evaluation's bridge, then 1024 one-term bridges at other precisions:
+    # the least recently used goes each time, and is summed again, to the
+    # same bits, on its next use
+    catalog._bridge.cache_clear()
+    ctx, u = EvalContext(digits=20), describe("2.1").summand
+    served = _report_bits(evaluate("2.1", 2, ctx))
+    for prec in range(2000, 3024):
+        catalog._bridge(u, 1, 2, prec)
+    info = catalog._bridge.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1025, 1024)
+    assert _report_bits(evaluate("2.1", 2, ctx)) == served  # its bridge was the oldest
+    catalog._bridge(u, 1, 2, 3023)  # the newest, kept
+    catalog._bridge(u, 1, 2, 2000)  # dropped by the evaluation's
+    info = catalog._bridge.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1027, 1024)
 
 
 def test_kept_bridges_under_threads():
     # formulas sharing a summand, and one summing it with signs, keep their
-    # bridges in an empty memo from racing threads
+    # bridges in an empty cache from racing threads
     requests = [(fid, n, 30) for fid in ("1.1", "1.2", "16.1") for n in range(1, 21)]
-    assert _served_alike_by_racing_threads(requests, catalog._bridge_memo)
-    assert len(catalog._bridge_memo) == 40
+    assert _served_alike_by_racing_threads(requests, catalog._bridge)
+    assert _kept_bridges() == 40
 
 
-def test_keep_evicts_under_threads(monkeypatch):
-    # threads racing past the cap each drop one oldest entry: none fails to
-    # find it, none iterates a memo another is changing
-    monkeypatch.setattr(catalog, "_MEMO_CAP", 4)
-    memo, errors = {}, []
+def test_kept_bridges_evict_under_threads():
+    # threads racing past the cap each drop the least recently used bridge:
+    # none fails, and the cap holds
+    catalog._bridge.cache_clear()
+    u, errors = describe("1.1").summand, []
 
     def work(i):
         try:
-            for j in range(20000):
-                catalog._keep(memo, (i, j), j)
+            for prec in range(100 + 1000 * i, 1100 + 1000 * i):
+                catalog._bridge(u, 1, 2, prec)
         except Exception as exc:  # the thread ends; asserted below
             errors.append(exc)
 
@@ -1315,7 +1352,8 @@ def test_keep_evicts_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert errors == [] and len(memo) == 4
+    info = catalog._bridge.cache_info()
+    assert errors == [] and (info.misses, info.currsize) == (8000, 1024)
 
 
 def test_weighted_harmonic_closed_form_under_threads(monkeypatch):

@@ -371,7 +371,7 @@ def test_preflight_verdict_matches_the_bisection(monkeypatch):
     def cutoff(budget):
         return 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
 
-    cases = 0
+    cases = proved = 0
     for digits in digit_grid:
         for budget in budgets:
             def fits(x):
@@ -388,15 +388,17 @@ def test_preflight_verdict_matches_the_bisection(monkeypatch):
                 predicted = required_terms_estimate(x, digits)
                 expected = predicted if predicted > cutoff(budget) else None
                 assert transform._beyond_budget(x, digits, budget) == expected, (x, digits)
+                if transform._fits(x, digits, budget):  # the proof is sound
+                    assert expected is None, (x, digits, budget)
+                    proved += 1
                 cases += 1
-    assert cases > 8000
+    assert cases > 8000 and proved > 6000
 
     # a run that fits never runs the bisection
     def bisection(*args):
         raise AssertionError("bisection ran")
 
     monkeypatch.setattr(transform, "required_terms_estimate", bisection)
-    assert transform._beyond_budget(74.0, 36.5, 500) is None
     eval_stirling_series(HARMONIC_TAIL, 74, AT_X, EvalContext(digits=30))
 
 
