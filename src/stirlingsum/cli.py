@@ -5,12 +5,17 @@ Subcommands: ``list``, ``coeffs``, ``eval``, ``digamma``, ``recover``,
 in which every high-precision number travels as a decimal string.  Exit
 codes: 0 success, 2 usage or domain error, 3 numerical non-convergence;
 ``verify`` exits 1 when any variant fails its brute-force check.
+
+``run`` is the process entry (``python -m stirlingsum`` and the installed
+``stirlingsum`` command); ``main`` is the same command for callers that
+keep running afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import gc
 import json
 import sys
 import time
@@ -349,3 +354,17 @@ def main(argv=None) -> int:
     except ReferenceMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def run() -> int:
+    """``main`` on ``sys.argv``, for a process that exits once it returns.
+
+    The command's output is written by then, so the collector is frozen:
+    everything the import built moves to the permanent generation, and
+    interpreter shutdown skips its final sweeps over it (about a tenth of a
+    short command's wall time). Output flushing, ``atexit`` and the exit
+    code are untouched. ``main`` itself leaves the collector alone."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -47,6 +47,7 @@ from mpmath.libmp import (
     dps_to_prec,
     from_float,
     from_int,
+    from_man_exp,
     from_rational,
     fzero,
     mpf_pow,
@@ -265,21 +266,22 @@ def _extend_stream(
 
 
 def pochhammer(x, k: int):
-    """Rising factorial x(x+1)...(x+k-1); exact for int/Fraction x, mpf otherwise.
-
-    The mpf product is the one computation in the package that reads
-    mpmath's process-wide precision: with that set to 20 bits, it has a
-    20-bit mantissa."""
+    """Rising factorial x(x+1)...(x+k-1), exactly: an int or Fraction for int
+    or Fraction x, and an mpf for an mpf or float x, whose factors are binary
+    numbers and so is their product. No precision is read or rounded to."""
     _as_count(k, 0, "k")
     if isinstance(x, (int, Fraction)):
         acc = Fraction(1)
         for i in range(k):
             acc *= x + i
         return int(acc) if isinstance(x, int) else acc
-    acc = mpf(1)
+    p, q = _as_ratio(x)
+    if q & (q - 1):
+        raise DomainError(f"x must be an int, a Fraction or a binary number, got {x!r}")
+    acc = 1
     for i in range(k):
-        acc *= x + i
-    return acc
+        acc *= p + i * q
+    return mp.make_mpf(from_man_exp(acc, -k * (q.bit_length() - 1)))
 
 
 def _coefficient_stream(c: StirlingCoefficients | InnerCoefficients) -> Iterator[tuple[int, Fraction]]:

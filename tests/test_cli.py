@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import gc
 import hashlib
+import importlib
 import importlib.resources as resources
 import json
 import os
@@ -390,14 +392,20 @@ _PACKAGE = os.path.dirname(os.path.abspath(catalog.__file__))
 _SITE_PACKAGES = os.path.dirname(os.path.dirname(os.path.abspath(mpmath.__file__)))
 
 
-def _fresh_child(script: str, *flags: str, path: str | None = None) -> list:
-    """The JSON lines ``script`` prints in a fresh interpreter on this package,
-    or on the import path ``path``."""
+def _child_env(path: str | None = None) -> dict:
+    """The environment of a child that imports this package, or imports from
+    the import path ``path``."""
     if path is None:
         path = os.pathsep.join(filter(None, [os.path.dirname(_PACKAGE),
                                              os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh_child(script: str, *flags: str, path: str | None = None) -> list:
+    """The JSON lines ``script`` prints in a fresh interpreter on this package,
+    or on the import path ``path``."""
     proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+                          env=_child_env(path), timeout=120, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
@@ -486,3 +494,77 @@ def test_zip_imported_package_reads_its_data(tmp_path):
     assert computed == 1
     assert golden == [str(c) for c in catalog.golden_coefficients("2.1")]
     assert missing == "no golden file for 1.1 log_power=1"
+
+
+# ---------------------------------------------------------------------------
+# process entry
+# ---------------------------------------------------------------------------
+
+
+def _without_elapsed(records: list) -> list:
+    return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in records]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eval", "1.1", "-n", "40", "-d", "30"], 0),
+    (["digamma", "7/3", "-d", "30"], 0),
+    (["recover", "2.1", "-d", "30"], 0),
+    (["coeffs", "13.1", "-k", "20"], 0),
+    (["eval", "99.1", "-n", "5"], 2),
+    (["eval", "1.1", "-n", "10", "-d", "950"], 3),
+])
+def test_module_entry_prints_what_main_prints(capsys, monkeypatch, argv, expected):
+    # python -m stirlingsum, the process entry that freezes the collector on
+    # its way out, against cli.main in this process; main gets a fresh store
+    # as the child does, since the digits of a degraded partial value past
+    # its error depend on how many digits of its constants the store holds
+    proc = subprocess.run([sys.executable, "-m", "stirlingsum", *argv, "--json"],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    child = [json.loads(line) for line in proc.stdout.splitlines()]
+    monkeypatch.setattr(constants, "_DEFAULT_STORE", constants.ConstantStore())
+    code, records, err = run_json(capsys, *argv)
+    assert proc.returncode == code == expected
+    assert _without_elapsed(child) == _without_elapsed(records)
+    assert proc.stderr == err
+    if expected == 2:
+        assert child == [] and err.startswith("error:")
+    elif expected == 3:
+        [rec] = child
+        assert rec["error"] == "non-convergence" and "partial_value" in rec
+    else:
+        assert len(child) == 1 and "error" not in child[0]
+
+
+_MODULE_ENTRY = """
+import gc
+import json
+import runpy
+import sys
+sys.argv = ["stirlingsum", "coeffs", "1.1", "-k", "3"]
+before = gc.get_freeze_count()
+try:
+    runpy.run_module("stirlingsum", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([before, gc.get_freeze_count(), code]))
+"""
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys):
+    lines = subprocess.run([sys.executable, "-c", _MODULE_ENTRY], capture_output=True,
+                           text=True, env=_child_env(), timeout=120, check=True).stdout
+    before, after, code = json.loads(lines.splitlines()[-1])
+    assert before == 0 and after > 0 and code == 0
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "coeffs", "1.1", "-k", "3")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_installed_command_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["stirlingsum"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    assert importlib.import_module("stirlingsum.__main__").run is cli.run

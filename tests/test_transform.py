@@ -111,6 +111,27 @@ def test_pochhammer_values():
         pochhammer(3, -1)
 
 
+def _exact(v) -> F:
+    if isinstance(v, float):
+        return F(v)
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def test_pochhammer_of_a_binary_number_ignores_the_working_precision():
+    # the product of binary numbers is a binary number: an mpf or float x
+    # gets the exact product, not one rounded to mpmath's precision
+    for x in (mpf(1) / 3, 2.5e-7, mpf(-7) / 2, mpf(2) ** -3000):
+        exact = math.prod(_exact(x) + i for i in range(5))
+        with mp.workprec(20):
+            got = pochhammer(x, 5)
+        assert isinstance(got, mpf) and _exact(got) == exact
+    assert pochhammer(mpf(1) / 3, 5)._mpf_[3] > 20
+    for x in (mpf("inf"), "0.1"):  # not finite; not binary
+        with pytest.raises(DomainError):
+            pochhammer(x, 2)
+
+
 def test_denominator_recursion_matches_pochhammer():
     # D_k for the at_x shape is x(x+1)...(x+k) = pochhammer(x, k+1).
     x = F(7, 2)

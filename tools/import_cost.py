@@ -23,7 +23,11 @@ For each start:
   added, and the median count of loaded modules and peak resident memory
   (``ru_maxrss``) of a child after both;
 - ``python -m stirlingsum list --json``; it prints the median wall time of
-  one, start to exit.
+  one, start to exit, and its exit time: the median, over the runs, of that
+  wall time less the wall time of the same command run beside it (first on
+  every other run) through ``runpy`` in a ``-c`` child that ends with
+  ``os._exit`` once its output is flushed, which skips interpreter
+  shutdown.
 
 Medians of fresh children still follow the machine's speed, so compare two
 trees with alternating runs of this script, not with one run of each.
@@ -64,6 +68,22 @@ _CHILD = (
     "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
 )
 
+_ENDED = (
+    "import os, runpy, sys\n"
+    "sys.argv = ['stirlingsum', 'list', '--json']\n"
+    "try:\n"
+    "    runpy.run_module('stirlingsum', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    sys.stdout.flush()\n"
+    "    os._exit(exc.code)\n"
+)
+
+
+def _wall(argv: list[str], env: dict) -> float:
+    t0 = time.perf_counter()
+    subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+    return time.perf_counter() - t0
+
 
 def _importtime(stderr: str) -> dict[str, tuple[int, int]]:
     """{module: (self us, cumulative us)} from ``-X importtime`` lines."""
@@ -94,7 +114,8 @@ def main(argv=None) -> int:
         counts: dict[str, list[int]] = {name: [] for name, _ in STARTS}
         peaks: dict[str, list[float]] = {name: [] for name, _ in STARTS}
         walls: dict[str, list[float]] = {name: [] for name, _ in STARTS}
-        for _ in range(args.runs):
+        ended: dict[str, list[float]] = {name: [] for name, _ in STARTS}
+        for run in range(args.runs):
             for name, flags in STARTS:
                 env = dict(os.environ, PYTHONPATH=paths[name], PYTHONDONTWRITEBYTECODE="1")
                 proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-c", _CHILD],
@@ -108,10 +129,9 @@ def main(argv=None) -> int:
                 for module, pair in _importtime(proc.stderr).items():
                     if module.split(".")[0] == "stirlingsum":
                         times[name].setdefault(module, []).append(pair)
-                t0 = time.perf_counter()
-                subprocess.run([sys.executable, *flags, "-m", "stirlingsum", "list", "--json"],
-                               env=env, capture_output=True, timeout=120, check=True)
-                walls[name].append(time.perf_counter() - t0)
+                pair = ((walls, ["-m", "stirlingsum", "list", "--json"]), (ended, ["-c", _ENDED]))
+                for where, argv in pair[::1 if run % 2 else -1]:
+                    where[name].append(_wall([sys.executable, *flags, *argv], env))
     header = "".join(f"{name + ' self':>16}{'cumulative':>12}" for name, _ in STARTS)
     print(f"{'module':<28}{header}   (ms, medians of {args.runs})")
     for module in times["site"]:
@@ -130,8 +150,10 @@ def main(argv=None) -> int:
         print(f"[{name}] a child after import, fetch and read: "
               f"{statistics.median(counts[name]):.0f} modules, peak RSS "
               f"{statistics.median(peaks[name]):.2f} MiB (medians of {args.runs})")
+        exits = [w - e for w, e in zip(walls[name], ended[name])]
         print(f"[{name}] python -m stirlingsum list --json: "
-              f"{statistics.median(walls[name]) * 1e3:.1f} ms wall (median of {args.runs})")
+              f"{statistics.median(walls[name]) * 1e3:.1f} ms wall, "
+              f"{statistics.median(exits) * 1e3:.1f} ms of it exit (medians of {args.runs})")
     return 0
 
 
