@@ -25,7 +25,6 @@ import bisect
 import functools
 import itertools
 import math
-import threading
 import time
 from fractions import Fraction
 
@@ -40,6 +39,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_log,
     mpf_mul,
+    mpf_pos,
     mpf_pow_int,
     mpf_sub,
     round_floor,
@@ -64,6 +64,7 @@ from .exactnum import (
     DomainError,
     _Frozen,
     _Keyed,
+    _Table,
     _as_count,
     bernoulli,
     double_factorial_ext,
@@ -264,30 +265,22 @@ def _root_inner(sign: int, a: int, b: int, c: int, d: int) -> InnerCoefficients:
     return InnerCoefficients(fn)
 
 
-_harmonic_numbers = [F(0)]  # H_0, H_1, ...; append-only
-_harmonic_lock = threading.Lock()
-
-
-def _harmonic(l: int) -> Fraction:  # H_l, behind the inners of all three log families
-    with _harmonic_lock:
-        while len(_harmonic_numbers) <= l:
-            _harmonic_numbers.append(_harmonic_numbers[-1] + F(1, len(_harmonic_numbers)))
-        return _harmonic_numbers[l]
+_harmonic_numbers = _Table(lambda h: h[-1] + F(1, len(h)), [F(0)])  # H_0, H_1, ...
 
 
 def _weighted_harmonic(l: int) -> Fraction:
     # sum_{m=0}^{l-1} (m+1)/(l-m) = (l+1) H_l - l, the inner weight of 13.1
-    return (l + 1) * _harmonic(l) - l
+    return (l + 1) * _harmonic_numbers[l] - l
 
 
 def _plain_log_inner(l: int) -> Fraction:
     # 12.1's B_(l+1) S_(l+1)(2) / (l+1)!, where S_(l+1)(2) = (-1)^(l+1) l! H_l
-    return F(-1) ** (l + 1) * bernoulli(l + 1) * _harmonic(l) / (l + 1)
+    return F(-1) ** (l + 1) * bernoulli(l + 1) * _harmonic_numbers[l] / (l + 1)
 
 
 def _plain_log2_inner(l: int) -> Fraction:
     # 14.1's B_(l+2) S_(l+1)(2) / (l+2)!, from the same Stirling column
-    return F(-1) ** (l + 1) * bernoulli(l + 2) * _harmonic(l) / ((l + 1) * (l + 2))
+    return F(-1) ** (l + 1) * bernoulli(l + 2) * _harmonic_numbers[l] / ((l + 1) * (l + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +856,11 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
     except NonConvergenceError:
         # Head constants past recovery reach: serve them, and the whole
         # evaluation, at a precision they always reach, so that the partial
-        # report carries a genuine (if shallow) value, and fail.
-        cvalues = _fetch_constants(f, store, min(cdigits, _DEGRADED_CONSTANT_DIGITS))
+        # report carries a genuine (if shallow) value, and fail. Rounded to
+        # those digits, they never bring in longer values a store holds.
+        low = min(cdigits, _DEGRADED_CONSTANT_DIGITS)
+        cvalues = tuple(mpf_pos(v, dps_to_prec(low), round_nearest)
+                        for v in _fetch_constants(f, store, low))
         failure = (
             f"head constants past recovery reach, served at "
             f"{_DEGRADED_CONSTANT_DIGITS} digits (requested {cdigits})"

@@ -6,7 +6,8 @@ not the catalog's formulas. The first 300 stay cached: the exactnum, transform
 and acceptance tests took 3.5-4.5 s with that cache and 10.6-13.9 s without.
 
 All values are exact: ``int`` or canonical :class:`fractions.Fraction`
-(reduced, positive denominator, zero as 0/1). Caches are append-only.
+(reduced, positive denominator, zero as 0/1). Caches are append-only: each
+exact sequence the package keeps is one :class:`_Table`, read with no lock.
 """
 
 from __future__ import annotations
@@ -96,6 +97,43 @@ def _as_count(value, minimum: int, name: str = "n") -> int:
     return value
 
 
+class _Table:
+    """An append-only exact sequence t_0, t_1, ..., filled on demand: the
+    package's Stirling rows, zigzag numbers, odd double factorials,
+    ``catalog``'s harmonic numbers and each inner's transform coefficients.
+
+    ``values`` is a tuple of the entries so far; a longer tuple replaces it
+    as entries are added, so a reader holds a fixed snapshot and needs no
+    lock. Entries are added under the table's own lock, one at a time, each
+    published as it is made: ``step(values, *args)`` returns the next entry,
+    made from the entries so far and any state the step keeps between calls.
+    A step never reads its own table (it is given ``values``), since its lock
+    is held while it runs; it may read other tables.
+    """
+
+    __slots__ = ("values", "step", "_lock")
+
+    def __init__(self, step, first=()):
+        self.values, self.step, self._lock = tuple(first), step, threading.Lock()
+
+    def _grow(self, n: int, args: tuple) -> tuple:
+        with self._lock:
+            values = self.values
+            while len(values) < n:
+                values += (self.step(values, *args),)
+                self.values = values
+        return values
+
+    def __getitem__(self, i: int):
+        values = self.values
+        return (values if i < len(values) else self._grow(i + 1, ()))[i]
+
+    def entry(self, k: int, *args) -> tuple:
+        """``(k, t_(k-1))``, passing ``args`` to any step it takes."""
+        values = self.values
+        return k, (values if k <= len(values) else self._grow(k, args))[k - 1]
+
+
 # ---------------------------------------------------------------------------
 # Signed Stirling numbers of the first kind
 # ---------------------------------------------------------------------------
@@ -106,8 +144,6 @@ def _as_count(value, minimum: int, name: str = "n") -> int:
 # of big integers in memory.
 
 _ROW_CACHE_LIMIT = 300
-_row_cache: list[tuple[int, ...]] = [(1,)]
-_row_lock = threading.Lock()
 
 
 def _next_row(row: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -118,20 +154,16 @@ def _next_row(row: tuple[int, ...], k: int) -> tuple[int, ...]:
     )
 
 
+_rows = _Table(lambda rows: _next_row(rows[-1], len(rows) - 1), [(1,)])
+
+
 def stirling_row(k: int) -> tuple[int, ...]:
     """Row ``k`` of the signed Stirling triangle: entry ``l`` is S_k^(1)(l)."""
-    _as_count(k, 0, "k")
-    with _row_lock:
-        while len(_row_cache) <= min(k, _ROW_CACHE_LIMIT):
-            kk = len(_row_cache) - 1
-            _row_cache.append(_next_row(_row_cache[-1], kk))
-        if k < len(_row_cache):
-            return _row_cache[k]
-        row = _row_cache[-1]
-        kk = len(_row_cache) - 1
-    while kk < k:
+    if _as_count(k, 0, "k") <= _ROW_CACHE_LIMIT:
+        return _rows[k]
+    row = _rows[_ROW_CACHE_LIMIT]
+    for kk in range(_ROW_CACHE_LIMIT, k):
         row = _next_row(row, kk)
-        kk += 1
     return row
 
 
@@ -158,25 +190,23 @@ def stirling_first(k: int, l: int) -> int:
 # needs (the textbook binomial recurrences go quadratic in `comb` calls of
 # huge arguments instead).
 
-_zigzag_values: list[int] = [1]  # Z_0, Z_1, ...
-_zigzag_row: list[int] = [1]  # Entringer row for the last filled index
-_zigzag_lock = threading.Lock()
+def _entringer():
+    """The zigzag step, keeping the Entringer row of the last filled index."""
+    row = [1]
+
+    def step(values: tuple[int, ...]) -> int:
+        nonlocal row
+        m, prev, acc = len(values), row, 0
+        row = [0] * (m + 1)
+        for j in range(1, m + 1):
+            acc += prev[m - j]
+            row[j] = acc
+        return acc
+
+    return step
 
 
-def _zigzag(n: int) -> int:
-    global _zigzag_row
-    with _zigzag_lock:
-        while len(_zigzag_values) <= n:
-            m = len(_zigzag_values)
-            prev = _zigzag_row
-            row = [0] * (m + 1)
-            acc = 0
-            for j in range(1, m + 1):
-                acc += prev[m - j]
-                row[j] = acc
-            _zigzag_row = row
-            _zigzag_values.append(acc)
-        return _zigzag_values[n]
+_zigzag = _Table(_entringer(), [1])  # Z_0, Z_1, ...
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +229,7 @@ def bernoulli(k: int) -> Fraction:
     m = k // 2
     p = 1 << k
     sign = 1 if m % 2 else -1
-    return Fraction(sign * k * _zigzag(k - 1), p * (p - 1))
+    return Fraction(sign * k * _zigzag[k - 1], p * (p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +242,7 @@ def euler_number(k: int) -> int:
     if _as_count(k, 0, "k") % 2:
         return 0
     sign = -1 if (k // 2) % 2 else 1
-    return sign * _zigzag(k)
+    return sign * _zigzag[k]
 
 
 def tangent_number(k: int) -> Fraction:
@@ -244,8 +274,7 @@ def stirling_a(k: int) -> Fraction:
     return Fraction((-1) ** k, 2 * k) * acc
 
 
-_odd_double_factorials = [1]  # (2j-1)!! at index j, from (-1)!! = 1; append-only
-_odd_double_factorial_lock = threading.Lock()
+_odd_double_factorials = _Table(lambda t: t[-1] * (2 * len(t) - 1), [1])  # (2j-1)!! at j
 
 
 def double_factorial_ext(m: int) -> Fraction:
@@ -259,9 +288,5 @@ def double_factorial_ext(m: int) -> Fraction:
     if _as_count(m, -math.inf, "m") % 2 == 0:
         raise DomainError(f"argument must be odd, got {m}")
     j = (m + 1) // 2 if m >= -1 else (-m - 1) // 2
-    with _odd_double_factorial_lock:
-        table = _odd_double_factorials
-        while len(table) <= j:
-            table.append(table[-1] * (2 * len(table) - 1))
-        value = table[j]
+    value = _odd_double_factorials[j]
     return Fraction(value) if m >= -1 else Fraction((-1) ** j, value)

@@ -19,9 +19,9 @@ c_k = (-1)^k M_k(0) and the recurrence
 
 so one anti-diagonal of moments, updated as each a_l arrives, yields the c_k
 in order (Weniger, Appl. Numer. Math. 2010). Each InnerCoefficients instance
-keeps the longest prefix c_1..c_k computed so far with its frontier, and a
-later stream reads that prefix in place, at C speed, before the generator
-resumes the moment updates for the terms past it.
+keeps c_1..c_k computed so far in one ``exactnum._Table``, whose step carries
+the frontier. A stream reads the kept tuple in place, at C speed, then asks
+the table for each term past it, so no stream ever builds a generator.
 
 The series is summed in fixed-point Python integers, not in mpmath floating
 point: x is taken exactly as p/q, 1/(x(x+1)...(x+k)) is carried as a
@@ -34,13 +34,12 @@ global mpmath state.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import threading
 import time
 import weakref
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import chain, count, islice, repeat
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -54,7 +53,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exactnum import DomainError, _Frozen, _Keyed, _as_count
+from .exactnum import DomainError, _Frozen, _Keyed, _Table, _as_count
 
 __all__ = [
     "InnerCoefficients",
@@ -179,54 +178,8 @@ def weniger_transform(a: InnerCoefficients, K: int) -> StirlingCoefficients:
     return StirlingCoefficients(tuple(c for _, c in _transform_stream(a, K)))
 
 
-class _StreamCheckpoint:
-    """Resumable transform state at k: c_1..c_k, the common denominator Q of
-    a_1..a_k and the scaled moment frontier Q*M_i(k-i), i = 0..k, which
-    M_{i+1}(j) = M_i(j+1) - i*M_i(j) carries on to k+1."""
-
-    __slots__ = ("coeffs", "Q", "frontier")
-
-    def __init__(self, coeffs: list[Fraction], Q: int, frontier: list[int]):
-        self.coeffs, self.Q, self.frontier = coeffs, Q, frontier
-
-
-# Transformed coefficients depend only on the inner sequence, never on x, so
-# streams for the same InnerCoefficients instance (each catalog formula keeps
-# one for its lifetime) resume from the longest prefix computed so far instead
-# of redoing the moment updates. No depth cap is needed: the frontier is k+1
-# integers holding about twice the bits of the c_1..c_k kept beside it (some
-# 600 KiB at k = 800), so keeping any depth costs less than recomputing it.
-_checkpoints: "weakref.WeakKeyDictionary[InnerCoefficients, _StreamCheckpoint]" = (
-    weakref.WeakKeyDictionary()
-)
-_checkpoint_lock = threading.Lock()
-
-
-def _transform_stream(
-    a: InnerCoefficients, K: int | None
-) -> Iterator[tuple[int, Fraction]]:
-    """(k, c_k) for k = 1.. (up to K if given), exactly.
-
-    The prefix a checkpoint keeps is read in place by a C-level iterator
-    (``enumerate`` over the kept list), so a warm caller pays no Python frame
-    per coefficient; only the coefficients past it come from the generator
-    :func:`_extend_stream`, chained on behind.
-    """
-    # No lock: a dict read is atomic under the GIL, and a checkpoint's lists
-    # never change once stored, so they are read in place, copied to extend.
-    cp = _checkpoints.get(a)
-    kept = cp.coeffs if cp else []
-    if K is None:
-        return itertools.chain(enumerate(kept, start=1), _extend_stream(a, K, cp))
-    prefix = itertools.islice(enumerate(kept, start=1), K)
-    return prefix if K <= len(kept) else itertools.chain(prefix, _extend_stream(a, K, cp))
-
-
-def _extend_stream(
-    a: InnerCoefficients, K: int | None, cp: _StreamCheckpoint | None
-) -> Iterator[tuple[int, Fraction]]:
-    """Yield (k, c_k) past the checkpoint ``cp`` (from k = 1 without one), up
-    to K if given, and keep the longer prefix as the new checkpoint.
+def _frontier_step():
+    """A transform table's step: c_(k+1) from a_(k+1) and the state at k.
 
     With the linear functional L[t^l] = (-1)^l a_l (and L[1] = 0) the map is
     c_k = (-1)^k M_k(0), where M_i(j) = L[t^j (t)_i] and (t)_i is the falling
@@ -240,29 +193,53 @@ def _extend_stream(
     integers scaled by Q, a running common denominator of a_1..a_k, so each
     c_k costs k big-by-small multiplies and a single reduction.
     """
-    kept, Q, frontier = (cp.coeffs, cp.Q, cp.frontier) if cp else ([], 1, [0])
-    done = list(kept)
-    k = len(done)
-    try:
-        while K is None or k < K:
-            k += 1
-            al = a(k)
-            q = al.denominator
-            grow = q // math.gcd(Q, q)
-            if grow > 1:
-                frontier, Q = [f * grow for f in frontier], Q * grow
-            row = [(-1) ** k * al.numerator * (Q // q)]
-            for i, f in enumerate(frontier):
-                row.append(row[-1] - i * f)
-            frontier = row
-            ck = Fraction((-1) ** k * row[-1], Q)
-            done.append(ck)
-            yield k, ck
-    finally:
-        with _checkpoint_lock:
-            current = _checkpoints.get(a)
-            if current is None or len(current.coeffs) < len(done):
-                _checkpoints[a] = _StreamCheckpoint(done, Q, frontier)
+    Q, frontier = 1, [0]
+
+    def step(coeffs: tuple[Fraction, ...], a: InnerCoefficients) -> Fraction:
+        nonlocal Q, frontier
+        k = len(coeffs) + 1
+        al = a(k)
+        q = al.denominator
+        grow = q // math.gcd(Q, q)
+        if grow > 1:
+            frontier, Q = [f * grow for f in frontier], Q * grow
+        row = [(-1) ** k * al.numerator * (Q // q)]
+        for i, f in enumerate(frontier):
+            row.append(row[-1] - i * f)
+        frontier = row
+        return Fraction((-1) ** k * row[-1], Q)
+
+    return step
+
+
+# Transformed coefficients depend only on the inner sequence, never on x, so
+# streams for the same InnerCoefficients instance (each catalog formula keeps
+# one for its lifetime) resume from the longest prefix computed so far instead
+# of redoing the moment updates. No depth cap is needed: the frontier is k+1
+# integers holding about twice the bits of the c_1..c_k kept beside it (some
+# 600 KiB at k = 800), so keeping any depth costs less than recomputing it.
+# A table never holds its inner (each stream passes it in): the key can die.
+_checkpoints: "weakref.WeakKeyDictionary[InnerCoefficients, _Table]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _transform_stream(
+    a: InnerCoefficients, K: int | None
+) -> Iterator[tuple[int, Fraction]]:
+    """(k, c_k) for k = 1.. (up to K if given), exactly.
+
+    The prefix the inner's table keeps is read in place by a C-level iterator
+    (``enumerate`` over the kept tuple), so a warm caller pays no Python frame
+    per coefficient; each coefficient past it comes from the table's
+    ``entry``, chained on behind. No lock: a dict read is atomic under the
+    GIL, and ``kept`` is a fixed tuple, so a stream neither repeats nor skips
+    a k when another thread extends the same table meanwhile.
+    """
+    table = _checkpoints.get(a) or _checkpoints.setdefault(a, _Table(_frontier_step()))
+    kept = table.values
+    stream = chain(enumerate(kept, 1), map(table.entry, count(len(kept) + 1), repeat(a)))
+    return stream if K is None else islice(stream, K)
 
 
 def pochhammer(x, k: int):
@@ -414,7 +391,7 @@ def eval_stirling_series(
     up at call time so that a wrapper set in its place sees every c_k a call
     consumes: the values of a :class:`StirlingCoefficients`, or for an
     :class:`InnerCoefficients` its kept transform prefix, read with no lock
-    (a dict read is atomic under the GIL, and a kept list never changes),
+    (a dict read is atomic under the GIL, and a kept tuple never changes),
     then the terms computed past it. wp, W, eps and the least x needing no
     refusal check are set up once per ``ctx.key`` (:func:`_series_setup`).
     The sum runs in Python integers from each c_k's Fraction slots and reads

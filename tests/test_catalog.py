@@ -31,7 +31,7 @@ from stirlingsum.constants import (
     get_constant,
     zeta,
 )
-from stirlingsum.exactnum import DomainError, bernoulli, stirling_first
+from stirlingsum.exactnum import DomainError, _Table, bernoulli, stirling_first
 from stirlingsum.transform import AT_X, AT_X_PLUS_1, EvalContext, NonConvergenceError
 
 ALL_IDS = catalog.formula_ids()
@@ -750,6 +750,20 @@ def test_refusals_are_not_memoized(monkeypatch):
     assert not [plan for plan in calls + recoveries if plan.rhs]  # no plan keeps one
 
 
+def test_degraded_partial_report_does_not_depend_on_the_store():
+    # head constants past their reach are served rounded to
+    # _DEGRADED_CONSTANT_DIGITS: a store already holding gamma at 500 digits
+    # gives the partial report a fresh store gives
+    def partial(store):
+        with pytest.raises(NonConvergenceError) as exc:
+            evaluate("1.1", 10, EvalContext(950), store=store)
+        return str(exc.value), _report_bits(exc.value.report)
+
+    warm = ConstantStore()
+    warm.get(GAMMA, 500)
+    assert partial(ConstantStore()) == partial(warm)
+
+
 def test_memo_keys_on_context_and_store(monkeypatch):
     calls = _count_rhs(monkeypatch)
     catalog._plan.cache_clear()
@@ -1362,7 +1376,7 @@ def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
     # definition: 13.1's weight (l+1) H_l - l is sum_m (m+1)/(l-m), and the
     # plain-log inners of 12.1 and 14.1 are B_(l+1) S_(l+1)(2) / (l+1)! and
     # B_(l+2) S_(l+1)(2) / (l+2)!, checked past stirling_row's 300-row cache
-    monkeypatch.setattr(catalog, "_harmonic_numbers", [F(0)])
+    monkeypatch.setattr(catalog, "_harmonic_numbers", _Table(catalog._harmonic_numbers.step, [F(0)]))
     top = 320
     expected = {}
     for l in range(1, top + 1):
@@ -1394,7 +1408,7 @@ def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
     h = [F(0)]
     for j in range(1, top + 1):
         h.append(h[-1] + F(1, j))
-    assert catalog._harmonic_numbers == h
+    assert catalog._harmonic_numbers.values == tuple(h)
 
 
 def test_no_serving_module_calls_the_stirling_triangle():

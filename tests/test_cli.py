@@ -513,15 +513,12 @@ def _without_elapsed(records: list) -> list:
     (["eval", "99.1", "-n", "5"], 2),
     (["eval", "1.1", "-n", "10", "-d", "950"], 3),
 ])
-def test_module_entry_prints_what_main_prints(capsys, monkeypatch, argv, expected):
+def test_module_entry_prints_what_main_prints(capsys, argv, expected):
     # python -m stirlingsum, the process entry that freezes the collector on
-    # its way out, against cli.main in this process; main gets a fresh store
-    # as the child does, since the digits of a degraded partial value past
-    # its error depend on how many digits of its constants the store holds
+    # its way out, against cli.main in this process, whatever the store holds
     proc = subprocess.run([sys.executable, "-m", "stirlingsum", *argv, "--json"],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     child = [json.loads(line) for line in proc.stdout.splitlines()]
-    monkeypatch.setattr(constants, "_DEFAULT_STORE", constants.ConstantStore())
     code, records, err = run_json(capsys, *argv)
     assert proc.returncode == code == expected
     assert _without_elapsed(child) == _without_elapsed(records)

@@ -6,6 +6,7 @@ import pytest
 from stirlingsum import exactnum
 from stirlingsum.exactnum import (
     DomainError,
+    _Table,
     bernoulli,
     double_factorial_ext,
     euler_number,
@@ -275,7 +276,8 @@ def test_double_factorial_matches_the_direct_product(monkeypatch):
 
     odd = list(range(-81, 2202, 2))
     for order in (odd, odd[::-1]):
-        monkeypatch.setattr(exactnum, "_odd_double_factorials", [1])
+        monkeypatch.setattr(exactnum, "_odd_double_factorials",
+                            _Table(exactnum._odd_double_factorials.step, [1]))
         assert [double_factorial_ext(m) for m in order] == [direct(m) for m in order]
 
 

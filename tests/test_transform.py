@@ -1,7 +1,9 @@
+import itertools
 import math
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +12,17 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from stirlingsum import catalog, transform
-from stirlingsum.exactnum import DomainError, bernoulli, gregory_number, stirling_row
+from stirlingsum import catalog, exactnum, transform
+from stirlingsum.exactnum import (
+    DomainError,
+    _Table,
+    bernoulli,
+    double_factorial_ext,
+    euler_number,
+    gregory_number,
+    stirling_a,
+    stirling_row,
+)
 from stirlingsum.transform import (
     AT_X,
     AT_X_PLUS_1,
@@ -296,6 +307,17 @@ def test_inner_coefficients_with_equal_fields_share_one_checkpoint():
     assert weniger_transform(b, 30) == first
     assert calls == []
     assert transform._checkpoints[b] is transform._checkpoints[a]
+
+
+def test_a_transform_table_dies_with_its_inner():
+    # a table never holds its inner (each stream passes it in), so the weak
+    # key, and its entry, go with the last reference to the inner
+    inner = InnerCoefficients(fn=lambda l: F(1, l + 1))
+    weniger_transform(inner, 20)
+    key, table = weakref.ref(inner), transform._checkpoints[inner]
+    del inner
+    assert key() is None
+    assert all(t is not table for t in transform._checkpoints.values())
 
 
 def test_eval_context_equality_hash_and_default_guard():
@@ -679,7 +701,7 @@ def test_series_bits_agree_cold_warm_and_past_the_kept_prefix():
     b = fresh()
     weniger_transform(b, cold.terms_used // 2)
     mid = eval_stirling_series(b, 45, AT_X, ctx)  # runs past the kept prefix
-    assert len(transform._checkpoints[b].coeffs) == cold.terms_used + 1
+    assert len(transform._checkpoints[b].values) == cold.terms_used + 1
     assert _report_bits(cold) == _report_bits(warm) == _report_bits(mid)
     assert _report_bits(cold) == _report_bits(eval_stirling_series(part, 45, AT_X, ctx))
 
@@ -989,3 +1011,94 @@ def test_second_series_call_on_a_context_skips_its_setup():
     assert {"dps_to_prec", "_log_term", "lgamma"} <= set(first)
     assert x >= transform._series_setup(*ctx.key)[-1]
     assert second == []
+
+
+# Closed forms of four roots' c_k, each the transform of its formula's plain
+# part (prefactor 1): Stirling rows on the right, the moment frontier on the left.
+CLOSED_FORMS = {
+    "1.1": (120, lambda k: -math.factorial(k) * abs(gregory_number(k + 1))),
+    "10.1": (120, stirling_a),
+    "2.2": (400, lambda k: F(math.factorial(k - 1), k + 1)),
+    "2.1": (300, lambda k: F(-math.factorial(k), (k + 1) * (k + 2))),
+}
+
+
+@pytest.mark.parametrize("fid", sorted(CLOSED_FORMS))
+def test_transform_matches_its_closed_forms(fid):
+    K, form = CLOSED_FORMS[fid]
+    [part] = [p for p in catalog.describe(fid).series if p.log_power == 0]
+    assert part.prefactor == 1
+    assert weniger_transform(part.inner, K).values == tuple(form(k) for k in range(1, K + 1))
+
+
+def test_tables_fill_from_cold_under_racing_threads(monkeypatch):
+    # 8 threads stream equal fresh instances of one inner (so one table,
+    # cold) and read Bernoulli, Euler and double-factorial values from fresh
+    # tables while they fill; each stream yields k = 1..150 once each, in
+    # order, and every value is what a single-threaded run gives
+    part = catalog.describe("13.1").series[0].inner
+    top = 150
+
+    def work(fn, i):
+        inner, seen = InnerCoefficients(fn), []
+        alive.append(inner)  # so the table's weak key outlives the thread
+        for k, ck in itertools.islice(transform._coefficient_stream(inner), top):
+            j = (37 * k + 11 * i) % top  # another index order in each thread
+            seen.append((k, ck, bernoulli(j), euler_number(j),
+                         double_factorial_ext(2 * j - 1 if i % 2 else 1 - 2 * j)))
+        return seen
+
+    alive = []
+    expected = [work(lambda l: part.fn(l), i) for i in range(8)]
+    monkeypatch.setattr(exactnum, "_zigzag", _Table(exactnum._entringer(), [1]))
+    monkeypatch.setattr(exactnum, "_odd_double_factorials",
+                        _Table(exactnum._odd_double_factorials.step, [1]))
+    monkeypatch.setattr(catalog, "_harmonic_numbers", _Table(catalog._harmonic_numbers.step, [F(0)]))
+    fn = lambda l: part.fn(l)  # noqa: E731 -- one function, so one fresh table
+    got = [None] * 8
+
+    def run(i):
+        got[i] = work(fn, i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all([s[0] for s in g] == list(range(1, top + 1)) for g in got)
+    assert got == expected
+    assert len({id(transform._checkpoints[a]) for a in alive[8:]}) == 1
+
+
+def test_warm_series_inside_the_kept_prefix_never_enters_the_table():
+    # a warm call whose kept prefix covers terms_used + 1 reads it alone:
+    # no Python-level call into the table or the frontier step, which a
+    # cold call on the same inner makes
+    part = catalog.describe("1.1").series[0].inner
+    inner = InnerCoefficients(fn=lambda l: part.fn(l))  # a table of its own
+    ctx = EvalContext(digits=30)
+
+    def entered():
+        names = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.add(frame.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            rep = eval_stirling_series(inner, 10**6, AT_X, ctx)
+        finally:
+            sys.setprofile(None)
+        return names & {"_Table.entry", "_Table._grow", "_frontier_step.<locals>.step"}, rep
+
+    cold, rep = entered()
+    assert cold == {"_Table.entry", "_Table._grow", "_frontier_step.<locals>.step"}
+    assert len(transform._checkpoints[inner].values) == rep.terms_used + 1
+    assert entered()[0] == set()
