@@ -8,6 +8,18 @@ recovers the constants appearing in their heads, and computes the digamma
 function fast at large argument.
 """
 
+# Sorted, so the largest source, catalog, is compiled before its own mpmath
+# import runs: mpmath then reuses the parser's freed memory (peak RSS).
+from .catalog import (
+    FormulaId,
+    brute_force,
+    coefficients,
+    describe,
+    digamma,
+    evaluate,
+    formula_ids,
+)
+from .constants import ConstantId, get_constant
 from .exactnum import (
     DomainError,
     ExactRational,
@@ -29,16 +41,6 @@ from .transform import (
     pochhammer,
     verify_transform_consistency,
     weniger_transform,
-)
-from .constants import ConstantId, get_constant
-from .catalog import (
-    FormulaId,
-    brute_force,
-    coefficients,
-    describe,
-    digamma,
-    evaluate,
-    formula_ids,
 )
 
 __version__ = "0.1.0"

@@ -462,6 +462,35 @@ def test_plain_start_loads_no_resource_machinery():
     assert _fresh_child(_PLAIN_START, "-S", path=path) == [[]]
 
 
+_IMPORT_ORDER = """
+import json
+import sys
+asked = []
+
+
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        asked.append(name)
+        return None
+
+
+sys.meta_path.insert(0, Recorder)
+preloaded = "mpmath" in sys.modules
+import stirlingsum
+print(json.dumps([preloaded, asked]))
+"""
+
+
+def test_catalog_is_compiled_before_mpmath_loads():
+    # the largest source is parsed first, so that mpmath's import reuses the
+    # memory its parser freed: a process compiling from source peaks lower
+    path = os.pathsep.join([os.path.dirname(_PACKAGE), _SITE_PACKAGES])
+    [[preloaded, asked]] = _fresh_child(_IMPORT_ORDER, "-S", path=path)
+    assert not preloaded
+    assert asked.index("stirlingsum.catalog") < asked.index("mpmath")
+
+
 _ZIPPED = """
 import json
 import stirlingsum

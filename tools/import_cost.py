@@ -15,13 +15,15 @@ child compiles the package from source, and runs fresh children with
 
 For each start:
 
-- ``python -X importtime -c "import stirlingsum.cli"``, then one head
-  constant fetched (pi, 30 digits, which reads and checks the reference
-  digits) and one golden file read; it prints the median self and
-  cumulative time of each ``stirlingsum`` module, in import order, names any
-  of ``WATCHED`` that the import loaded and any that the fetch and read
-  added, and the median count of loaded modules and peak resident memory
-  (``ru_maxrss``) of a child after both;
+- ``python -X importtime -c "import stirlingsum; import stirlingsum.cli"``,
+  then one head constant fetched (pi, 30 digits, which reads and checks the
+  reference digits) and one golden file read; it prints the median self and
+  cumulative time of each ``stirlingsum`` module, in import order, beside
+  its source bytes and best-of-N compile time in this process, names any of
+  ``WATCHED`` that the import loaded and any that the fetch and read added,
+  the median peak resident memory (``ru_maxrss``) of a child right after
+  ``import stirlingsum``, and the median count of loaded modules and peak
+  resident memory of a child after the fetch and read;
 - ``python -m stirlingsum list --json``; it prints the median wall time of
   one, start to exit, and its exit time: the median, over the runs, of that
   wall time less the wall time of the same command run beside it (first on
@@ -57,6 +59,8 @@ _CHILD = (
     "import json, resource, sys\n"
     f"watched = set({WATCHED!r})\n"
     "before = set(sys.modules)\n"
+    "import stirlingsum\n"
+    "imported_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
     "import stirlingsum.cli\n"
     "imported = set(sys.modules)\n"
     "from stirlingsum import catalog\n"
@@ -65,7 +69,7 @@ _CHILD = (
     "catalog.golden_coefficients('1.1')\n"
     "print(json.dumps([sorted(watched & (imported - before)),\n"
     "                  sorted(watched & (set(sys.modules) - imported)), len(sys.modules),\n"
-    "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
+    "                  imported_peak, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
 )
 
 _ENDED = (
@@ -96,6 +100,20 @@ def _importtime(stderr: str) -> dict[str, tuple[int, int]]:
     return out
 
 
+def _compile_cost(src: str, module: str, runs: int) -> tuple[int, float]:
+    """(source bytes, best-of-``runs`` compile seconds) of ``module`` in ``src``."""
+    path = os.path.join(src, *module.split("."))
+    path = os.path.join(path, "__init__.py") if os.path.isdir(path) else path + ".py"
+    with open(path, "rb") as f:
+        source = f.read()
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        compile(source, path, "exec", dont_inherit=True)
+        best = min(best, time.perf_counter() - t0)
+    return len(source), best
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=8, help="children per measurement")
@@ -112,6 +130,7 @@ def main(argv=None) -> int:
         loaded = {name: set() for name, _ in STARTS}
         fetched = {name: set() for name, _ in STARTS}
         counts: dict[str, list[int]] = {name: [] for name, _ in STARTS}
+        imported_peaks: dict[str, list[float]] = {name: [] for name, _ in STARTS}
         peaks: dict[str, list[float]] = {name: [] for name, _ in STARTS}
         walls: dict[str, list[float]] = {name: [] for name, _ in STARTS}
         ended: dict[str, list[float]] = {name: [] for name, _ in STARTS}
@@ -121,10 +140,11 @@ def main(argv=None) -> int:
                 proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-c", _CHILD],
                                       env=env, capture_output=True, text=True, timeout=120,
                                       check=True)
-                by_import, by_fetch, count, peak_kib = json.loads(proc.stdout)
+                by_import, by_fetch, count, imported_kib, peak_kib = json.loads(proc.stdout)
                 loaded[name].update(by_import)
                 fetched[name].update(by_fetch)
                 counts[name].append(count)
+                imported_peaks[name].append(imported_kib / 1024)
                 peaks[name].append(peak_kib / 1024)
                 for module, pair in _importtime(proc.stderr).items():
                     if module.split(".")[0] == "stirlingsum":
@@ -132,10 +152,13 @@ def main(argv=None) -> int:
                 pair = ((walls, ["-m", "stirlingsum", "list", "--json"]), (ended, ["-c", _ENDED]))
                 for where, argv in pair[::1 if run % 2 else -1]:
                     where[name].append(_wall([sys.executable, *flags, *argv], env))
+        compiled = {module: _compile_cost(src, module, args.runs) for module in times["site"]}
     header = "".join(f"{name + ' self':>16}{'cumulative':>12}" for name, _ in STARTS)
-    print(f"{'module':<28}{header}   (ms, medians of {args.runs})")
+    print(f"{'module':<28}{'bytes':>8}{'compile':>9}{header}   "
+          f"(ms; compile best of {args.runs}, import medians of {args.runs})")
     for module in times["site"]:
-        row = ""
+        size, best = compiled[module]
+        row = f"{size:>8}{best * 1e3:>9.1f}"
         for name, _ in STARTS:
             pairs = times[name].get(module, [(0, 0)])
             row += (f"{statistics.median(p[0] for p in pairs) / 1e3:>16.1f}"
@@ -147,8 +170,9 @@ def main(argv=None) -> int:
               f"{', '.join(sorted(loaded[name])) or 'none'}")
         print(f"[{name}] added by the first constant fetch and golden read: "
               f"{', '.join(sorted(fetched[name])) or 'none'}")
-        print(f"[{name}] a child after import, fetch and read: "
-              f"{statistics.median(counts[name]):.0f} modules, peak RSS "
+        print(f"[{name}] a child after import stirlingsum alone: peak RSS "
+              f"{statistics.median(imported_peaks[name]):.2f} MiB; after import, fetch and "
+              f"read: {statistics.median(counts[name]):.0f} modules, peak RSS "
               f"{statistics.median(peaks[name]):.2f} MiB (medians of {args.runs})")
         exits = [w - e for w, e in zip(walls[name], ended[name])]
         print(f"[{name}] python -m stirlingsum list --json: "
