@@ -126,6 +126,8 @@ class FormulaId(_Keyed):
     __slots__ = ("family", "variant")
 
     def __init__(self, family: int, variant: int = 1):
+        _as_count(family, -math.inf, "family")  # the type alone: the ranges are checked below
+        _as_count(variant, -math.inf, "variant")
         count = VARIANT_COUNTS.get(family)
         if count is None:
             raise DomainError(f"unknown formula family {family}")
@@ -388,7 +390,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
         (sp(inner(lambda l: -bernoulli(l + 3) / ((l + 1) * (l + 2) * (l + 3))), 1),))
 
     # -- 12, 13, 14: log-weighted sums (two series parts each) ----------------
-    # Each log part is the inner of 1.1, 2.1 or 10.2 (one checkpoint per pair):
+    # Each log part is the inner of 1.1, 2.1 or 10.2 (one table per pair):
     # the printed (-1)^l is 1 wherever its B_(l+1) or B_(l+2) is nonzero.
     add(12, "sum_{k=1}^{n} log(k)/k", Summand(-1, 1), 1,
         (ht(F(1, 2), log_power=2), ht(1, constants=((STIELTJES1, 1),)),
@@ -413,7 +415,7 @@ def _build_catalog() -> dict[FormulaId, Formula]:
     # -- 15, 16: alternating sums (Boole side) ---------------------------------
     # a_l = (-1)^(l+1) E_l / 2^l: odd Euler numbers vanish, so the first
     # nonzero entry is l = 2. Both printings share this one instance, and so
-    # one transform checkpoint.
+    # one transform table.
     leibniz_inner = inner(lambda l: F((-1) ** (l + 1) * euler_number(l), 2**l))
     head = (ht(F(1, 4), constants=((PI, 1),)),)
     add(15, "sum_{k=0}^{n} (-1)^k/(2k+1)", Summand(-1, parity=0, scale=2, shift=1), 0,
@@ -819,14 +821,6 @@ _plan = functools.lru_cache(maxsize=_MEMO_CAP)(_Plan)
 _bridge = functools.lru_cache(maxsize=_MEMO_CAP)(_summand_sum)
 
 
-def _plan_for(f: Formula, ctx: EvalContext, hr: int, cvalues: tuple,
-              skip: HeadTerm | None = None) -> _Plan:
-    """The kept plan of ``f`` under ``ctx`` at headroom ``hr``, with the head
-    constants ``cvalues`` (see :func:`_fetch_constants`) and ``skip`` left
-    out of the head."""
-    return _plan(f, ctx.key, hr, cvalues, -1 if skip is None else f.head.index(skip))
-
-
 def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> EvaluationReport:
     """Right-hand-side value of the formula at n: the partial sum it equals.
 
@@ -868,7 +862,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         ctx = EvalContext(min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), max_terms=ctx.max_terms)
     model = _anchor(f.id, ctx.digits, ctx.guard, DEFAULT_MAX_TERMS)
     anchor = max(n, model)
-    plan = _plan_for(f, ctx, _headroom(f, anchor), cvalues)
+    plan = _plan(f, ctx.key, _headroom(f, anchor), cvalues, -1)
     prec = plan.prec
     kept = n < model and failure is None  # only below the anchor, undegraded
     rhs = plan.rhs if kept else None
@@ -968,6 +962,7 @@ def recover_details(
     term = _isolating_term(f.head, target)
     if term is None:
         raise DomainError(f"{target} cannot be isolated linearly in {f.id}")
+    skip = f.head.index(term)
     guard = EvalContext(digits).guard
     cdigits = digits + guard
     cvalues = _fetch_constants(f, store, cdigits, exclude=target)
@@ -976,7 +971,7 @@ def recover_details(
     anchor = _anchor(f.id, digits, guard, max_terms)
 
     def solve(current: int) -> RecoveryResult:
-        plan = _plan_for(f, ctx, _headroom(f, current), cvalues, term)
+        plan = _plan(f, ctx.key, _headroom(f, current), cvalues, skip)
         head, scaled, terms_used, _, errors = _rhs(plan, current)
         if errors:
             raise errors[0]

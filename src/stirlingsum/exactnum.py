@@ -50,8 +50,7 @@ class _Frozen:
         # The slots in the order _fill writes them: the class's own first,
         # then each base's along the MRO (so _Keyed's ``key`` comes last).
         super().__init_subclass__(**kwargs)
-        slots = [(c, name) for c in cls.__mro__ for name in vars(c).get("__slots__", ())
-                 if name != "__weakref__"]
+        slots = [(c, name) for c in cls.__mro__ for name in vars(c).get("__slots__", ())]
         cls._fields = tuple(name for _, name in slots)
         cls._setters = tuple(vars(c)[name].__set__ for c, name in slots)
 

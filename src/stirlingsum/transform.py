@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-import weakref
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
@@ -78,14 +77,19 @@ AT_X_PLUS_1 = "at_x_plus_1"  # denominators (x+1)...(x+k)
 class InnerCoefficients(_Keyed):
     """Inverse-power coefficients a_l (l >= 1), lazily generated and exact.
 
-    ``fn`` must be total and deterministic for l >= 1. ``key`` is ``fn``:
-    instances on one function share one transform checkpoint.
+    ``fn`` must be total and deterministic for l >= 1. ``key`` is ``fn``.
+    Each instance keeps the c_k computed so far in a transform table of its
+    own, so equal instances are equal and hash alike but share no c_k; a
+    copy or an unpickled instance starts from a fresh table.
     """
 
-    __slots__ = ("fn", "__weakref__")
+    __slots__ = ("fn", "_table")
 
     def __init__(self, fn: Callable[[int], Fraction]):
-        self._fill(fn, fn)
+        self._fill(fn, _Table(_frontier_step()), fn)
+
+    def __reduce__(self):
+        return type(self), (self.fn,)
 
     def __call__(self, l: int) -> Fraction:
         return Fraction(self.fn(l))
@@ -192,6 +196,14 @@ def _frontier_step():
     one new moment M_0(k+1) = (-1)^(k+1) a_{k+1}. The frontier is held in
     integers scaled by Q, a running common denominator of a_1..a_k, so each
     c_k costs k big-by-small multiplies and a single reduction.
+
+    The c_k depend only on the inner, never on x, so every stream of one
+    inner resumes from the longest prefix computed so far. No depth cap is
+    needed: the frontier is k+1 integers holding about twice the bits of the
+    c_1..c_k kept beside it (some 600 KiB at k = 800), so keeping any depth
+    costs less than recomputing it. The step is given the inner by each
+    stream and never holds it, so an inner and its table are freed by
+    refcount when the inner's last reference goes.
     """
     Q, frontier = 1, [0]
 
@@ -212,18 +224,6 @@ def _frontier_step():
     return step
 
 
-# Transformed coefficients depend only on the inner sequence, never on x, so
-# streams for the same InnerCoefficients instance (each catalog formula keeps
-# one for its lifetime) resume from the longest prefix computed so far instead
-# of redoing the moment updates. No depth cap is needed: the frontier is k+1
-# integers holding about twice the bits of the c_1..c_k kept beside it (some
-# 600 KiB at k = 800), so keeping any depth costs less than recomputing it.
-# A table never holds its inner (each stream passes it in): the key can die.
-_checkpoints: "weakref.WeakKeyDictionary[InnerCoefficients, _Table]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _transform_stream(
     a: InnerCoefficients, K: int | None
 ) -> Iterator[tuple[int, Fraction]]:
@@ -232,11 +232,11 @@ def _transform_stream(
     The prefix the inner's table keeps is read in place by a C-level iterator
     (``enumerate`` over the kept tuple), so a warm caller pays no Python frame
     per coefficient; each coefficient past it comes from the table's
-    ``entry``, chained on behind. No lock: a dict read is atomic under the
-    GIL, and ``kept`` is a fixed tuple, so a stream neither repeats nor skips
-    a k when another thread extends the same table meanwhile.
+    ``entry``, chained on behind. No lock: ``kept`` is a fixed tuple, so a
+    stream neither repeats nor skips a k when another thread extends the
+    same table meanwhile.
     """
-    table = _checkpoints.get(a) or _checkpoints.setdefault(a, _Table(_frontier_step()))
+    table = a._table
     kept = table.values
     stream = chain(enumerate(kept, 1), map(table.entry, count(len(kept) + 1), repeat(a)))
     return stream if K is None else islice(stream, K)
@@ -390,10 +390,10 @@ def eval_stirling_series(
     The (k, c_k) come from the module global ``_coefficient_stream``, looked
     up at call time so that a wrapper set in its place sees every c_k a call
     consumes: the values of a :class:`StirlingCoefficients`, or for an
-    :class:`InnerCoefficients` its kept transform prefix, read with no lock
-    (a dict read is atomic under the GIL, and a kept tuple never changes),
-    then the terms computed past it. wp, W, eps and the least x needing no
-    refusal check are set up once per ``ctx.key`` (:func:`_series_setup`).
+    :class:`InnerCoefficients` the transform prefix its own table keeps,
+    read with no lock (a kept tuple never changes), then the terms computed
+    past it. wp, W, eps and the least x needing no refusal check are set up
+    once per ``ctx.key`` (:func:`_series_setup`).
     The sum runs in Python integers from each c_k's Fraction slots and reads
     no global mpmath state. x is taken exactly as p/q; 1/D_k is carried as a
     W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length() + 8
@@ -498,7 +498,10 @@ def verify_transform_consistency(
     """
     _as_count(K, 1, "K")
     _as_count(digits, 1, "digits")
-    xq = Fraction(*_as_ratio(x))
+    p, q = _as_ratio(x)
+    if p <= 0:
+        raise DomainError(f"series requires x > 0, got {x}")
+    xq = Fraction(p, q)
     denom, fact_sum = xq, Fraction(0)
     for k, ck in _transform_stream(a, K):
         denom *= xq + k

@@ -150,6 +150,8 @@ def test_value_class_signatures_are_pinned():
 
 # Every count argument of the public API, each called with one bad value.
 COUNT_ARGUMENTS = {
+    "FormulaId.family": lambda v: FormulaId(v),
+    "FormulaId.variant": lambda v: FormulaId(2, v),
     "EvalContext.digits": lambda v: EvalContext(digits=v),
     "EvalContext.guard": lambda v: EvalContext(guard=v),
     "EvalContext.max_terms": lambda v: EvalContext(max_terms=v),
@@ -262,7 +264,7 @@ def test_describe_alternating_leibniz():
 
 def test_leibniz_inner_coefficients():
     a = describe("15.1").series[0].inner
-    assert a is describe("15.2").series[0].inner  # one transform checkpoint
+    assert a is describe("15.2").series[0].inner  # one transform table
     assert a(1) == 0  # odd Euler numbers vanish
     assert a(2) == F(1, 4)
     c = transform.weniger_transform(a, 2)
@@ -270,7 +272,7 @@ def test_leibniz_inner_coefficients():
 
 
 def test_log_parts_share_the_inner_of_their_plain_formula():
-    # one instance, so one transform checkpoint, per pair; the printed
+    # one instance, so one transform table, per pair; the printed
     # (-1)^l factor changes nothing, since B_j = 0 for odd j >= 3
     printed = {
         "12.1": ("1.1", lambda l: F(-1) ** l * bernoulli(l + 1) / (l + 1)),
@@ -597,10 +599,11 @@ def test_series_terms_decrease_strictly_at_moderate_k():
 
 
 def _mpf_head(f, x, cvalues, skip):
-    """The head of f at x, with skip left out, in mpf at the current precision."""
+    """The head of f at x, with term number skip left out, in mpf at the
+    current precision."""
     head, xv = mpf(0), mpf(x)
-    for t in f.head:
-        if t is not skip:
+    for i, t in enumerate(f.head):
+        if i != skip:
             v = mpf(t.rational.numerator) / t.rational.denominator
             if t.n_power:
                 v *= mp.power(xv + t.base_offset, mpf(t.n_power.numerator) / t.n_power.denominator)
@@ -617,7 +620,7 @@ def test_fixed_point_head_within_an_ulp(fid):
     # finer, with and without the head term a recovery leaves out
     f = describe(fid)
     store = default_store()
-    skips = (None, catalog._isolating_term(f.head, f.recover_target))
+    skips = (-1, f.head.index(catalog._isolating_term(f.head, f.recover_target)))
     for digits in (10, 30, 100, 300):
         ctx = EvalContext(digits=digits, max_terms=1)  # the series parts refuse at once
         with mp.workdps(digits + ctx.guard):
@@ -626,7 +629,7 @@ def test_fixed_point_head_within_an_ulp(fid):
             hr = catalog._headroom(f, x)
             prec = dps_to_prec(digits + ctx.guard + hr)
             values = tuple(cvalues[cid]._mpf_ for cid in f.constants)
-            heads = [mp.make_mpf(catalog._rhs(catalog._plan_for(f, ctx, hr, values, skip), x)[0])
+            heads = [mp.make_mpf(catalog._rhs(catalog._plan(f, ctx.key, hr, values, skip), x)[0])
                      for skip in skips]
             with mp.workprec(prec + 64):
                 for head, skip in zip(heads, skips):
@@ -717,7 +720,10 @@ def _count_rhs(monkeypatch, recoveries=None):
 def test_served_bits_do_not_depend_on_cache_state(monkeypatch):
     # the anchor is a function of the request alone: a cold process and a
     # warm one must serve the same bits
-    transform._checkpoints.clear()
+    for fid in ALL_IDS:  # every catalog inner's table, emptied
+        for part in describe(fid).series:
+            monkeypatch.setattr(part.inner._table, "values", ())
+            monkeypatch.setattr(part.inner._table, "step", transform._frontier_step())
     catalog._anchor.cache_clear()
     catalog._plan.cache_clear()
     catalog._bridge.cache_clear()

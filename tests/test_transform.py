@@ -1,5 +1,8 @@
+import copy
+import gc
 import itertools
 import math
+import pickle
 import sys
 import threading
 import time
@@ -206,6 +209,9 @@ def test_eval_rejects_bad_arguments():
     for x in (-3, float("inf"), float("nan"), mpf("inf"), mpf("nan")):
         with pytest.raises(DomainError):
             eval_stirling_series(UNIT, x, AT_X, EvalContext())
+    for x in (0, 0.0, -3, F(-1, 2)):
+        with pytest.raises(DomainError, match=r"series requires x > 0, got "):
+            verify_transform_consistency(UNIT, x, 5)
     with pytest.raises(DomainError):
         eval_stirling_series(UNIT, 10, "at_x_plus_2", EvalContext())
     with pytest.raises(DomainError):
@@ -293,7 +299,7 @@ def test_repeated_transforms_replay_cached_coefficients():
     assert unit_calls == []
 
 
-def test_inner_coefficients_with_equal_fields_share_one_checkpoint():
+def test_each_inner_keeps_its_own_table():
     calls = []
 
     def fn(l):
@@ -302,22 +308,29 @@ def test_inner_coefficients_with_equal_fields_share_one_checkpoint():
 
     a, b = InnerCoefficients(fn), InnerCoefficients(fn=fn)
     assert a is not b and a == b and hash(a) == hash(b)
+    assert a._table is not b._table
     first = weniger_transform(a, 30)
     calls.clear()
     assert weniger_transform(b, 30) == first
-    assert calls == []
-    assert transform._checkpoints[b] is transform._checkpoints[a]
+    assert calls == list(range(1, 31))  # b's own table starts from k = 1
+    # a copy and a pickled copy rebuild the inner from fn, with a fresh table
+    inner = catalog.describe("14.1").series[0].inner  # on a named function: picklable
+    kept = weniger_transform(inner, 40)
+    for twin in (copy.copy(inner), pickle.loads(pickle.dumps(inner))):
+        assert twin == inner and twin._table is not inner._table
+        assert twin._table.values == ()
+        assert weniger_transform(twin, 40) == kept
 
 
 def test_a_transform_table_dies_with_its_inner():
-    # a table never holds its inner (each stream passes it in), so the weak
-    # key, and its entry, go with the last reference to the inner
+    # a table never holds its inner (each stream passes it in), and no
+    # registry holds the table, so both go with the inner's last reference
     inner = InnerCoefficients(fn=lambda l: F(1, l + 1))
     weniger_transform(inner, 20)
-    key, table = weakref.ref(inner), transform._checkpoints[inner]
-    del inner
-    assert key() is None
-    assert all(t is not table for t in transform._checkpoints.values())
+    assert gc.get_referrers(inner._table) == [inner]
+    fn, step = weakref.ref(inner.fn), weakref.ref(inner._table.step)
+    del inner  # freed by refcount, with no collection
+    assert fn() is None and step() is None
 
 
 def test_eval_context_equality_hash_and_default_guard():
@@ -692,7 +705,7 @@ def test_series_bits_agree_cold_warm_and_past_the_kept_prefix():
     part = catalog.describe("9.1").series[0].inner
     ctx = EvalContext(digits=40)
 
-    def fresh():  # an instance of its own, so a checkpoint of its own
+    def fresh():  # an instance of its own, so a table of its own
         return InnerCoefficients(fn=lambda l: part.fn(l))
 
     a = fresh()
@@ -701,7 +714,7 @@ def test_series_bits_agree_cold_warm_and_past_the_kept_prefix():
     b = fresh()
     weniger_transform(b, cold.terms_used // 2)
     mid = eval_stirling_series(b, 45, AT_X, ctx)  # runs past the kept prefix
-    assert len(transform._checkpoints[b].values) == cold.terms_used + 1
+    assert len(b._table.values) == cold.terms_used + 1
     assert _report_bits(cold) == _report_bits(warm) == _report_bits(mid)
     assert _report_bits(cold) == _report_bits(eval_stirling_series(part, 45, AT_X, ctx))
 
@@ -774,7 +787,7 @@ def test_warm_series_makes_no_python_call_per_coefficient():
     # frames it opens must not grow with terms_used (a frame per c_k, such
     # as Fraction.as_integer_ratio, would add one per term)
     part = catalog.describe("1.1").series[0].inner
-    inner = InnerCoefficients(fn=lambda l: part.fn(l))  # a checkpoint of its own
+    inner = InnerCoefficients(fn=lambda l: part.fn(l))  # a table of its own
     ctx = EvalContext(digits=30)
     for x in (20, 60):
         eval_stirling_series(inner, x, AT_X, ctx)
@@ -949,7 +962,7 @@ def test_checkpoint_reads_without_lock_under_threads():
     runs = [(x, digits) for x in (20, 45, 200) for digits in (20, 40, 60)]
     depths = [30, 90, 150, 240]
 
-    def fresh():  # an instance of its own, so a checkpoint of its own
+    def fresh():  # an instance of its own, so a table of its own
         return InnerCoefficients(fn=lambda l: part.fn(l))
 
     def serve(inner, i):
@@ -1032,33 +1045,31 @@ def test_transform_matches_its_closed_forms(fid):
 
 
 def test_tables_fill_from_cold_under_racing_threads(monkeypatch):
-    # 8 threads stream equal fresh instances of one inner (so one table,
+    # 8 threads stream one shared fresh instance of an inner (so one table,
     # cold) and read Bernoulli, Euler and double-factorial values from fresh
     # tables while they fill; each stream yields k = 1..150 once each, in
     # order, and every value is what a single-threaded run gives
     part = catalog.describe("13.1").series[0].inner
     top = 150
 
-    def work(fn, i):
-        inner, seen = InnerCoefficients(fn), []
-        alive.append(inner)  # so the table's weak key outlives the thread
+    def work(inner, i):
+        seen = []
         for k, ck in itertools.islice(transform._coefficient_stream(inner), top):
             j = (37 * k + 11 * i) % top  # another index order in each thread
             seen.append((k, ck, bernoulli(j), euler_number(j),
                          double_factorial_ext(2 * j - 1 if i % 2 else 1 - 2 * j)))
         return seen
 
-    alive = []
-    expected = [work(lambda l: part.fn(l), i) for i in range(8)]
+    expected = [work(InnerCoefficients(lambda l: part.fn(l)), i) for i in range(8)]
     monkeypatch.setattr(exactnum, "_zigzag", _Table(exactnum._entringer(), [1]))
     monkeypatch.setattr(exactnum, "_odd_double_factorials",
                         _Table(exactnum._odd_double_factorials.step, [1]))
     monkeypatch.setattr(catalog, "_harmonic_numbers", _Table(catalog._harmonic_numbers.step, [F(0)]))
-    fn = lambda l: part.fn(l)  # noqa: E731 -- one function, so one fresh table
+    shared = InnerCoefficients(lambda l: part.fn(l))
     got = [None] * 8
 
     def run(i):
-        got[i] = work(fn, i)
+        got[i] = work(shared, i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1073,7 +1084,7 @@ def test_tables_fill_from_cold_under_racing_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all([s[0] for s in g] == list(range(1, top + 1)) for g in got)
     assert got == expected
-    assert len({id(transform._checkpoints[a]) for a in alive[8:]}) == 1
+    assert len(shared._table.values) == top
 
 
 def test_warm_series_inside_the_kept_prefix_never_enters_the_table():
@@ -1100,5 +1111,5 @@ def test_warm_series_inside_the_kept_prefix_never_enters_the_table():
 
     cold, rep = entered()
     assert cold == {"_Table.entry", "_Table._grow", "_frontier_step.<locals>.step"}
-    assert len(transform._checkpoints[inner].values) == rep.terms_used + 1
+    assert len(inner._table.values) == rep.terms_used + 1
     assert entered()[0] == set()

@@ -25,14 +25,20 @@ For each start:
   ``import stirlingsum``, and the median count of loaded modules and peak
   resident memory of a child after the fetch and read;
 - ``python -m stirlingsum list --json``; it prints the median wall time of
-  one, start to exit, and its exit time: the median, over the runs, of that
-  wall time less the wall time of the same command run beside it (first on
-  every other run) through ``runpy`` in a ``-c`` child that ends with
-  ``os._exit`` once its output is flushed, which skips interpreter
-  shutdown.
+  one, start to exit, and two exit times against the same command run
+  beside it (first on every other run) through ``runpy`` in a ``-c`` child
+  that ends with ``os._exit`` once its output is flushed, which skips
+  interpreter shutdown: the median over the runs of the wall time less the
+  ``os._exit`` child's, and the best-of, ``min(walls) - min(ended)``.
 
 Medians of fresh children still follow the machine's speed, so compare two
-trees with alternating runs of this script, not with one run of each.
+trees with alternating runs of this script, not with one run of each. Size
+an exit change by the best-of figure, with ``--runs 10`` or more: the
+median exit takes the noise of two children on every run, so it cannot
+resolve an exit of a few ms and can read below zero, while the best-of
+compares each side's fastest child. On a 2-core x86_64 VM, two runs of 10
+read best-of exits of 0.8-3.6 ms where the medians read -0.6-4.4 ms; with
+3 runs one best-of read 26.7 ms.
 """
 
 from __future__ import annotations
@@ -175,9 +181,11 @@ def main(argv=None) -> int:
               f"read: {statistics.median(counts[name]):.0f} modules, peak RSS "
               f"{statistics.median(peaks[name]):.2f} MiB (medians of {args.runs})")
         exits = [w - e for w, e in zip(walls[name], ended[name])]
+        best_exit = min(walls[name]) - min(ended[name])
         print(f"[{name}] python -m stirlingsum list --json: "
               f"{statistics.median(walls[name]) * 1e3:.1f} ms wall, "
-              f"{statistics.median(exits) * 1e3:.1f} ms of it exit (medians of {args.runs})")
+              f"{statistics.median(exits) * 1e3:.1f} ms of it exit (medians of {args.runs}), "
+              f"{best_exit * 1e3:.1f} ms best-of exit")
     return 0
 
 
