@@ -50,7 +50,6 @@ from mpmath.libmp import (
 from . import constants as _constants
 from .constants import (
     ConstantId,
-    ELEMENTARY_IDS,
     GAMMA,
     LOG2,
     LOG_2PI,
@@ -917,27 +916,10 @@ class RecoveryResult(_Keyed):
         self._fill(*key, key)
 
 
-def _recovery_target(f: Formula, store) -> ConstantId:
-    unknown = [
-        c
-        for c in f.constants
-        if c not in ELEMENTARY_IDS and store.cached_digits(c) == 0
-    ]
-    if not unknown:
-        return f.recover_target
-    if len(unknown) == 1:
-        return unknown[0]
-    names = ", ".join(str(c) for c in unknown)
-    raise DomainError(
-        f"{f.id} head has several unknown constants ({names}); "
-        "cache all but one first"
-    )
-
-
 # Hard ceilings on per-run term budgets: past a couple thousand terms the
 # exact transform alone takes seconds, so the cost model keeps each run's
-# predicted terms inside the budget, and the pre-flight inside the series
-# evaluator refuses a run (an explicit n0, say) predicted far beyond it.
+# predicted terms inside the budget, and the refusal threshold inside the
+# series evaluator refuses a run (an explicit n0, say) predicted far beyond it.
 _RECOVERY_TERM_CEILING = 1400
 _DIGAMMA_TERM_CEILING = 2200
 
@@ -945,23 +927,24 @@ _DIGAMMA_TERM_CEILING = 2200
 def recover_details(
     formula, digits: int = 30, n0: int | None = None, store=None
 ) -> RecoveryResult:
-    """Solve the formula for its unknown head constant at ``digits`` digits.
+    """Solve the formula for its head constant ``recover_target`` at
+    ``digits`` digits, whatever the store holds: the store serves the other
+    head constants, computing any it lacks.
 
     The partial sum runs to ``n0``, by default the cost model's anchor. An
-    explicit ``n0`` whose series refuses falls back once to that anchor.
-    Digits past the constant's reference string are refused up front, since
-    nothing could check them.
+    explicit ``n0`` past BRUTE_FORCE_CAP is refused, as brute force refuses
+    it; one whose series refuses falls back once to the anchor. Digits past
+    the constant's reference string are refused up front, since nothing
+    could check them.
     """
     f = describe(formula)
     _as_count(digits, 1, "digits")
-    if n0 is not None:
-        _as_count(n0, 2, "n0")
+    if n0 is not None and _as_count(n0, 2, "n0") > BRUTE_FORCE_CAP:
+        raise DomainError(f"n0={n0} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     store = store or _constants.default_store()
-    target = _recovery_target(f, store)
+    target = f.recover_target
     store.check_reach(target, digits)
     term = _isolating_term(f.head, target)
-    if term is None:
-        raise DomainError(f"{target} cannot be isolated linearly in {f.id}")
     skip = f.head.index(term)
     guard = EvalContext(digits).guard
     cdigits = digits + guard

@@ -277,8 +277,8 @@ def required_terms_estimate(x: float, digits: float) -> int:
 
     Models the coefficients as (k-1)!-sized, which both observed regimes obey
     within a small factor: geometric decay while k << x and k^-(x+1) decay
-    beyond. Used only to refuse clearly hopeless runs, always with a wide
-    margin on top.
+    beyond. Prices the series at each candidate anchor, and gives the count
+    a refusal's message names.
     """
     if x <= 0:  # a positive x below the float range: beyond any budget
         return 10**9
@@ -304,30 +304,16 @@ def _cutoff(budget: int) -> int:
     return 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
 
 
-def _fits(x: float, digits: float, budget: int) -> bool:
-    """Whether the model proves the estimate at x within the cutoff with no
-    bisection. The estimate lands at most max(1, 1e-3 k) past where the
-    model crosses 10^-digits, so one term below it at m, with
-    m + max(1, 1e-3 m) < cutoff, is proof. The model falls in x."""
-    return x > 0 and _log_term((_cutoff(budget) - 2) / 1.002, x) <= -digits * math.log(10)
-
-
-def _beyond_budget(x: float, digits: float, budget: int) -> int | None:
-    """The estimate at x if it passes the refusal cutoff; asked only below
-    x_fit, where :func:`_fits` fails."""
-    predicted = required_terms_estimate(x, digits)
-    return predicted if predicted > _cutoff(budget) else None
-
-
 @functools.lru_cache(maxsize=256)
 def _series_setup(digits: int, guard: int, budget: int) -> tuple[int, int, int, int, float]:
-    """(wp, W, eps_man, eps_shift, x_fit) under ctx.key; see eval_stirling_series.
-    x_fit is the least float at which :func:`_fits` holds, or 1e15: a call at
-    or past it skips :func:`_beyond_budget`."""
+    """(wp, W, eps_man, eps_shift, x_refuse) under ctx.key; see eval_stirling_series.
+    x_refuse is the least float x up to 1e15 at which the model's term at the
+    refusal cutoff falls below 10^-(digits + guard/2); the model falls in x."""
     wp, sdigits, lo, hi = dps_to_prec(digits + guard), digits + guard / 2, 0.0, 1e15
     _, eps_man, eps_exp, _ = mpf_pow(from_int(10), from_float(-sdigits), wp, round_nearest)
+    target, cutoff = -sdigits * math.log(10), _cutoff(budget)
     while lo < (mid := (lo + hi) / 2) < hi:
-        lo, hi = (lo, mid) if _fits(mid, sdigits, budget) else (mid, hi)
+        lo, hi = (lo, mid) if _log_term(cutoff, mid) <= target else (mid, hi)
     return wp, wp + budget.bit_length() + 8, eps_man, -eps_exp, hi
 
 
@@ -392,8 +378,8 @@ def eval_stirling_series(
     consumes: the values of a :class:`StirlingCoefficients`, or for an
     :class:`InnerCoefficients` the transform prefix its own table keeps,
     read with no lock (a kept tuple never changes), then the terms computed
-    past it. wp, W, eps and the least x needing no refusal check are set up
-    once per ``ctx.key`` (:func:`_series_setup`).
+    past it. wp, W, eps and the refusal threshold x_refuse are set up once
+    per ``ctx.key`` (:func:`_series_setup`).
     The sum runs in Python integers from each c_k's Fraction slots and reads
     no global mpmath state. x is taken exactly as p/q; 1/D_k is carried as a
     W-bit mantissa and a binary exponent, W = wp + max_terms.bit_length() + 8
@@ -407,7 +393,10 @@ def eval_stirling_series(
     The sum stops once :data:`STOP_RULE` consecutive terms fall below
     eps = 10^-(digits + guard/2) (rounded to wp bits) relative to the running
     partial sum (exact zero terms count as small), or fails with
-    :class:`NonConvergenceError` at ``ctx.max_terms``.
+    :class:`NonConvergenceError` at ``ctx.max_terms``. An
+    :class:`InnerCoefficients` run at x below x_refuse, where the decay model
+    needs more terms than the refusal cutoff (:func:`_cutoff`) allows, fails
+    after a genuine prefix of at most 64 terms instead.
     """
     ctx = ctx or EvalContext()
     if start_shift not in (AT_X, AT_X_PLUS_1):
@@ -417,20 +406,19 @@ def eval_stirling_series(
     if p <= 0:
         raise DomainError(f"series requires x > 0, got {x}")
     xf = p / q if p.bit_length() - q.bit_length() < 1000 else math.inf  # no overflow
-    wp, W, eps_man, eps_shift, x_fit = _series_setup(*ctx.key)
+    wp, W, eps_man, eps_shift, x_refuse = _series_setup(*ctx.key)
     # When the decay model puts the stop point far beyond the term budget,
     # compute only a short genuine prefix for the partial report instead
     # of grinding out the whole doomed budget.
     run_limit = ctx.max_terms
     hopeless = None
-    if xf < x_fit and isinstance(c, InnerCoefficients):
-        predicted = _beyond_budget(xf, ctx.digits + ctx.guard / 2, ctx.max_terms)
-        if predicted:
-            run_limit = min(ctx.max_terms, 64)
-            hopeless = (
-                f"roughly {predicted} terms needed at x={_x_text(xf, p, q)} for "
-                f"{ctx.digits} digits, beyond the {ctx.max_terms}-term budget"
-            )
+    if xf < x_refuse and isinstance(c, InnerCoefficients):
+        run_limit = min(ctx.max_terms, 64)
+        predicted = required_terms_estimate(xf, ctx.digits + ctx.guard / 2)
+        hopeless = (
+            f"roughly {predicted} terms needed at x={_x_text(xf, p, q)} for "
+            f"{ctx.digits} digits, beyond the {ctx.max_terms}-term budget"
+        )
     # 1/D_k = m * 2^e; D_0 = x for at_x, 1 for at_x_plus_1
     m, e = _mantissa(q, p, W) if start_shift == AT_X else (1 << W, -W)
     total = 0  # accumulator, units 2^unit once the first nonzero term fixes it

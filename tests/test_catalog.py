@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
+from conftest import race
 from stirlingsum import asymptotics, catalog, constants, exactnum, transform
 from stirlingsum.catalog import FormulaId, brute_force, describe, evaluate
 from stirlingsum.constants import (
@@ -1221,17 +1222,7 @@ def _served_alike_by_racing_threads(requests, cache) -> bool:
         for req in requests[i:] + requests[:i]:
             got[i][req] = serve(req)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    race(work, 60)
     return all(g == expected for g in got)
 
 
@@ -1352,28 +1343,15 @@ def test_kept_bridges_evict_under_threads():
     # threads racing past the cap each drop the least recently used bridge:
     # none fails, and the cap holds
     catalog._bridge.cache_clear()
-    u, errors = describe("1.1").summand, []
+    u = describe("1.1").summand
 
     def work(i):
-        try:
-            for prec in range(100 + 1000 * i, 1100 + 1000 * i):
-                catalog._bridge(u, 1, 2, prec)
-        except Exception as exc:  # the thread ends; asserted below
-            errors.append(exc)
+        for prec in range(100 + 1000 * i, 1100 + 1000 * i):
+            catalog._bridge(u, 1, 2, prec)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    race(work, 30)  # re-raises what any thread raised
     info = catalog._bridge.cache_info()
-    assert errors == [] and (info.misses, info.currsize) == (8000, 1024)
+    assert (info.misses, info.currsize) == (8000, 1024)
 
 
 def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
@@ -1399,17 +1377,7 @@ def test_weighted_harmonic_closed_form_under_threads(monkeypatch):
             got[l] = (catalog._weighted_harmonic(l), catalog._plain_log_inner(l),
                       catalog._plain_log2_inner(l))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    race(work, 30)
     assert got == expected
     h = [F(0)]
     for j in range(1, top + 1):

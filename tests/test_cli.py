@@ -525,6 +525,24 @@ def test_zip_imported_package_reads_its_data(tmp_path):
     assert missing == "no golden file for 1.1 log_power=1"
 
 
+_RECOVER_14_1 = """
+import json
+from stirlingsum import cli
+print(json.dumps(cli.main(["recover", "14.1", "-d", "30", "--json"])))
+"""
+
+
+def test_fresh_process_recovers_the_formulas_own_constant():
+    # 14.1's head holds gamma and stieltjes1: a fresh process, with nothing
+    # cached, solves for stieltjes1 and computes gamma on the way
+    [record, code] = _fresh_child(_RECOVER_14_1)
+    assert code == 0
+    assert record["constant"] == "stieltjes1" and record["digits"] == 30
+    with mp.workdps(50):
+        reference = mpf(constants.ConstantStore().reference_digits("stieltjes1"))
+        assert abs(mpf(record["value"]) - reference) < mpf(10) ** -30
+
+
 # ---------------------------------------------------------------------------
 # process entry
 # ---------------------------------------------------------------------------
@@ -541,6 +559,7 @@ def _without_elapsed(records: list) -> list:
     (["coeffs", "13.1", "-k", "20"], 0),
     (["eval", "99.1", "-n", "5"], 2),
     (["eval", "1.1", "-n", "10", "-d", "950"], 3),
+    (["recover", "1.1", "-d", "20", "--n0", "100000000"], 2),
 ])
 def test_module_entry_prints_what_main_prints(capsys, argv, expected):
     # python -m stirlingsum, the process entry that freezes the collector on

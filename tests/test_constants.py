@@ -4,6 +4,7 @@ import concurrent.futures
 import decimal
 import sys
 import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -468,20 +469,30 @@ def test_recovery_is_stable_under_starting_point_shifts():
     assert checked == 31  # all variants except the multi-constant log^2 family
 
 
-def test_recovery_rejects_multi_unknown_heads():
-    store = ConstantStore()
-    with pytest.raises(DomainError):
-        catalog.recover_details("14.1", digits=30, store=store)
-    # once the nonlinear companion is cached, the remaining unknown resolves
-    store.get(GAMMA, 60)
-    store.get(STIELTJES1, 60)
-    value = catalog.recover_details("14.1", digits=30, store=store).value
-    assert digits_agree(value, store.reference_digits(STIELTJES1), 30)
+def test_recovery_solves_for_its_own_constant_whatever_the_store_holds():
+    # 14.1's head holds gamma and stieltjes1 beside elementary constants; it
+    # always solves for stieltjes1, computing gamma if the store lacks it,
+    # from a fresh store, one holding gamma and one holding stieltjes1 alike
+    served = []
+    for held in (None, GAMMA, STIELTJES1):
+        store = ConstantStore()
+        if held is not None:
+            store.get(held, 60)
+        res = catalog.recover_details("14.1", digits=30, store=store)
+        assert res.constant == STIELTJES1 and store.cached_digits(GAMMA) > 0
+        served.append((res.value, res.n0, res.terms_used))
+    assert served[0] == served[1] == served[2]
+    assert digits_agree(served[0][0], ConstantStore().reference_digits(STIELTJES1), 30)
 
 
 def test_recovery_rejects_bad_n0():
     with pytest.raises(DomainError):
         catalog.recover_details("1.1", n0=1, digits=30)
+    # an explicit n0 past brute force's cap is refused before any summing
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="n0=100000000 exceeds the brute-force cap 10000000"):
+        catalog.recover_details("1.1", n0=10**8, digits=20)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_functional_equation_cross_check():

@@ -1,6 +1,7 @@
 """Served bits as a standing check: the fixed grids of ``tools/served_table.py``
-(evaluations with brute force beside them, digamma, recoveries and the CLI
-commands) against the short hashes pinned in ``served_bits.jsonl``.
+(evaluations with brute force beside them, digamma, recoveries, the CLI
+commands and the deep cases: the transform past k = 600, root summands and
+AGM logs) against the short hashes pinned in ``served_bits.jsonl``.
 
 A change that moves served bits on purpose re-pins in the same change with
 

@@ -4,7 +4,6 @@ import itertools
 import math
 import pickle
 import sys
-import threading
 import time
 import weakref
 from fractions import Fraction as F
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
+from conftest import race
 from stirlingsum import catalog, exactnum, transform
 from stirlingsum.exactnum import (
     DomainError,
@@ -417,38 +417,33 @@ def test_small_budgets_are_exempt_from_the_bail_heuristic():
 
 
 def test_preflight_verdict_matches_the_bisection(monkeypatch):
-    # the one-term proof that a run fits must give the bisection's verdict
-    # (and, past the cutoff, its count) over x, digits and budgets, also
-    # next to the x where the verdict flips
+    # the pre-flight verdict, x < x_refuse, must be the model's test at the
+    # cutoff over x, digits and budgets, also next to the x where it flips;
+    # where it refuses, the bisection's count is past the cutoff, and where
+    # it serves, within that count's rounding of the cutoff
     digit_grid = (5, 10, 20, 36, 50, 100, 200, 300, 500, 1000, 2000)
     budgets = (1, 64, 500, 1000, 1001, 2200)
     xs = [10.0 ** (e / 8) for e in range(-24, 113)]  # 1e-3 .. 1e14
 
-    def cutoff(budget):
-        return 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
-
-    cases = proved = 0
+    refused = served = 0
     for digits in digit_grid:
         for budget in budgets:
-            def fits(x):
-                return required_terms_estimate(x, digits) <= cutoff(budget)
-
-            around = []
-            if fits(xs[-1]) and not fits(xs[0]):
-                lo, hi = xs[0], xs[-1]  # the estimate falls as x rises
-                while hi - lo > 1e-9 * hi:
-                    mid = (lo + hi) / 2
-                    lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-                around = [hi * (1 + i * 1e-4) for i in range(-50, 51)]
+            ctx = EvalContext(digits=digits, max_terms=budget)
+            x_refuse = transform._series_setup(*ctx.key)[-1]
+            sdigits, cutoff = ctx.digits + ctx.guard / 2, transform._cutoff(budget)
+            target = -sdigits * math.log(10)
+            around = [x_refuse * (1 + i * 1e-4) for i in range(-50, 51)]
             for x in xs + around:
-                predicted = required_terms_estimate(x, digits)
-                expected = predicted if predicted > cutoff(budget) else None
-                assert transform._beyond_budget(x, digits, budget) == expected, (x, digits)
-                if transform._fits(x, digits, budget):  # the proof is sound
-                    assert expected is None, (x, digits, budget)
-                    proved += 1
-                cases += 1
-    assert cases > 8000 and proved > 6000
+                count = required_terms_estimate(x, sdigits)
+                if x < x_refuse:
+                    assert transform._log_term(cutoff, x) > target, (x, digits, budget)
+                    assert count > cutoff, (x, digits, budget)
+                    refused += 1
+                else:
+                    assert transform._log_term(cutoff, x) <= target, (x, digits, budget)
+                    assert count <= cutoff + max(1, cutoff // 1000) + 1, (x, digits, budget)
+                    served += 1
+    assert refused > 3000 and served > 9000
 
     # a run that fits never runs the bisection
     def bisection(*args):
@@ -473,12 +468,12 @@ def _mpf_series(c, x, start_shift, ctx):
     with mp.workdps(ctx.working_digits):
         xv = _to_mpf(x) if isinstance(x, F) else mpf(x)
         run_limit = ctx.max_terms
-        if isinstance(c, InnerCoefficients) and float(xv) < 1e15:
-            predicted = required_terms_estimate(float(xv), ctx.digits + ctx.guard / 2)
-            budget = ctx.max_terms
-            cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
-            if predicted > cutoff:
-                run_limit = min(ctx.max_terms, 64)
+        budget = ctx.max_terms
+        cutoff = 2 * budget + 300 if budget <= 1000 else budget * 27 // 20 + 300
+        # refused at once where the model's term at the cutoff is not yet small
+        log_term = math.lgamma(cutoff) + math.lgamma(float(xv)) - math.lgamma(float(xv) + cutoff + 1)
+        if isinstance(c, InnerCoefficients) and log_term > -(ctx.digits + ctx.guard / 2) * math.log(10):
+            run_limit = min(ctx.max_terms, 64)
         eps = mpf(10) ** (-(ctx.digits + ctx.guard / 2))
         total = mpf(0)
         first = mpf(0)
@@ -914,44 +909,62 @@ def _outcome(x, ctx):
 
 
 @st.composite
-def _near_the_fit_bound(draw):
+def _around_the_threshold(draw):
     """(x, ctx): digits 1-2000, a budget on either side of 1000, and x at the
-    cached bound, the floats beside it, within 1e-3 of it, anywhere below
-    it, at 1e-300 or past 1e15."""
+    context's x_refuse, the floats beside it, within 1e-3 of it, anywhere
+    below it, at 1e-300 or past 1e15."""
     digits = draw(st.integers(1, 2000))
     budget = draw(st.one_of(st.integers(1, 1000), st.integers(1001, 3000)))
     ctx = EvalContext(digits=digits, max_terms=budget)
-    x_fit = transform._series_setup(*ctx.key)[-1]
+    x_refuse = transform._series_setup(*ctx.key)[-1]
     x = draw(st.one_of(
-        st.sampled_from([x_fit, math.nextafter(x_fit, 0), math.nextafter(x_fit, math.inf),
+        st.sampled_from([x_refuse, math.nextafter(x_refuse, 0), math.nextafter(x_refuse, math.inf),
                          1e-300, 1e15, math.nextafter(1e15, 0), 3e17]),
-        st.floats(-1e-3, 1e-3).map(lambda r: x_fit * (1 + r)),
-        st.floats(1e-6, 1).map(lambda r: x_fit * r),
+        st.floats(-1e-3, 1e-3).map(lambda r: x_refuse * (1 + r)),
+        st.floats(1e-6, 1).map(lambda r: x_refuse * r),
     ))
     return x, ctx
 
 
 @settings(max_examples=300, deadline=None)
-@given(_near_the_fit_bound())
+@given(_around_the_threshold())
 @example((1e-300, EvalContext(digits=30)))
 @example((1e-300, EvalContext(digits=2000, max_terms=3000)))
+@example((74, EvalContext(digits=30)))
 def test_cached_fit_bound_agrees_with_beyond_budget(case):
-    # the refusal, the run limit and the message at x are those of a run
-    # that asks _beyond_budget wherever x < 1e15, as before the bound
+    # the cached bound x_refuse agrees with the "beyond the budget" refusal:
+    # a run of non-small terms ends within 64 terms, naming the model's count
+    # past the cutoff, iff x < x_refuse; x_refuse is the model's own least x
+    # at the cutoff, and a run at or past it never works out the count
     x, ctx = case
-    setup = transform._series_setup(*ctx.key)
-    x_fit = setup[-1]
-    assert 0 < x_fit <= 1e15
+    x_refuse = transform._series_setup(*ctx.key)[-1]
+    assert 0 < x_refuse <= 1e15
+    cutoff = transform._cutoff(ctx.max_terms)
+    target = -(ctx.digits + ctx.guard / 2) * math.log(10)
+    assert transform._log_term(cutoff, x_refuse) <= target
+    assert transform._log_term(cutoff, math.nextafter(x_refuse, 0)) > target
+    counted = []
+
+    def estimate(*args):
+        counted.append(required_terms_estimate(*args))
+        return counted[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transform, "_coefficient_stream", _growing_stream(x))
+        patch.setattr(transform, "required_terms_estimate", estimate)
         got = _outcome(x, ctx)
-        patch.setattr(transform, "_series_setup", lambda *key: (*setup[:-1], 1e15))
-        assert got == _outcome(x, ctx)
-    # and the model's proof of the fit holds from the bound on, and the
-    # bound is tight: the proof fails at the float below
-    for y in (x, math.nextafter(x_fit, 0)):
-        if y < 1e15:
-            assert transform._fits(y, ctx.digits + ctx.guard / 2, ctx.max_terms) == (y >= x_fit), y
+    if x < x_refuse:
+        message, (_, terms_used, _) = got
+        assert terms_used == min(ctx.max_terms, 64)
+        assert message.startswith(f"roughly {counted[0]} terms needed at x=")
+        assert counted[0] > cutoff
+    else:
+        assert counted == []
+        if ctx.max_terms > 64:
+            assert got == ("past 65",)
+        else:  # a small budget ends at itself either way
+            message, (_, terms_used, _) = got
+            assert terms_used == ctx.max_terms and message.startswith("stop rule did not fire")
 
 
 def test_checkpoint_reads_without_lock_under_threads():
@@ -981,17 +994,7 @@ def test_checkpoint_reads_without_lock_under_threads():
     def work(i):
         got[i] = serve(shared, i)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    race(work, 120)
     assert all(g == expected for g in got)
 
 
@@ -1071,17 +1074,7 @@ def test_tables_fill_from_cold_under_racing_threads(monkeypatch):
     def run(i):
         got[i] = work(shared, i)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    race(run, 120)
     assert all([s[0] for s in g] == list(range(1, top + 1)) for g in got)
     assert got == expected
     assert len(shared._table.values) == top

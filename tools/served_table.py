@@ -10,8 +10,10 @@
 evaluations of all 32 formulas at n in N_GRID and digits in DIGIT_GRID with
 brute force beside each, digamma at X_GRID and DIGAMMA_DIGITS, each constant
 of ``RECOVERY_FORMULA`` recovered at RECOVERY_DIGITS from a fresh store with
-its reference digits beside it, and ``cli.main`` run in process on each
-command of CLI_COMMANDS. Then every request of the serve-warm lists of SEEDS
+its reference digits beside it, ``cli.main`` run in process on each command
+of CLI_COMMANDS, and the deep cases of DEEP_EVALS and DEEP_RECOVERIES, each
+served value of which must agree with its brute force or reference digits
+to within 10^-digits. Then every request of the serve-warm lists of SEEDS
 (``benchmark/workloads.py``). A served case keeps the bits of its value and
 est_error and its terms_used, a served digamma case its shift instead of an
 est_error, a recovery its n0; a refused one the same of its partial report.
@@ -77,6 +79,12 @@ CLI_COMMANDS = (
     "eval 1.1 -n 10 -d 950 --json", "digamma 0", "eval 99.1 -n 5",
     "eval 1.1 -n 10 -d 4400", "eval 1.1 -n 10 -d 4400 --json",
 )
+# Deep cases, past the grids above: the transform past k = 600, root summands
+# at 2W bits and the AGM log path past 2500 bits. (fid, n, digits) and
+# (fid, digits, explicit n0 or None); 7.1 from n0 = 50 refuses at once and
+# falls back to its anchor.
+DEEP_EVALS = (("1.1", 10, 890), ("10.1", 10, 890), ("4.2", 7, 500))
+DEEP_RECOVERIES = (("7.1", 600, None), ("7.1", 600, 50), ("9.1", 300, None), ("11.1", 700, None))
 _ELAPSED = re.compile(r'(elapsed_ms"?[: ]"?)[0-9.]+')
 
 
@@ -130,12 +138,14 @@ def _digamma(x: str, digits: int) -> dict:
     return case
 
 
-def _recover(cid, fid: str, digits: int) -> dict:
-    """A recovery from a fresh store; ``n0`` is None when it refuses."""
-    case = {"kind": "recover", "target": fid, "n": None, "digits": digits}
+def _recover(fid: str, digits: int, n0: int | None = None) -> dict:
+    """A recovery from a fresh store, from an explicit ``n0`` (the case's
+    ``n``) or the model's anchor; the served ``n0`` is None when it refuses."""
+    case = {"kind": "recover", "target": fid, "n": n0, "digits": digits}
     store = ConstantStore()
+    cid = catalog.describe(fid).recover_target
     try:
-        res = catalog.recover_details(fid, digits=digits, store=store)
+        res = catalog.recover_details(fid, digits=digits, n0=n0, store=store)
         case.update(served=True, value=_bits(res.value), terms=res.terms_used, n0=res.n0)
     except NonConvergenceError as exc:
         case.update(_report(exc.report, False), n0=None)
@@ -167,10 +177,17 @@ def _fixed_cases():
     for x in X_GRID:
         for digits in DIGAMMA_DIGITS:
             yield _digamma(x, digits)
-    for cid, fid in RECOVERY_FORMULA.items():
+    for fid in RECOVERY_FORMULA.values():
         for digits in RECOVERY_DIGITS:
-            yield _recover(cid, fid, digits)
+            yield _recover(fid, digits)
     yield from map(_cli, CLI_COMMANDS)
+    deep = [_evaluate(fid, n, digits, brute=True) for fid, n, digits in DEEP_EVALS]
+    deep += [_recover(fid, digits, n0) for fid, digits, n0 in DEEP_RECOVERIES]
+    for case in deep:
+        if case["served"] and _units(_value(case["value"]), _value(case["check"]),
+                                     case["digits"]) > 1:
+            raise AssertionError(f"{_key(case)[:4]} is off its check by more than 10^-digits")
+    yield from deep
 
 
 def record(out: str) -> None:
