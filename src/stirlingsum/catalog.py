@@ -588,10 +588,10 @@ def _headroom(f: Formula, anchor: int) -> int:
     return math.ceil(top.numerator / top.denominator * math.log10(anchor + 1)) + 6
 
 
-def _fetch_constants(f: Formula, store, cdigits: int, exclude: ConstantId | None = None):
+def _fetch_constants(f: Formula, store, cdigits: int, unknown: ConstantId | None = None):
     """The served head constants as raw mpf tuples in ``f.constants`` order,
-    the order a plan lowers them in, with None for ``exclude``."""
-    return tuple([None if cid is exclude else store.get(cid, cdigits)._mpf_
+    the order a plan lowers them in, with a recovery's ``unknown`` as zero."""
+    return tuple([fzero if cid is unknown else store.get(cid, cdigits)._mpf_
                   for cid in f.constants])
 
 
@@ -602,27 +602,25 @@ _RHS_GUARD = 64
 
 class _Plan:
     """What the right-hand sides of a formula share at every x, for one
-    context key, headroom, set of served head constants and index ``skip``
-    of the head term left out (-1 for none): the working precision (``wd``
-    digits, ``prec`` bits), the unit 2^-w, the parts' context, the error
-    floor ``eps`` (a raw mpf) and each head term and part scale lowered by
-    :meth:`lower`. ``rhs`` keeps the right-hand side served at the model
-    anchor, once an evaluation below it keeps one.
+    context key, headroom and set of served head constants (a recovery's
+    unknown served as zero, so its term lowers to 0): the working precision
+    (``wd`` digits, ``prec`` bits), the unit 2^-w, the parts' context, the
+    error floor ``eps`` (a raw mpf) and each head term and part scale
+    lowered by :meth:`lower`. ``rhs`` keeps the right-hand side served at
+    the model anchor, once an evaluation below it keeps one.
     """
 
-    __slots__ = ("skip", "wd", "prec", "w", "part_ctx", "eps", "head", "terms", "parts", "log",
-                 "rhs")
+    __slots__ = ("wd", "prec", "w", "part_ctx", "eps", "head", "terms", "parts", "log", "rhs")
 
-    def __init__(self, f: Formula, ctx_key: tuple, hr: int, cvalues: tuple, skip: int):
+    def __init__(self, f: Formula, ctx_key: tuple, hr: int, cvalues: tuple):
         digits, guard, max_terms = ctx_key
-        self.skip, self.wd, self.rhs = skip, digits + guard + hr, None
+        self.wd, self.rhs = digits + guard + hr, None
         self.prec = dps_to_prec(self.wd)
         self.w = self.prec + _RHS_GUARD
         self.part_ctx = EvalContext(digits + hr, guard, max_terms)
         self.eps = mpf_pow_int(from_int(10), 2 - digits - guard, self.prec, round_nearest)
         served = dict(zip(f.constants, cvalues))
-        head = [self.lower(t, t.rational, t.base_offset, t.constants, served)
-                for i, t in enumerate(f.head) if i != skip]
+        head = [self.lower(t, t.rational, t.base_offset, t.constants, served) for t in f.head]
         self.head = sum(t for t in head if type(t) is int)
         self.terms = [t for t in head if type(t) is tuple]
         self.parts = [(p.inner, p.x_offset, p.shape, self.lower(p, p.prefactor)) for p in f.series]
@@ -657,10 +655,10 @@ def _fixed_term(term: tuple, x: int, logx: int, w: int) -> int:
 
 
 def _rhs(plan: _Plan, x: int):
-    """The right-hand side at x under ``plan``, with its ``skip`` left out of
-    the head: (head, each series part scaled, their terms, their largest
-    scaled error estimate, the refusal of each part that refused); the head,
-    the scaled parts and the estimate are raw mpf tuples at plan.prec bits.
+    """The right-hand side at x under ``plan``: (head, each series part
+    scaled, their terms, their largest scaled error estimate, the refusal of
+    each part that refused); the head, the scaled parts and the estimate are
+    raw mpf tuples at plan.prec bits.
 
     The head and the part scales are computed in fixed point, in units 2^-w
     with w = prec + G for G = _RHS_GUARD. A term
@@ -674,14 +672,14 @@ def _rhs(plan: _Plan, x: int):
     in one factor moves the term by that error times the other factors, so
     a term of F factors is off by under U = (2F + 1) max(1, |r| Q) units, Q
     the largest product of all but one of its factors (each taken as at
-    least 1). Over the catalog's heads up to x = 10^7, with or without the
-    constant a recovery isolates (whose anchors stay at most
-    BRUTE_FORCE_CAP), the summed U is at most 2^51 times |head| (3.x without
-    zeta(3) at 10^7: a head of -5e-15 within 6 units), so G = 64 keeps the
-    fixed-point error under 2^-13 of an ulp of the head at prec, and the
-    head is rounded to prec once. A scaled part is the exact product of the
-    part's mpf value and its fixed-point scale, rounded to prec once; its
-    error estimate likewise.
+    least 1). Over the catalog's heads up to x = 10^7, with a recovery's
+    unknown served or zero (its anchors stay at most BRUTE_FORCE_CAP), the
+    summed U is at most 2^51 times |head| (3.x without zeta(3) at 10^7: a
+    head of -5e-15 within 6 units), so G = 64 keeps the fixed-point error
+    under 2^-13 of an ulp of the head at prec, and the head is rounded to
+    prec once. A scaled part is the exact product of the part's mpf value
+    and its fixed-point scale, rounded to prec once; its error estimate
+    likewise.
     """
     w, prec = plan.w, plan.prec
     logx = _fixed_log(x, w) if plan.log else 0
@@ -861,7 +859,7 @@ def evaluate(formula, n: int, ctx: EvalContext | None = None, store=None) -> Eva
         ctx = EvalContext(min(ctx.digits, _DEGRADED_CONSTANT_DIGITS), max_terms=ctx.max_terms)
     model = _anchor(f.id, ctx.digits, ctx.guard, DEFAULT_MAX_TERMS)
     anchor = max(n, model)
-    plan = _plan(f, ctx.key, _headroom(f, anchor), cvalues, -1)
+    plan = _plan(f, ctx.key, _headroom(f, anchor), cvalues)
     prec = plan.prec
     kept = n < model and failure is None  # only below the anchor, undegraded
     rhs = plan.rhs if kept else None
@@ -920,6 +918,8 @@ class RecoveryResult(_Keyed):
 # exact transform alone takes seconds, so the cost model keeps each run's
 # predicted terms inside the budget, and the refusal threshold inside the
 # series evaluator refuses a run (an explicit n0, say) predicted far beyond it.
+# Digamma's budget is its ceiling at every precision; a recovery's grows with
+# its digits, as it also bounds how long an explicit n0 runs before falling back.
 _RECOVERY_TERM_CEILING = 1400
 _DIGAMMA_TERM_CEILING = 2200
 
@@ -929,7 +929,8 @@ def recover_details(
 ) -> RecoveryResult:
     """Solve the formula for its head constant ``recover_target`` at
     ``digits`` digits, whatever the store holds: the store serves the other
-    head constants, computing any it lacks.
+    head constants, computing any it lacks; the plan serves the target as
+    zero, so the partial sum less the right-hand side is its one head term.
 
     The partial sum runs to ``n0``, by default the cost model's anchor. An
     explicit ``n0`` past BRUTE_FORCE_CAP is refused, as brute force refuses
@@ -945,16 +946,15 @@ def recover_details(
     target = f.recover_target
     store.check_reach(target, digits)
     term = _isolating_term(f.head, target)
-    skip = f.head.index(term)
     guard = EvalContext(digits).guard
     cdigits = digits + guard
-    cvalues = _fetch_constants(f, store, cdigits, exclude=target)
+    cvalues = _fetch_constants(f, store, cdigits, unknown=target)
     max_terms = max(DEFAULT_MAX_TERMS, min(4 * digits + 120, _RECOVERY_TERM_CEILING))
     ctx = EvalContext(digits, guard, max_terms)
     anchor = _anchor(f.id, digits, guard, max_terms)
 
     def solve(current: int) -> RecoveryResult:
-        plan = _plan(f, ctx.key, _headroom(f, current), cvalues, skip)
+        plan = _plan(f, ctx.key, _headroom(f, current), cvalues)
         head, scaled, terms_used, _, errors = _rhs(plan, current)
         if errors:
             raise errors[0]
@@ -991,10 +991,9 @@ def _digamma_plan(digits: int) -> tuple[EvalContext, int, int]:
     """(series context, anchor, prec) of a digamma call at ``digits``, a
     function of ``digits`` alone."""
     guard = EvalContext(digits).guard
-    max_terms = max(DEFAULT_MAX_TERMS, min(5 * digits + 100, _DIGAMMA_TERM_CEILING))
-    ctx = EvalContext(digits + _DIGAMMA_SERIES_EXTRA, guard, max_terms)
+    ctx = EvalContext(digits + _DIGAMMA_SERIES_EXTRA, guard, _DIGAMMA_TERM_CEILING)
     prec = dps_to_prec(digits + guard + _DIGAMMA_WORK_EXTRA)
-    return ctx, _anchor(None, digits, guard, max_terms), prec
+    return ctx, _anchor(None, digits, guard, _DIGAMMA_TERM_CEILING), prec
 
 
 def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:

@@ -245,9 +245,8 @@ def euler_number(k: int) -> int:
 
 
 def tangent_number(k: int) -> Fraction:
-    """T_k = 2^(2k) (2^(2k) - 1) |B_2k| / (2k); a positive integer for k >= 1."""
-    p = 1 << 2 * _as_count(k, 1, "k")
-    return Fraction(p * (p - 1)) * abs(bernoulli(2 * k)) / (2 * k)
+    """T_k = Z_{2k-1} = 2^(2k) (2^(2k) - 1) |B_2k| / (2k), an integer."""
+    return Fraction(_zigzag[2 * _as_count(k, 1, "k") - 1])
 
 
 def gregory_number(k: int) -> Fraction:

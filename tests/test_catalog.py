@@ -599,42 +599,44 @@ def test_series_terms_decrease_strictly_at_moderate_k():
 
 
 
-def _mpf_head(f, x, cvalues, skip):
-    """The head of f at x, with term number skip left out, in mpf at the
-    current precision."""
+def _mpf_head(f, x, cvalues):
+    """The head of f at x from the constants in ``cvalues`` (a recovery's
+    unknown among them as zero), in mpf at the current precision."""
     head, xv = mpf(0), mpf(x)
-    for i, t in enumerate(f.head):
-        if i != skip:
-            v = mpf(t.rational.numerator) / t.rational.denominator
-            if t.n_power:
-                v *= mp.power(xv + t.base_offset, mpf(t.n_power.numerator) / t.n_power.denominator)
-            v *= mp.log(xv) ** t.log_power
-            for cid, p in t.constants:
-                v *= cvalues[cid] ** p
-            head += -v if t.parity is not None and (x + t.parity) % 2 else v
+    for t in f.head:
+        v = mpf(t.rational.numerator) / t.rational.denominator
+        if t.n_power:
+            v *= mp.power(xv + t.base_offset, mpf(t.n_power.numerator) / t.n_power.denominator)
+        v *= mp.log(xv) ** t.log_power
+        for cid, p in t.constants:
+            v *= cvalues[cid] ** p
+        head += -v if t.parity is not None and (x + t.parity) % 2 else v
     return head
 
 
 @pytest.mark.parametrize("fid", ALL_IDS, ids=str)
 def test_fixed_point_head_within_an_ulp(fid):
     # _rhs's fixed-point head, rounded once, against the mpf head 64 bits
-    # finer, with and without the head term a recovery leaves out
+    # finer, with every constant served and with a recovery's unknown served
+    # as zero
     f = describe(fid)
     store = default_store()
-    skips = (-1, f.head.index(catalog._isolating_term(f.head, f.recover_target)))
     for digits in (10, 30, 100, 300):
         ctx = EvalContext(digits=digits, max_terms=1)  # the series parts refuse at once
         with mp.workdps(digits + ctx.guard):
-            cvalues = {cid: mpf(store.reference_digits(cid)) for cid in f.constants}
+            served = {cid: mpf(store.reference_digits(cid)) for cid in f.constants}
+        cases = (served, {**served, f.recover_target: mpf(0)})
         for x in (f.domain_min + 1, 7, 200, 10**5, 10**7):
             hr = catalog._headroom(f, x)
             prec = dps_to_prec(digits + ctx.guard + hr)
-            values = tuple(cvalues[cid]._mpf_ for cid in f.constants)
-            heads = [mp.make_mpf(catalog._rhs(catalog._plan(f, ctx.key, hr, values, skip), x)[0])
-                     for skip in skips]
+            heads = []
+            for cvalues in cases:
+                values = tuple(cvalues[cid]._mpf_ for cid in f.constants)
+                plan = catalog._plan(f, ctx.key, hr, values)
+                heads.append(mp.make_mpf(catalog._rhs(plan, x)[0]))
             with mp.workprec(prec + 64):
-                for head, skip in zip(heads, skips):
-                    exact = _mpf_head(f, x, cvalues, skip)
+                for head, cvalues in zip(heads, cases):
+                    exact = _mpf_head(f, x, cvalues)
                     _, _, exp, bc = exact._mpf_  # one ulp at prec is 2^(exp + bc - prec)
                     assert abs(head - exact) <= mpf(2) ** (exp + bc - prec), (x, digits)
 
@@ -703,11 +705,11 @@ def _served_bits():
 
 def _count_rhs(monkeypatch, recoveries=None):
     """The plans under which evaluate computes a right-hand side; those of
-    recoveries, which leave a head term out, go to ``recoveries``."""
+    recoveries, called from recover_details' ``solve``, go to ``recoveries``."""
     calls = []
 
     def counted(plan, x):
-        if plan.skip == -1:
+        if sys._getframe(1).f_code.co_name != "solve":
             calls.append(plan)
         elif recoveries is not None:
             recoveries.append(plan)
@@ -1197,7 +1199,7 @@ def test_evaluate_past_constant_reach_degrades_then_refuses():
 
 
 def test_recovery_refuses_unreachable_depth_quickly():
-    # the anchor ladder must give up within its ceiling, not grind for hours
+    # digits past gamma's reference are refused up front, not ground out for hours
     t0 = time.perf_counter()
     with pytest.raises(NonConvergenceError):
         catalog.recover_details("1.1", digits=2400, store=ConstantStore())

@@ -187,6 +187,9 @@ def test_tangent_values_and_integrality():
     for k in range(1, 31):
         t = tangent_number(k)
         assert t.denominator == 1 and t > 0
+    for k in range(1, 101):  # the zigzag entry it reads against B_2k
+        p = 1 << 2 * k
+        assert tangent_number(k) == p * (p - 1) * abs(bernoulli(2 * k)) / (2 * k)
     with pytest.raises(DomainError):
         tangent_number(0)
 

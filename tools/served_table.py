@@ -13,7 +13,8 @@ of ``RECOVERY_FORMULA`` recovered at RECOVERY_DIGITS from a fresh store with
 its reference digits beside it, ``cli.main`` run in process on each command
 of CLI_COMMANDS, and the deep cases of DEEP_EVALS and DEEP_RECOVERIES, each
 served value of which must agree with its brute force or reference digits
-to within 10^-digits. Then every request of the serve-warm lists of SEEDS
+to within 10^-digits: ``record`` and ``pin`` write nothing while any is
+off, and name each. Then every request of the serve-warm lists of SEEDS
 (``benchmark/workloads.py``). A served case keeps the bits of its value and
 est_error and its terms_used, a served digamma case its shift instead of an
 est_error, a recovery its n0; a refused one the same of its partial report.
@@ -30,9 +31,10 @@ backend it ran on; ``tests/served_bits.jsonl`` is made with
     PYTHONPATH=src python tools/served_table.py pin tests/served_bits.jsonl
 
 A change that moves served bits on purpose re-pins in the same change.
-``check`` records the fixed grids again, names every case whose hash moved,
-and exits 1 when any moved or is missing from either side. Run it in a fresh
-process: what a store keeps depends on every request before it.
+``check`` records the fixed grids again, names every deep case off its
+check and every case whose hash moved, and exits 1 when any is off, moved
+or is missing from either side. Run it in a fresh process: what a store
+keeps depends on every request before it.
 
 ``compare`` matches the cases of two records and prints, for each kind of
 case apart, how many moved (value, terms_used, est_error, shift or n0,
@@ -167,27 +169,30 @@ def _cli(command: str) -> dict:
             "exit": code}
 
 
-def _fixed_cases():
-    """The cases of the fixed grids, in the order they run."""
+def _fixed_cases() -> tuple[list, list]:
+    """The cases of the fixed grids, in the order they run, and the key of
+    each deep case served off its check by more than 10^-digits."""
+    cases = []
     for fid in map(str, catalog.formula_ids()):
         f = catalog.describe(fid)
         for n in sorted({f.domain_min, *(n for n in N_GRID if n >= f.domain_min)}):
-            for digits in DIGIT_GRID:
-                yield _evaluate(fid, n, digits, brute=True)
-    for x in X_GRID:
-        for digits in DIGAMMA_DIGITS:
-            yield _digamma(x, digits)
-    for fid in RECOVERY_FORMULA.values():
-        for digits in RECOVERY_DIGITS:
-            yield _recover(fid, digits)
-    yield from map(_cli, CLI_COMMANDS)
+            cases += [_evaluate(fid, n, digits, brute=True) for digits in DIGIT_GRID]
+    cases += [_digamma(x, digits) for x in X_GRID for digits in DIGAMMA_DIGITS]
+    cases += [_recover(fid, digits) for fid in RECOVERY_FORMULA.values()
+              for digits in RECOVERY_DIGITS]
+    cases += map(_cli, CLI_COMMANDS)
     deep = [_evaluate(fid, n, digits, brute=True) for fid, n, digits in DEEP_EVALS]
     deep += [_recover(fid, digits, n0) for fid, digits, n0 in DEEP_RECOVERIES]
-    for case in deep:
-        if case["served"] and _units(_value(case["value"]), _value(case["check"]),
-                                     case["digits"]) > 1:
-            raise AssertionError(f"{_key(case)[:4]} is off its check by more than 10^-digits")
-    yield from deep
+    off = [_key(case)[:4] for case in deep if case["served"] and _units(
+        _value(case["value"]), _value(case["check"]), case["digits"]) > 1]
+    return cases + deep, off
+
+
+def _refuse_off(off: list) -> None:
+    """Write nothing while a deep case is off its check: name each, exit 1."""
+    if off:
+        raise SystemExit("".join(f"off its check by more than 10^-digits: {key}\n"
+                                 for key in off) + "nothing written")
 
 
 def record(out: str) -> None:
@@ -195,7 +200,8 @@ def record(out: str) -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
     from workloads import serve_warm
 
-    cases = list(_fixed_cases())
+    cases, off = _fixed_cases()
+    _refuse_off(off)
     for seed in SEEDS:
         for req in serve_warm(seed):
             if req.kind == "evaluate":
@@ -214,15 +220,18 @@ def _environment() -> dict:
             "backend": mpmath.libmp.BACKEND}
 
 
-def _pins() -> dict:
-    """{case key: short hash of the case} over the fixed grids."""
+def _pins() -> tuple[dict, list]:
+    """{case key: short hash of the case} over the fixed grids, and the deep
+    cases off their check."""
+    cases, off = _fixed_cases()
     return {_key(case): hashlib.sha256(json.dumps(case, sort_keys=True).encode()).hexdigest()[:12]
-            for case in _fixed_cases()}
+            for case in cases}, off
 
 
 def pin(out: str) -> None:
     _import_package()
-    pins = _pins()
+    pins, off = _pins()
+    _refuse_off(off)
     with open(out, "w", encoding="ascii") as fh:
         fh.write(json.dumps(_environment()) + "\n")
         for key, digest in pins.items():
@@ -235,15 +244,17 @@ def check(path: str) -> int:
     with open(path, encoding="ascii") as fh:
         made_with = json.loads(fh.readline())
         pinned = {(*row[:4], None): row[4] for row in map(json.loads, fh)}
-    pins = _pins()
+    pins, off = _pins()
     moved = [key for key in pinned.keys() & pins.keys() if pinned[key] != pins[key]]
     missing = pinned.keys() ^ pins.keys()
-    print(f"{len(pins)} cases, {len(moved)} moved, {len(missing)} in one side only"
+    print(f"{len(pins)} cases, {len(moved)} moved, {len(missing)} in one side only, "
+          f"{len(off)} deep off their check"
+          + "".join(f"\noff its check by more than 10^-digits: {key}" for key in off)
           + "".join(f"\nmoved: {key[:4]}" for key in sorted(moved, key=str))
           + "".join(f"\nin one side only: {key[:4]}" for key in sorted(missing, key=str)))
     if made_with != _environment():
         print(f"pinned on {made_with}, checked on {_environment()}")
-    return 1 if moved or missing else 0
+    return 1 if moved or missing or off else 0
 
 
 def _key(case: dict) -> tuple:
