@@ -177,16 +177,39 @@ class SeriesPart(_Frozen):
     """prefactor * n^n_power * log(n)^log_power * sum_k c_k / D_k(n + x_offset).
 
     ``shape`` picks the denominator start (x... or x+1...); the exact inner
-    inverse-power coefficients generate c_k through the transformation.
+    inverse-power coefficients a_l generate the printed c_k through the
+    transformation. A part is served as Norlund's factorial series of step
+    omega = 1/``step``: the c'_k of its ``serving`` inner a'_l = a_l
+    step^(l+1), summed at step (n + x_offset), give the same value in fewer
+    terms (divided by ``step`` for an at_x_plus_1 part). A part with a
+    parity (families 15 and 16, whose tails are singular at +-i pi and so
+    need omega > 1/2) serves at step 1 from its printed inner; every other
+    at step 2. Parts sharing a printed inner share its serving inner, and so
+    one serving table.
     """
 
-    __slots__ = ("inner", "prefactor", "n_power", "log_power", "shape", "x_offset", "parity")
+    __slots__ = ("inner", "prefactor", "n_power", "log_power", "shape", "x_offset", "parity",
+                 "serving", "step")
 
     def __init__(self, inner: InnerCoefficients, prefactor: Fraction, n_power: Fraction = F(0),
                  log_power: int = 0, shape: str = AT_X, x_offset: int = 0,
                  parity: int | None = None):
         _as_count(log_power, 0, "log_power")
-        self._fill(inner, F(prefactor), F(n_power), log_power, shape, x_offset, parity)
+        serving, step = (inner, 1) if parity is not None else (_halved_step(inner), 2)
+        self._fill(inner, F(prefactor), F(n_power), log_power, shape, x_offset, parity,
+                   serving, step)
+
+
+@functools.lru_cache(maxsize=None)
+def _halved_step(inner: InnerCoefficients) -> InnerCoefficients:
+    """The inner a_l 2^(l+1) of f(x/2) for the tail f of ``inner``, with a
+    table of its own; one per printed inner (equal inners, one fn). A
+    partial of a named function, so it pickles wherever ``inner`` does."""
+    return InnerCoefficients(functools.partial(_halved_step_term, inner.fn))
+
+
+def _halved_step_term(fn, l: int) -> Fraction:
+    return F(fn(l)) * (2 << l)
 
 
 class Summand(_Keyed):
@@ -606,8 +629,12 @@ class _Plan:
     unknown served as zero, so its term lowers to 0): the working precision
     (``wd`` digits, ``prec`` bits), the unit 2^-w, the parts' context, the
     error floor ``eps`` (a raw mpf) and each head term and part scale
-    lowered by :meth:`lower`. ``rhs`` keeps the right-hand side served at
-    the model anchor, once an evaluation below it keeps one.
+    lowered by :meth:`lower`. ``parts`` holds, per series part, its serving
+    inner and step, its offset and shape, its lowered scale and the unit
+    2^-w of that scale, one bit finer (w + 1) for an at_x_plus_1 part at
+    step 2, whose serving value is twice the part's. ``rhs`` keeps the
+    right-hand side served at the model anchor, once an evaluation below it
+    keeps one.
     """
 
     __slots__ = ("wd", "prec", "w", "part_ctx", "eps", "head", "terms", "parts", "log", "rhs")
@@ -623,8 +650,11 @@ class _Plan:
         head = [self.lower(t, t.rational, t.base_offset, t.constants, served) for t in f.head]
         self.head = sum(t for t in head if type(t) is int)
         self.terms = [t for t in head if type(t) is tuple]
-        self.parts = [(p.inner, p.x_offset, p.shape, self.lower(p, p.prefactor)) for p in f.series]
-        self.log = any(t[2] for t in self.terms + [s for *_, s in self.parts if type(s) is tuple])
+        # an at_x_plus_1 part's value at step 2 is halved: one bit more in its scale's unit
+        self.parts = [(p.serving, p.step, p.x_offset, p.shape, self.lower(p, p.prefactor),
+                       self.w + (p.step == 2 and p.shape == AT_X_PLUS_1)) for p in f.series]
+        scales = [s for *_, s, _ in self.parts if type(s) is tuple]
+        self.log = any(t[2] for t in self.terms + scales)
 
     def lower(self, t, r: Fraction, offset: int = 0, constants=(), served=None):
         """r (x+offset)^n_power log(x)^log_power prod C^p (-1)^(x+parity) in
@@ -677,9 +707,11 @@ def _rhs(plan: _Plan, x: int):
     summed U is at most 2^51 times |head| (3.x without zeta(3) at 10^7: a
     head of -5e-15 within 6 units), so G = 64 keeps the fixed-point error
     under 2^-13 of an ulp of the head at prec, and the head is rounded to
-    prec once. A scaled part is the exact product of the part's mpf value
-    and its fixed-point scale, rounded to prec once; its error estimate
-    likewise.
+    prec once. Each part is summed from its serving inner at step (x +
+    offset) (see :class:`SeriesPart`), and a scaled part is the exact
+    product of that mpf value and its fixed-point scale, rounded to prec
+    once, the scale read in units 2^-(w + 1) where the step halves the value
+    (so the halving is exact); its error estimate likewise.
     """
     w, prec = plan.w, plan.prec
     logx = _fixed_log(x, w) if plan.log else 0
@@ -687,17 +719,17 @@ def _rhs(plan: _Plan, x: int):
     for term in plan.terms:
         head += _fixed_term(term, x, logx, w)
     scaled, terms, est, errors = [], 0, fzero, []
-    for inner, offset, shape, scale in plan.parts:
+    for inner, step, offset, shape, scale, unit in plan.parts:
         if type(scale) is tuple:
             scale = _fixed_term(scale, x, logx, w)
         try:
-            rep = eval_stirling_series(inner, x + offset, shape, plan.part_ctx)
+            rep = eval_stirling_series(inner, step * (x + offset), shape, plan.part_ctx)
         except NonConvergenceError as exc:
             rep = exc.report
             errors.append(exc)
-        scaled.append(_times_fixed(rep.value._mpf_, scale, w, prec))
+        scaled.append(_times_fixed(rep.value._mpf_, scale, unit, prec))
         terms += rep.terms_used
-        part_est = _times_fixed(rep.est_error._mpf_, abs(scale), w, prec)
+        part_est = _times_fixed(rep.est_error._mpf_, abs(scale), unit, prec)
         if mpf_cmp(part_est, est) > 0:
             est = part_est
     return _rounded(head, -w, prec), scaled, terms, est, errors
@@ -762,6 +794,11 @@ def _predicted(f: Formula | None, x: int, digits: int, guard: int):
     exact transform to its depth at a fixed weight whatever is cached, and the
     bridge (or partial sum, or shift) from the start of the summand up to x.
     """
+    # Terms are priced at x, though a part at step 2 is summed at 2x in
+    # fewer: on purpose, until the per-term costs are re-fitted with it.
+    # Priced at 2x, anchors fall (1.1 at 30 digits: 183 to 146), and
+    # serve-warm's kept right-hand sides turn into series calls that cost
+    # more than the terms saved.
     if f is None:
         parts, path, count = 1, "reciprocal", x
         sdigits, wd = digits + _DIGAMMA_SERIES_EXTRA, digits + guard + _DIGAMMA_WORK_EXTRA
@@ -917,9 +954,9 @@ class RecoveryResult(_Keyed):
 # Hard ceilings on per-run term budgets: past a couple thousand terms the
 # exact transform alone takes seconds, so the cost model keeps each run's
 # predicted terms inside the budget, and the refusal threshold inside the
-# series evaluator refuses a run (an explicit n0, say) predicted far beyond it.
-# Digamma's budget is its ceiling at every precision; a recovery's grows with
-# its digits, as it also bounds how long an explicit n0 runs before falling back.
+# series evaluator refuses a run predicted far beyond it. Digamma's budget is
+# its ceiling at every precision; a recovery's grows with its digits, as it
+# also decides which explicit n0 is tried at all.
 _RECOVERY_TERM_CEILING = 1400
 _DIGAMMA_TERM_CEILING = 2200
 
@@ -934,7 +971,9 @@ def recover_details(
 
     The partial sum runs to ``n0``, by default the cost model's anchor. An
     explicit ``n0`` past BRUTE_FORCE_CAP is refused, as brute force refuses
-    it; one whose series refuses falls back once to the anchor. Digits past
+    it. One whose predicted terms the budget does not fit, the anchor scan's
+    own test, falls back to the anchor at once, with no series call at
+    ``n0``; one whose series refuses falls back once to the anchor. Digits past
     the constant's reference string are refused up front, since nothing
     could check them.
     """
@@ -973,8 +1012,8 @@ def recover_details(
         value = mp.make_mpf(mpf_div(residue, coef, prec, round_nearest))
         return RecoveryResult(target, value, current, digits, terms_used)
 
-    if n0 is None or n0 == anchor:
-        return solve(anchor)
+    if n0 is None or n0 == anchor or _predicted(f, n0, digits, guard)[1] > max_terms:
+        return solve(anchor)  # an n0 the anchor scan would not take is never tried
     try:
         return solve(n0)
     except NonConvergenceError:
@@ -1008,7 +1047,8 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
 
         psi(x) = log y - 1/(2y) + S(y) - sum_{i<shift} q/(p + i q),
 
-    S the inverse-factorial series of 1.1's part, summed at y exactly. The
+    S the inverse-factorial series of 1.1's part, summed from its serving
+    inner at step y, exactly (S is an at_x part, so nothing is halved). The
     rest is summed in fixed point, in units 2^-w with w = prec + 64 (_RHS_GUARD), as
     :func:`_rhs` sums its head: log y from :func:`_fixed_log`, which rounds
     y down to w + 8 bits (under 2^-(w+6) off in log y) and floors a log of
@@ -1020,7 +1060,8 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
     at most BRUTE_FORCE_CAP < 2^24, so for |log y| < 2^24 that is under
     2^-(prec + 39), far inside an ulp of psi wherever |psi| > 2^-38, and the
     value is rounded to prec once. With x exact and q short, every divisor
-    of the shift sum, and of the series' steps, is p + i q, one or two limbs.
+    of the shift sum, p + i q, and of the series' steps, 2(p + shift q) + i q
+    (or its half for an even q), is one or two limbs.
     """
     ctx, anchor, prec = _digamma_plan(_as_count(digits, 1, "digits"))
     p, q = _as_ratio(x)
@@ -1031,8 +1072,9 @@ def digamma_details(x, digits: int = 30) -> tuple[mpf, int, int]:
         p, q = _as_ratio(mp.make_mpf(from_rational(p, q, prec, round_nearest)))
     shift = max(0, anchor - p // q)
     py = p + shift * q
-    y = py if q == 1 else Fraction(py, q)
-    rep = eval_stirling_series(describe("1.1").series[0].inner, y, AT_X, ctx)
+    part = describe("1.1").series[0]
+    ys = part.step * py  # the serving inner's argument: step y = ys/q
+    rep = eval_stirling_series(part.serving, ys if q == 1 else Fraction(ys, q), AT_X, ctx)
     w = prec + _RHS_GUARD
     total = _fixed_log(py, w, q) - (q << w) // (2 * py) + to_fixed(rep.value._mpf_, w)
     if shift:  # q/(p + i q) for i < shift, with no Python frame per term

@@ -642,6 +642,94 @@ def test_fixed_point_head_within_an_ulp(fid):
 
 
 # ---------------------------------------------------------------------------
+# Serving at step 1/2
+# ---------------------------------------------------------------------------
+
+SCALED_PARTS = [(str(fid), part) for fid in ALL_IDS for part in describe(fid).series
+                if part.step != 1]
+
+
+def test_parts_serve_at_step_one_half_but_the_alternating_families():
+    for fid in ALL_IDS:
+        for part in describe(fid).series:
+            if fid.family in (15, 16):
+                assert part.step == 1 and part.serving is part.inner
+            else:
+                assert part.step == 2
+                assert all(part.serving(l) == part.inner(l) * 2 ** (l + 1) for l in range(1, 60))
+    # parts sharing a printed inner share one serving inner, so one table
+    for log_formula, plain in (("12.1", "1.1"), ("13.1", "2.1"), ("14.1", "10.2")):
+        assert describe(log_formula).series[1].serving is describe(plain).series[0].serving
+
+
+def test_a_part_pickles_with_its_serving_inner():
+    # 14.1's plain part is on a named function, so the part pickles, and its
+    # serving inner with it (a fresh table, the same a'_l)
+    part = describe("14.1").series[0]
+    restored = pickle.loads(pickle.dumps(part))
+    assert restored.step == 2 and restored.serving._table.values == ()
+    assert all(restored.serving(l) == part.serving(l) for l in range(1, 40))
+
+
+@pytest.mark.parametrize("digits", [20, 50, 200])
+def test_serving_and_printed_part_values_agree(digits):
+    # every part at its formula's model anchor, under its plan's context: the
+    # printed series at x and the serving one at step x (an at_x_plus_1
+    # value divided by the step) agree to the run's own stop tolerance,
+    # 10^-(digits + guard/2) relative
+    guard = EvalContext(digits).guard
+    for fid in ALL_IDS:
+        f = describe(fid)
+        x = catalog._anchor(f.id, digits, guard, 500)
+        ctx = EvalContext(digits + catalog._headroom(f, x), guard)
+        for part in f.series:
+            y = x + part.x_offset
+            printed = transform.eval_stirling_series(part.inner, y, part.shape, ctx).value
+            served = transform.eval_stirling_series(part.serving, part.step * y, part.shape,
+                                                    ctx).value
+            with mp.workdps(ctx.working_digits + 10):
+                if part.shape == AT_X_PLUS_1:
+                    served /= part.step
+                tolerance = mpf(10) ** -(ctx.digits + mpf(ctx.guard) / 2)
+                assert abs(served - printed) <= abs(printed) * tolerance, (fid, part.log_power)
+
+
+def test_serving_coefficients_grow_no_faster_than_factorials():
+    # max over k <= 300 of log10(|c'_k| / (k-1)!) is at most 1.5 for every
+    # scaled part (0.76 at most when this was written): checked to k = 300,
+    # not proven
+    for fid, part in SCALED_PARTS:
+        c = transform.weniger_transform(part.serving, 300).values
+        growth = max(math.log10(abs(v.numerator)) - math.log10(v.denominator)
+                     - math.lgamma(k) / math.log(10) for k, v in enumerate(c, 1) if v)
+        assert growth <= 1.5, (fid, part.log_power, growth)
+
+
+def test_a_serve_warm_list_grows_no_printed_table(monkeypatch):
+    # from empty tables and no kept plans or bridges, serve-warm's first list
+    # grows the serving table of every scaled part and no printed one
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmark"))
+    from workloads import serve_warm
+
+    for _, part in SCALED_PARTS:
+        for inner in (part.inner, part.serving):
+            monkeypatch.setattr(inner._table, "values", ())
+            monkeypatch.setattr(inner._table, "step", transform._frontier_step())
+    catalog._plan.cache_clear()
+    catalog._bridge.cache_clear()
+    for req in serve_warm(41):
+        try:
+            if req.kind == "evaluate":
+                evaluate(req.target, req.n, EvalContext(digits=req.digits))
+            else:
+                catalog.digamma_details(F(req.target), req.digits)
+        except NonConvergenceError:
+            pass
+    for fid, part in SCALED_PARTS:
+        assert part.inner._table.values == () and part.serving._table.values, fid
+
+
+# ---------------------------------------------------------------------------
 # Cross-derivation of the inner coefficients
 # ---------------------------------------------------------------------------
 
@@ -857,7 +945,9 @@ def test_each_headroom_past_the_anchor_gets_its_own_plan():
 @pytest.mark.parametrize("fid", ["12.1", "13.1", "14.1"])
 def test_estimate_of_a_two_part_formula_is_its_larger_part_estimate(fid):
     # five terms refuse at the anchor, where each part's partial estimate,
-    # times its scale, sits far above the floor; the report carries the larger
+    # times its scale, sits far above the floor; the report carries the larger.
+    # Each part runs as served: its serving inner at step times x (these
+    # parts are at_x, so unhalved).
     f, ctx = describe(fid), EvalContext(digits=30, max_terms=5)
     x = catalog._anchor(f.id, ctx.digits, ctx.guard, 500)
     with pytest.raises(NonConvergenceError) as exc:
@@ -868,7 +958,9 @@ def test_estimate_of_a_two_part_formula_is_its_larger_part_estimate(fid):
     with mp.workdps(60):
         for part in f.series:
             with pytest.raises(NonConvergenceError) as part_exc:
-                catalog.eval_stirling_series(part.inner, x + part.x_offset, part.shape, part_ctx)
+                catalog.eval_stirling_series(part.serving, part.step * (x + part.x_offset),
+                                             part.shape, part_ctx)
+            assert part.shape == catalog.AT_X
             scale = (mpf(part.prefactor.numerator) / part.prefactor.denominator
                      * mpf(x) ** (mpf(part.n_power.numerator) / part.n_power.denominator)
                      * mp.log(x) ** part.log_power)
@@ -949,7 +1041,7 @@ def test_refused_start_falls_back_to_the_model_anchor_once(monkeypatch):
     monkeypatch.setattr(catalog, "eval_stirling_series", series)
     store = ConstantStore()
     res = catalog.recover_details("1.1", digits=60, n0=18, store=store)
-    assert refusals == [18]
+    assert refusals == []  # n0 = 18 fails the anchor scan's fit test: no series runs there
     assert res.n0 == catalog._anchor(FormulaId(1, 1), 60, 16, 500)
     assert digits_agree(res.value, store.reference_digits(GAMMA), 60)
 
@@ -1138,14 +1230,15 @@ def test_digamma_rejects_nonpositive_and_bad_digits():
         catalog.digamma(1, 0)
 
 
-# (x, digits, terms, shift): the terms and shift served when x was first
-# rounded to prec bits; taking x exactly must keep them.
+# (x, digits, terms, shift): the shift served when x was first rounded to
+# prec bits, which taking x exactly must keep, and the terms of 1.1's
+# serving inner (step 2) at the exact argument.
 EXACT_ARGUMENT_CASES = [
     (x, digits, terms, shift)
-    for x, rows in ((F(1, 10), ((20, 28, 147), (50, 56, 268), (100, 103, 473))),
-                    ("0.1", ((20, 28, 147), (50, 56, 268), (100, 103, 473))),
-                    (F(123457, 10), ((20, 12, 0), (50, 23, 0), (100, 43, 0))),
-                    (F(1, 3), ((20, 28, 147), (50, 56, 268), (100, 103, 473))))
+    for x, rows in ((F(1, 10), ((20, 22, 147), (50, 42, 268), (100, 77, 473))),
+                    ("0.1", ((20, 22, 147), (50, 42, 268), (100, 77, 473))),
+                    (F(123457, 10), ((20, 11, 0), (50, 21, 0), (100, 38, 0))),
+                    (F(1, 3), ((20, 22, 147), (50, 42, 268), (100, 77, 473))))
     for digits, terms, shift in rows
 ]
 
@@ -1198,12 +1291,30 @@ def test_evaluate_past_constant_reach_degrades_then_refuses():
         assert abs(rep.value - brute_force("1.1", 10, digits=60)) < mpf(10) ** -50
 
 
-def test_recovery_refuses_unreachable_depth_quickly():
+def test_recovery_refuses_digits_past_the_reference_quickly():
     # digits past gamma's reference are refused up front, not ground out for hours
     t0 = time.perf_counter()
     with pytest.raises(NonConvergenceError):
         catalog.recover_details("1.1", digits=2400, store=ConstantStore())
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_recovery_from_a_hopeless_n0_calls_no_series_there(monkeypatch):
+    # n0 = 2 needs millions of terms at 300 digits: the anchor scan's fit
+    # test sends the recovery to its anchor before any series call at n0
+    calls = []
+
+    def series(inner, x, *args):
+        calls.append(x)
+        return transform.eval_stirling_series(inner, x, *args)
+
+    monkeypatch.setattr(catalog, "eval_stirling_series", series)
+    store = ConstantStore()
+    part = describe("7.1").series[0]
+    res = catalog.recover_details("7.1", 300, n0=2, store=store)
+    assert res.n0 == catalog._anchor(FormulaId(7, 1), 300, 40, 1320)
+    assert calls == [part.step * res.n0]
+    assert digits_agree(res.value, store.reference_digits(zeta(F(1, 2))), 300)
 
 
 def _served_alike_by_racing_threads(requests, cache) -> bool:

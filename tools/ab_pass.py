@@ -8,11 +8,20 @@ Loads the package of each checkout (``A/src/stirlingsum`` and
 keeps its own caches, and builds the serve-warm request lists of each seed
 with ``benchmark/workloads.py`` of checkout A (read, never changed), for
 the seeds in SEEDS. For each seed it first serves the list once on both
-sides and checks that every request returns the same bits (value and error
-estimate, or the refusal's partial report); it exits 1 at the first that
-differs. It then times PAIRS pairs of warm passes, alternating which side
-runs first, and prints the medians of A's and B's pass times, the median
-and quartiles of the per-pair ratio B/A, and how many pairs B won.
+sides and compares what every request returns (value and error estimate,
+or the refusal's partial report). A change may move served bits on
+purpose, so a request that differs is checked on both sides against an
+independent value: brute force (A's) for an evaluation at n up to
+BRUTE_LIMIT, ``mpmath.digamma`` for digamma, each at digits + 20; a
+served value must lie within half a unit of 10^-digits of it. An
+evaluation past BRUTE_LIMIT has no such check here, so its two values must
+lie within one unit of each other. It prints, per seed, how many requests
+moved and each side's total series terms, and names every value that
+fails its check. It exits 1 when any value fails its check or when a
+request is served on one side and refused on the other. It then times
+PAIRS pairs of warm passes, alternating which side runs first, and prints
+the medians of A's and B's pass times, the median and quartiles of the
+per-pair ratio B/A, and how many pairs B won.
 
 Both sides share the process, the interpreter and the moment, so drift in
 the host's speed moves both passes of a pair alike and drops out of the
@@ -34,8 +43,11 @@ import sys
 import time
 from fractions import Fraction
 
+from mpmath import mp, mpf
+
 SEEDS = (41, 7, 99)
 PAIRS = 40
+BRUTE_LIMIT = 2000
 
 
 def load(root: str, name: str):
@@ -89,6 +101,29 @@ def serve(package, req):
         return "refused", rep.value._mpf_, rep.terms_used, rep.est_error._mpf_, str(exc)
 
 
+def wrong(package, req, got_a, got_b) -> str | None:
+    """Why the differing returns of ``req`` on the two sides are not both
+    right, or None; ``package`` computes the brute-force checks."""
+    if got_a[0] != got_b[0]:
+        return "served on one side, refused on the other"
+    if got_a[0] == "refused":
+        return None  # partial reports of a refusal on both sides
+    values = {"A": mp.make_mpf(got_a[1]), "B": mp.make_mpf(got_b[1])}
+    with mp.workdps(req.digits + 20):
+        unit = mpf(10) ** -req.digits
+        if req.kind == "digamma":
+            q = Fraction(req.target)
+            check = mp.digamma(mpf(q.numerator) / q.denominator)
+        elif req.n <= BRUTE_LIMIT:
+            check = package.catalog.brute_force(req.target, req.n, req.digits + 10)
+        else:
+            gap = abs(values["A"] - values["B"])
+            return None if gap <= unit else f"A and B {mp.nstr(gap / unit, 3)} units apart"
+        off = [f"{side} {mp.nstr(abs(v - check) / unit, 3)} units off"
+               for side, v in values.items() if abs(v - check) > unit / 2]
+    return ", ".join(off) or None
+
+
 def one_pass(package, reqs) -> float:
     t0 = time.perf_counter()
     for req in reqs:
@@ -103,13 +138,22 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     a, b = load(args.a, "ab_a"), load(args.b, "ab_b")
     lists = request_lists(args.a, a, SEEDS)
+    failed = False
     for seed, reqs in lists.items():
+        moved, terms = 0, {"A": 0, "B": 0}
         for req in reqs:
             got_a, got_b = serve(a, req), serve(b, req)
+            terms["A"] += got_a[2]
+            terms["B"] += got_b[2]
             if got_a != got_b:
-                print(f"seed {seed}: {req} differs:\n  A {got_a}\n  B {got_b}")
-                return 1
-        print(f"seed {seed}: {len(reqs)} requests, every one the same bits on both sides")
+                moved += 1
+                if why := wrong(a, req, got_a, got_b):
+                    print(f"seed {seed}: {req} wrong ({why}):\n  A {got_a}\n  B {got_b}")
+                    failed = True
+        print(f"seed {seed}: {len(reqs)} requests, {moved} moved; series terms "
+              f"A {terms['A']}, B {terms['B']}")
+    if failed:
+        return 1
     for seed, reqs in lists.items():
         gc.collect()
         times = {"A": [], "B": []}

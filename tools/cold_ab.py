@@ -12,9 +12,20 @@ one request to the next. Each child runs in its checkout with its ``src``
 first on PYTHONPATH, as the benchmark runs them, and is timed from start to
 exit.
 
-Every child's ``--json`` records (``elapsed_ms`` aside), its stderr and its
-exit code must be the same on all sides; the script exits 1 at the first
-that differs. It then prints each request's best time of its passes on
+A child returns its ``--json`` records (``elapsed_ms`` aside), its stderr
+and its exit code. The A/A control must return the same on both of its
+sides; the script exits 1 at the first request where it does not. A change
+may move served bits on purpose, so where B returns something else than A,
+the request counts as moved, and each side's printed value is checked,
+once, against an independent one at digits + 20: brute force (checkout A's)
+for an evaluation at n up to BRUTE_LIMIT, ``mpmath.digamma`` for digamma and
+the reference digits for a recovery. Each must lie within half a unit of
+10^-digits of it; past BRUTE_LIMIT the two printed values must lie within
+one unit of each other. Printed coefficients must not move at all, and two
+refusals must name the same error. The script exits 1, after naming it, at
+the first moved request that fails this, or whose exit code or record count
+differs. It prints how many requests moved and each side's total series
+terms over one pass. It then prints each request's best time of its passes on
 each side with the ratio B/A, the sum-of-best throughput ratio (A's summed
 best times over B's: above 1, B serves more requests per second), how many
 requests B won, and the same figures for A against itself. Beside them it
@@ -41,9 +52,11 @@ import os
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 
 SEEDS = (1, 2)
 PASSES = 5
+BRUTE_LIMIT = 2000
 SIDES = ("A", "B", "A2")  # A2: checkout A again, the control
 _LISTS = """
 import json
@@ -96,6 +109,56 @@ def serve(root: str, argv: list[str]) -> tuple[float, float, tuple]:
     return wall, peak_kib / 1024, (proc.returncode, proc.stderr, records)
 
 
+def _terms(got: tuple) -> int:
+    return sum(record.get("terms", 0) for record in got[2])
+
+
+def wrong(root: str, argv: list[str], got_a: tuple, got_b: tuple) -> str | None:
+    """Why the differing returns of one request on the two sides are not
+    both right, or None; brute force and the reference digits come from
+    the package of checkout ``root``."""
+    src = os.path.join(root, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from mpmath import mp, mpf
+    from stirlingsum import catalog, constants
+
+    (code_a, _, recs_a), (code_b, _, recs_b) = got_a, got_b
+    if code_a != code_b or len(recs_a) != len(recs_b):
+        return "exit code or record count differs"
+    kind, target = argv[:2]
+    opts = dict(zip(argv[2:-1:2], argv[3:-1:2]))
+    for ra, rb in zip(recs_a, recs_b):
+        if "error" in ra or "error" in rb:
+            if ra.get("error") != rb.get("error"):
+                return "refusals differ"
+            continue
+        if kind == "coeffs":
+            return "printed coefficients moved"
+        digits = int(opts["-d"])
+        with mp.workdps(digits + 20):
+            unit = mpf(10) ** -digits
+            values = {"A": mpf(ra["value"]), "B": mpf(rb["value"])}
+            if kind == "digamma":
+                q = Fraction(target)
+                check = mp.digamma(mpf(q.numerator) / q.denominator)
+            elif kind == "recover":
+                cid = catalog.describe(target).recover_target
+                check = mpf(constants.ConstantStore().reference_digits(cid))
+            elif int(opts["-n"]) <= BRUTE_LIMIT:
+                check = catalog.brute_force(target, int(opts["-n"]), digits + 10)
+            else:
+                gap = abs(values["A"] - values["B"])
+                if gap > unit:
+                    return f"A and B {mp.nstr(gap / unit, 3)} units apart"
+                continue
+            off = [f"{side} {mp.nstr(abs(v - check) / unit, 3)} units off"
+                   for side, v in values.items() if abs(v - check) > unit / 2]
+            if off:
+                return ", ".join(off)
+    return None
+
+
 def _summary(name: str, best: dict[str, list[float]]) -> str:
     a, b = sum(best["A"]), sum(best[name])
     wins = sum(tb < ta for ta, tb in zip(best["A"], best[name]))
@@ -115,6 +178,7 @@ def main(argv=None) -> int:
           f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}")
     times = {side: [[] for _ in reqs] for side in SIDES}
     peaks = {side: [[] for _ in reqs] for side in SIDES}
+    moved, terms = set(), {"A": 0, "B": 0}
     for p in range(PASSES):
         for i, req in enumerate(reqs):
             turn = (p + i) % len(SIDES)
@@ -123,11 +187,19 @@ def main(argv=None) -> int:
                 wall, peak, got[side] = serve(roots[side], req)
                 times[side][i].append(wall)
                 peaks[side][i].append(peak)
-            for side in SIDES[1:]:
-                if got[side] != got["A"]:
-                    print(f"{' '.join(req)} differs:\n  A {got['A']}\n  {side} {got[side]}")
+            if got["A2"] != got["A"]:
+                print(f"{' '.join(req)} differs from itself:\n  A {got['A']}\n  A2 {got['A2']}")
+                return 1
+            if p == 0:
+                terms["A"] += _terms(got["A"])
+                terms["B"] += _terms(got["B"])
+            if got["B"] != got["A"] and i not in moved:
+                moved.add(i)
+                if why := wrong(roots["A"], req, got["A"], got["B"]):
+                    print(f"{' '.join(req)} wrong ({why}):\n  A {got['A']}\n  B {got['B']}")
                     return 1
-    print("every record, stderr and exit code the same on all sides")
+    print(f"{len(moved)} of {len(reqs)} requests moved, every moved value passed its check; "
+          f"series terms per pass A {terms['A']}, B {terms['B']}")
     best = {side: [min(t) for t in times[side]] for side in SIDES}
     peak = {side: [statistics.median(m) for m in peaks[side]] for side in SIDES}
     print(f"{'request':<44}{'A ms':>9}{'B ms':>9}{'B/A':>8}{'A2/A':>8}"

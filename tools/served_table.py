@@ -83,8 +83,8 @@ CLI_COMMANDS = (
 )
 # Deep cases, past the grids above: the transform past k = 600, root summands
 # at 2W bits and the AGM log path past 2500 bits. (fid, n, digits) and
-# (fid, digits, explicit n0 or None); 7.1 from n0 = 50 refuses at once and
-# falls back to its anchor.
+# (fid, digits, explicit n0 or None); 7.1 from n0 = 50 fails the anchor
+# scan's fit test and falls back to its anchor with no series run at 50.
 DEEP_EVALS = (("1.1", 10, 890), ("10.1", 10, 890), ("4.2", 7, 500))
 DEEP_RECOVERIES = (("7.1", 600, None), ("7.1", 600, 50), ("9.1", 300, None), ("11.1", 700, None))
 _ELAPSED = re.compile(r'(elapsed_ms"?[: ]"?)[0-9.]+')
