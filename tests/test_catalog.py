@@ -1028,7 +1028,7 @@ def test_recovery_serves_every_constant_in_one_attempt(digits):
         assert digits_agree(res.value, store.reference_digits(cid), digits)
 
 
-def test_refused_start_falls_back_to_the_model_anchor_once(monkeypatch):
+def test_start_failing_the_fit_test_goes_to_the_model_anchor_with_no_series_run(monkeypatch):
     refusals = []
 
     def series(*args):
@@ -1044,6 +1044,26 @@ def test_refused_start_falls_back_to_the_model_anchor_once(monkeypatch):
     assert refusals == []  # n0 = 18 fails the anchor scan's fit test: no series runs there
     assert res.n0 == catalog._anchor(FormulaId(1, 1), 60, 16, 500)
     assert digits_agree(res.value, store.reference_digits(GAMMA), 60)
+
+
+def test_refused_start_falls_back_to_the_model_anchor_once(monkeypatch):
+    # n0 = 143 passes the fit test (59 predicted terms); the series, summed at
+    # step 1/2 from 2 n0, is made to refuse there, so the anchor serves
+    calls = []
+
+    def series(inner, x, *args):
+        calls.append(x)
+        rep = transform.eval_stirling_series(inner, x, *args)
+        if x == 286:
+            raise NonConvergenceError("refused at 2 n0", rep)
+        return rep
+
+    monkeypatch.setattr(catalog, "eval_stirling_series", series)
+    store = ConstantStore()
+    res = catalog.recover_details("1.1", digits=40, n0=143, store=store)
+    assert calls == [286, 574]
+    assert res.n0 == 287
+    assert digits_agree(res.value, store.reference_digits(GAMMA), 40)
 
 
 def test_constants_past_the_reference_length_are_refused():

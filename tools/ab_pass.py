@@ -5,23 +5,19 @@
 
 Loads the package of each checkout (``A/src/stirlingsum`` and
 ``B/src/stirlingsum``) under its own name, ``ab_a`` and ``ab_b``, so each
-keeps its own caches, and builds the serve-warm request lists of each seed
-with ``benchmark/workloads.py`` of checkout A (read, never changed), for
-the seeds in SEEDS. For each seed it first serves the list once on both
-sides and compares what every request returns (value and error estimate,
-or the refusal's partial report). A change may move served bits on
-purpose, so a request that differs is checked on both sides against an
-independent value: brute force (A's) for an evaluation at n up to
-BRUTE_LIMIT, ``mpmath.digamma`` for digamma, each at digits + 20; a
-served value must lie within half a unit of 10^-digits of it. An
-evaluation past BRUTE_LIMIT has no such check here, so its two values must
-lie within one unit of each other. It prints, per seed, how many requests
-moved and each side's total series terms, and names every value that
-fails its check. It exits 1 when any value fails its check or when a
-request is served on one side and refused on the other. It then times
-PAIRS pairs of warm passes, alternating which side runs first, and prints
-the medians of A's and B's pass times, the median and quartiles of the
-per-pair ratio B/A, and how many pairs B won.
+keeps its own caches, and reads the serve-warm request lists of the seeds
+in SEEDS from checkout A with ``served_table.requests``. For each seed it
+first serves the list once on both sides and compares what every request
+returns (value and error estimate, or the refusal's partial report). A
+change may move served bits on purpose, so a request that differs is held
+on both sides to ``served_table.judge``, against the value
+``served_table.independent`` works out with A's package. It prints, per
+seed, how many requests moved and each side's total series terms, and
+names every request that fails. It exits 1 when any value fails its check
+or when a request is served on one side and refused on the other. It then
+times PAIRS pairs of warm passes, alternating which side runs first, and
+prints the medians of A's and B's pass times, the median and quartiles of
+the per-pair ratio B/A, and how many pairs B won.
 
 Both sides share the process, the interpreter and the moment, so drift in
 the host's speed moves both passes of a pair alike and drops out of the
@@ -43,11 +39,12 @@ import sys
 import time
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
+
+from served_table import independent, judge, requests
 
 SEEDS = (41, 7, 99)
 PAIRS = 40
-BRUTE_LIMIT = 2000
 
 
 def load(root: str, name: str):
@@ -62,27 +59,6 @@ def load(root: str, name: str):
     for sub in ("catalog", "transform", "constants"):
         importlib.import_module(f"{name}.{sub}")
     return package
-
-
-def request_lists(root: str, package, seeds) -> dict[int, list]:
-    """The serve-warm lists of ``seeds`` from ``root``'s workloads.py, which
-    imports ``stirlingsum``: that name is bound to ``package`` meanwhile."""
-    def ours(k):
-        return k == "stirlingsum" or k.startswith("stirlingsum.")
-
-    saved = {k: v for k, v in sys.modules.items() if ours(k)}
-    sys.modules["stirlingsum"] = package
-    for sub in ("catalog", "constants", "transform"):
-        sys.modules[f"stirlingsum.{sub}"] = getattr(package, sub)
-    sys.path.insert(0, os.path.join(os.path.abspath(root), "benchmark"))
-    try:
-        from workloads import serve_warm
-        return {seed: serve_warm(seed) for seed in seeds}
-    finally:
-        sys.path.pop(0)
-        for k in [k for k in sys.modules if ours(k)]:
-            del sys.modules[k]
-        sys.modules.update(saved)
 
 
 def serve(package, req):
@@ -103,25 +79,13 @@ def serve(package, req):
 
 def wrong(package, req, got_a, got_b) -> str | None:
     """Why the differing returns of ``req`` on the two sides are not both
-    right, or None; ``package`` computes the brute-force checks."""
+    right, or None; ``package`` computes the independent value."""
     if got_a[0] != got_b[0]:
         return "served on one side, refused on the other"
     if got_a[0] == "refused":
         return None  # partial reports of a refusal on both sides
-    values = {"A": mp.make_mpf(got_a[1]), "B": mp.make_mpf(got_b[1])}
-    with mp.workdps(req.digits + 20):
-        unit = mpf(10) ** -req.digits
-        if req.kind == "digamma":
-            q = Fraction(req.target)
-            check = mp.digamma(mpf(q.numerator) / q.denominator)
-        elif req.n <= BRUTE_LIMIT:
-            check = package.catalog.brute_force(req.target, req.n, req.digits + 10)
-        else:
-            gap = abs(values["A"] - values["B"])
-            return None if gap <= unit else f"A and B {mp.nstr(gap / unit, 3)} units apart"
-        off = [f"{side} {mp.nstr(abs(v - check) / unit, 3)} units off"
-               for side, v in values.items() if abs(v - check) > unit / 2]
-    return ", ".join(off) or None
+    check = independent(package.catalog, req.kind, req.target, req.n, req.digits)
+    return judge({"A": mp.make_mpf(got_a[1]), "B": mp.make_mpf(got_b[1])}, check, req.digits)
 
 
 def one_pass(package, reqs) -> float:
@@ -137,7 +101,7 @@ def main(argv=None) -> int:
     ap.add_argument("b", help="checkout B")
     args = ap.parse_args(argv)
     a, b = load(args.a, "ab_a"), load(args.b, "ab_b")
-    lists = request_lists(args.a, a, SEEDS)
+    lists = {seed: requests(args.a, "serve_warm", seed) for seed in SEEDS}
     failed = False
     for seed, reqs in lists.items():
         moved, terms = 0, {"A": 0, "B": 0}
@@ -148,7 +112,8 @@ def main(argv=None) -> int:
             if got_a != got_b:
                 moved += 1
                 if why := wrong(a, req, got_a, got_b):
-                    print(f"seed {seed}: {req} wrong ({why}):\n  A {got_a}\n  B {got_b}")
+                    print(f"seed {seed}: {' '.join(req.argv[:-1])} wrong ({why}):"
+                          f"\n  A {got_a}\n  B {got_b}")
                     failed = True
         print(f"seed {seed}: {len(reqs)} requests, {moved} moved; series terms "
               f"A {terms['A']}, B {terms['B']}")

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate src/stirlingsum/data/reference_digits.txt.
 
-Each record is `<id> <decimal-string>` with exactly 1000 truncated fractional
-digits, computed by mpmath (independent of the package's own recovery path).
-Every value is computed twice at different working precisions and the two
-truncations must agree, which also guards against an unlucky 000.../999...
-run at the cut position.
+    python tools/make_reference_digits.py
+
+It takes no arguments. Each record is `<id> <decimal-string>` with exactly
+1000 truncated fractional digits, computed by mpmath (independent of the
+package's own recovery path). Every value is computed twice at different
+working precisions and the two truncations must agree, which also guards
+against an unlucky 000.../999... run at the cut position.
 """
 
+import argparse
 import hashlib
 import pathlib
 import sys
@@ -43,7 +46,8 @@ def truncated_decimal(value) -> str:
     return f"{sign}{digits[:-FRACTIONAL_DIGITS]}.{digits[-FRACTIONAL_DIGITS:]}"
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     records = []
     for name, compute in SPECS:
         with mp.workdps(FRACTIONAL_DIGITS + 40):
